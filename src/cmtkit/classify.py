@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .core import EMPTY_FACE, Face, SimplicialComplex
 from .fields import GF2, FieldSpec
-from .homology import reduced_betti
+from .homology import _BETTI_CACHE, reduced_betti
 
 DEFINITION_LINKS = "definition_links"
 REISNER_HOMOLOGY = "reisner_homology"
@@ -90,6 +90,7 @@ def clear_caches() -> None:
     _CM_CACHE.clear()
     _CMT_CACHE.clear()
     _KLAYER_CACHE.clear()
+    _BETTI_CACHE.clear()
 
 
 def _require_nonvoid(cx: SimplicialComplex) -> None:

@@ -94,7 +94,7 @@ def cmd_homology(args) -> int:
 def cmd_check(args) -> int:
     cx = load(args.file)
     field = _field(args)
-    t = args.t
+    t = max(args.t, 0)  # CM_t for t <= 0 is CM_0
     report: dict = {"schema": SCHEMA, "command": "check", "field": field.token, "t": t}
     if args.k is not None:
         report["k"] = args.k

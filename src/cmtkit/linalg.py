@@ -1,179 +1,131 @@
 """Exact rank computation kernels.
 
-Rank over GF(p) is the hot loop of every homology query, so it is compiled
-with numba when available.  A pure-numpy implementation computes the same
-values and is selected by setting CMTKIT_BACKEND=numpy (CMTKIT_BACKEND=numba
-insists on the compiled path and fails loudly if numba is missing).
+Ranks are computed by sparse low-pivot column reduction (Kaczynski, Mrozek
+and Slusarek, "Homology computation by reduction of chain complexes",
+Comput. Math. Appl. 1998).  A boundary matrix has only |face| nonzeros per
+column, so columns are kept sparse: a Python-int bitset over rows for GF(2),
+a dict row -> value for odd p and for Q.  The low of a column is its largest
+nonzero row.  Each column is reduced against the pivot that owns its low
+until the low is unowned (the column becomes that row's pivot) or the column
+vanishes; the rank is the number of pivots.
 
-Rank over the rationals uses fraction-free (Bareiss) elimination on Python
-integers; no floating point is involved anywhere.
+Over Q the columns hold Python ints and elimination is fraction-free, so no
+floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
-import os
+from math import gcd
 
 import numpy as np
 
 from .fields import FieldSpec
 
-_BACKEND_ENV = "CMTKIT_BACKEND"
-
-
-def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
-    """Row reduce mod p with vectorized numpy updates."""
-    a = np.mod(a, p).astype(np.int64, copy=True)
-    m, n = a.shape
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = a[row] * inv % p
-        below = a[row + 1:]
-        factors = below[:, col]
-        if factors.any():
-            below -= np.outer(factors, a[row])
-            np.mod(below, p, out=below)
-        row += 1
-    return row
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _pow_mod(base, exp, p):  # pragma: no cover - exercised through rank
-        result = 1
-        b = base % p
-        e = exp
-        while e > 0:
-            if e & 1:
-                result = (result * b) % p
-            b = (b * b) % p
-            e >>= 1
-        return result
-
-    @njit(cache=True, nogil=True)
-    def _rank_mod_p_jit(a, p):  # pragma: no cover - exercised through rank
-        m, n = a.shape
-        row = 0
-        for col in range(n):
-            if row == m:
-                break
-            piv = -1
-            for r in range(row, m):
-                if a[r, col] != 0:
-                    piv = r
-                    break
-            if piv < 0:
-                continue
-            if piv != row:
-                for c in range(col, n):
-                    tmp = a[row, c]
-                    a[row, c] = a[piv, c]
-                    a[piv, c] = tmp
-            inv = _pow_mod(a[row, col], p - 2, p)
-            for c in range(col, n):
-                a[row, c] = (a[row, c] * inv) % p
-            for r in range(row + 1, m):
-                f = a[r, col]
-                if f != 0:
-                    for c in range(col, n):
-                        a[r, c] = (a[r, c] - f * a[row, c]) % p
-            row += 1
-        return row
-
-    def _rank_mod_p_numba(a: np.ndarray, p: int) -> int:
-        work = np.mod(a, p).astype(np.int64, copy=True)
-        return int(_rank_mod_p_jit(work, p))
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
-    _rank_mod_p_numba = None
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_BACKEND_ENV, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_BACKEND_ENV} must be auto, numba or numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("CMTKIT_BACKEND=numba but numba is not importable")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_ACTIVE = _select_backend()
-
 
 def active_backend() -> str:
-    """Name of the GF(p) elimination backend selected at import time."""
-    return _ACTIVE
+    """Name of the rank kernel family (there is only one)."""
+    return "sparse"
+
+
+def _dict_columns(a: np.ndarray) -> list[dict[int, int]]:
+    """The nonzero entries of each column, as row -> value."""
+    t = a.T
+    cols, rows = np.nonzero(t)
+    columns: list[dict[int, int]] = [{} for _ in range(a.shape[1])]
+    for c, r, v in zip(cols.tolist(), rows.tolist(), t[cols, rows].tolist()):
+        columns[c][r] = v
+    return columns
+
+
+def _rank_gf2(a: np.ndarray) -> int:
+    cols, rows = np.nonzero((a & 1).T)
+    columns = [0] * a.shape[1]
+    for c, r in zip(cols.tolist(), rows.tolist()):
+        columns[c] |= 1 << r
+    pivots: dict[int, int] = {}
+    for col in columns:
+        while col:
+            low = col.bit_length() - 1
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            col ^= piv
+    return len(pivots)
 
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
     """Exact rank of an integer matrix viewed over GF(p)."""
+    a = np.asarray(a)
     if a.size == 0:
         return 0
-    if _ACTIVE == "numba":
-        return _rank_mod_p_numba(a, p)
-    return _rank_mod_p_numpy(a, p)
+    if p == 2:
+        return _rank_gf2(a)
+    pivots: dict[int, dict[int, int]] = {}
+    for col in _dict_columns(np.mod(a, p)):
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = pow(col[low], -1, p)
+                pivots[low] = {r: v * inv % p for r, v in col.items()}
+                break
+            f = col[low]
+            for r, v in piv.items():
+                x = (col.get(r, 0) - f * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 def rank_rational(a) -> int:
-    """Exact rank over Q via fraction-free elimination on Python ints.
+    """Exact rank over Q by fraction-free column reduction on Python ints.
 
-    Intermediate entries are minors of the input, so divisions are exact
-    and magnitudes stay Hadamard-bounded.
+    A column whose low is owned by a pivot with low entry pv is replaced by
+    (pv/g)*col - (f/g)*pivot, where f is the column's low entry and
+    g = gcd(pv, f); that clears the low and keeps the span over Q.  Stored
+    pivots, and columns after a scaled step, are divided by the gcd of their
+    entries so they stay small; pivots keep a positive low, so a pivot with
+    low 1 eliminates without scaling.
     """
-    rows = [[int(x) for x in r] for r in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        piv = None
-        for r in range(row, m):
-            if rows[r][col]:
-                piv = r
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0
+    pivots: dict[int, dict[int, int]] = {}
+    for col in _dict_columns(a):
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                g = gcd(*col.values())
+                if col[low] < 0:
+                    g = -g
+                pivots[low] = {r: v // g for r, v in col.items()}
                 break
-        if piv is None:
-            continue
-        if piv != row:
-            rows[row], rows[piv] = rows[piv], rows[row]
-        pv = rows[row][col]
-        for r in range(row + 1, m):
-            f = rows[r][col]
-            rr = rows[r]
-            top = rows[row]
-            for c in range(col + 1, n):
-                num = rr[c] * pv - top[c] * f
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination produced a non-exact division")
-                rr[c] = q
-            rr[col] = 0
-        prev = pv
-        row += 1
-        rank += 1
-    return rank
+            pv, f = piv[low], col[low]
+            g = gcd(pv, f)
+            scaled = pv != g
+            if scaled:
+                s = pv // g
+                col = {r: s * v for r, v in col.items()}
+            f //= g
+            for r, v in piv.items():
+                x = col.get(r, 0) - f * v
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            if scaled and col:
+                h = gcd(*col.values())
+                if h != 1:
+                    col = {r: v // h for r, v in col.items()}
+    return len(pivots)
 
 
 def rank(a: np.ndarray, field: FieldSpec) -> int:
     """Exact rank of an integer matrix over the requested field."""
-    if a.size == 0:
-        return 0
     if field.is_rationals:
         return rank_rational(a)
     return rank_mod_p(a, field.p)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from cmtkit import homology
 from cmtkit.classify import (
     CRITERIA,
     classify,
+    clear_caches,
     cm_t_witness,
     explore_join,
     is_buchsbaum,
@@ -64,6 +66,12 @@ class TestIsCm:
         assert not is_cm(rp2, GF2)
         assert is_cm(rp2, GF3)
         assert is_cm(rp2, RATIONALS)
+
+    def test_clear_caches_drops_betti_memo(self):
+        is_cm(boundary_simplex(4), GF2)
+        assert homology._BETTI_CACHE
+        clear_caches()
+        assert not homology._BETTI_CACHE
 
 
 class TestIsCmT:

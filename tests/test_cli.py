@@ -53,6 +53,16 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["witnesses"]
 
+    def test_negative_t_reports_cm_0(self, tmp_path, capsys):
+        path = tmp_path / "tetra.cplx"
+        path.write_text(emit(boundary_simplex(4)))
+        code, out, _ = run(capsys, ["check", str(path), "--t", "-5"])
+        doc = json.loads(out)
+        assert code == 0 and doc["t"] == 0 and doc["property"] == "CM_0"
+        code, out, _ = run(capsys, ["check", str(path), "--t", "-5", "--k", "2"])
+        doc = json.loads(out)
+        assert code == 0 and doc["t"] == 0 and doc["property"] == "2-CM_0"
+
     def test_k_budget_usage_error(self, tmp_path, capsys):
         path = tmp_path / "edge.cplx"
         path.write_text("1 2\n")
