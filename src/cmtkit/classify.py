@@ -1,24 +1,28 @@
 """Deciders for Cohen-Macaulay, CM_t, Buchsbaum and k-CM_t complexes.
 
-Three independently implemented CM_t criteria are exposed and expected to
-agree:
+One computation serves every CM_t decider: the obstruction map of a
+complex, which sends each face whose link has nonzero reduced homology
+below the link's dimension to the lowest such degree.  The three CM_t
+criteria are three readings of that map:
 
-* ``definition_links`` - purity plus Cohen-Macaulayness (Reisner test) of
-  every link of a face with at least t vertices;
-* ``reisner_homology`` - purity plus vanishing of the links' reduced
-  homology below degree dim - #face - 1;
-* ``local_homology`` - purity plus vanishing local homology at every face
-  of size >= max(t, 1) below the top degree, with the global homology
-  condition added for t = 0 where no puncture sees it.
+* ``definition_links`` - purity plus Cohen-Macaulayness of the link of
+  every face with at least t vertices; such a link fails exactly when an
+  obstructed face contains the face;
+* ``reisner_homology`` - purity plus no obstructed face with at least t
+  vertices;
+* ``local_homology`` - the same condition read as local homology, which at
+  a nonempty face is the link's homology shifted up by the face's size, and
+  at the empty face is the global homology.
 
-All deciders produce concrete witnesses on failure so the CLI can report
-them.  Verdicts are memoized per (complex, parameters) since the theorem
-suites revisit the same links and restrictions many times.
+Naive per-criterion deciders in ``tests/reference_deciders.py`` are the
+independent check on these.  All deciders produce concrete witnesses on
+failure so the CLI can report them.  The obstruction map and the k-CM_t
+removal layers are memoized per complex since the theorem suites revisit
+the same links and restrictions many times.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
@@ -81,14 +85,12 @@ class Witness:
         return out
 
 
-_CM_CACHE: dict[tuple, Witness | None] = {}
-_CMT_CACHE: dict[tuple, Witness | None] = {}
+_OBSTRUCTION_CACHE: dict[tuple, dict[Face, int]] = {}
 _KLAYER_CACHE: dict[tuple, Witness | None] = {}
 
 
 def clear_caches() -> None:
-    _CM_CACHE.clear()
-    _CMT_CACHE.clear()
+    _OBSTRUCTION_CACHE.clear()
     _KLAYER_CACHE.clear()
     _BETTI_CACHE.clear()
 
@@ -105,27 +107,31 @@ def is_pure(cx: SimplicialComplex) -> bool:
     return len(sizes) == 1
 
 
-def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
-    """Reisner test: a face whose link has homology below its dimension, or None."""
+def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[Face, int]:
+    """Each face whose link has reduced homology below the link's dimension,
+    mapped to the lowest such degree, in canonical face order."""
     _require_nonvoid(cx)
     key = (cx, field)
-    if key in _CM_CACHE:
-        return _CM_CACHE[key]
-    found = None
-    for sigma in cx.faces():
-        lk = cx.link(sigma)
-        top = lk.dim
-        if top <= 0:
-            continue  # links of dimension -1 or 0 never obstruct
-        betti = reduced_betti(lk, field)
-        for i in range(-1, top):
-            if betti[i]:
-                found = Witness("link_homology", face=sigma, degree=i)
-                break
-        if found:
-            break
-    _CM_CACHE[key] = found
+    found = _OBSTRUCTION_CACHE.get(key)
+    if found is None:
+        found = {}
+        for sigma in cx.faces():
+            lk = cx.link(sigma)
+            if lk.dim <= 0:
+                continue  # links of dimension -1 or 0 never obstruct
+            betti = reduced_betti(lk, field)
+            low = next((i for i in range(-1, lk.dim) if betti[i]), None)
+            if low is not None:
+                found[sigma] = low
+        _OBSTRUCTION_CACHE[key] = found
     return found
+
+
+def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
+    """Reisner test: the first face whose link has homology below its dimension, or None."""
+    for sigma, degree in _obstructions(cx, field).items():
+        return Witness("link_homology", face=sigma, degree=degree)
+    return None
 
 
 def is_cm(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
@@ -143,59 +149,29 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
     _require_nonvoid(cx)
     crit = normalize_criterion(criterion)
     t = max(int(t), 0)
-    key = (cx, t, field, crit)
-    if key in _CMT_CACHE:
-        return _CMT_CACHE[key]
-
     if not is_pure(cx):
-        found: Witness | None = Witness("impure")
-    elif crit == DEFINITION_LINKS:
-        found = None
-        for sigma in cx.faces():
-            if len(sigma) < t:
-                continue
-            inner = cm_witness(cx.link(sigma), field)
-            if inner is not None:
-                found = Witness("link_not_cm", face=sigma, inner=inner)
-                break
-    elif crit == REISNER_HOMOLOGY:
-        found = None
-        d = cx.dim + 1
-        for sigma in cx.faces():
-            if len(sigma) < t:
-                continue
-            betti = reduced_betti(cx.link(sigma), field)
-            for i in range(-1, d - len(sigma) - 1):
-                if betti[i]:
-                    found = Witness("link_homology", face=sigma, degree=i)
-                    break
-            if found:
-                break
-    else:
-        found = None
-        d = cx.dim + 1
-        if t == 0:
-            # punctures never see the empty face: add the global condition
-            betti = reduced_betti(cx, field)
-            for i in range(-1, d - 1):
-                if betti[i]:
-                    found = Witness("global_homology", face=EMPTY_FACE, degree=i)
-                    break
-        if found is None:
-            for sigma in cx.faces():
-                s = len(sigma)
-                if s < max(t, 1):
-                    continue
-                betti = reduced_betti(cx.link(sigma), field)
-                for j in range(-1, d - 1 - s):
-                    if betti[j]:
-                        found = Witness("local_homology", face=sigma, degree=j + s)
-                        break
-                if found:
-                    break
-
-    _CMT_CACHE[key] = found
-    return found
+        return Witness("impure")
+    obstructed = _obstructions(cx, field)
+    if crit == DEFINITION_LINKS:
+        # lk(sigma) is CM unless an obstructed face contains sigma, and a face
+        # with more than t vertices fails only if its t-subsets do.  The faces
+        # rho - sigma of lk(sigma) come in the same order as the faces rho.
+        for sigma in cx.faces(size=t):
+            for rho, degree in obstructed.items():
+                if sigma <= rho:
+                    inner = Witness("link_homology", face=rho - sigma, degree=degree)
+                    return Witness("link_not_cm", face=sigma, inner=inner)
+        return None
+    for sigma, degree in obstructed.items():
+        if len(sigma) < t:
+            continue
+        if crit == REISNER_HOMOLOGY:
+            return Witness("link_homology", face=sigma, degree=degree)
+        if sigma == EMPTY_FACE:
+            # punctures never see the empty face: this is the global condition
+            return Witness("global_homology", face=EMPTY_FACE, degree=degree)
+        return Witness("local_homology", face=sigma, degree=degree + len(sigma))
+    return None
 
 
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
@@ -209,45 +185,32 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
 
 
 def _k_layer_witness(cx: SimplicialComplex, size: int, t: int,
-                     field: FieldSpec, jobs: int = 1) -> Witness | None:
+                     field: FieldSpec) -> Witness | None:
     """First failing removal set of exactly `size` vertices, or None."""
     key = (cx, size, t, field)
     if key in _KLAYER_CACHE:
         return _KLAYER_CACHE[key]
-    support = cx.vertex_ids()
     support_mask = cx.support_mask
     d = cx.dim
-
-    def check(removal: tuple[int, ...]) -> Witness | None:
+    found = None
+    for removal in combinations(cx.vertex_ids(), size):
         keep_mask = support_mask
         for v in removal:
             keep_mask &= ~(1 << v)
         sub = cx.restrict(Face.from_mask(keep_mask))
         if sub.dim != d:
-            return Witness("restriction_dimension", removed=removal)
+            found = Witness("restriction_dimension", removed=removal)
+            break
         inner = cm_t_witness(sub, t, field, DEFINITION_LINKS)
         if inner is not None:
-            return Witness("restriction", removed=removal, inner=inner)
-        return None
-
-    removals = list(combinations(support, size))
-    found = None
-    if jobs > 1 and len(removals) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for w in pool.map(check, removals):
-                if w is not None and found is None:
-                    found = w  # keep the first in canonical order
-    else:
-        for removal in removals:
-            found = check(removal)
-            if found is not None:
-                break
+            found = Witness("restriction", removed=removal, inner=inner)
+            break
     _KLAYER_CACHE[key] = found
     return found
 
 
 def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2,
-                   jobs: int = 1, check_budget: bool = True) -> Witness | None:
+                   check_budget: bool = True) -> Witness | None:
     """Witness against k-CM_t (a removal set breaking CM_t or the dimension).
 
     Enumerates every removal set W with fewer than k vertices; with
@@ -262,15 +225,14 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2
         raise ValueError("k exceeds vertex budget")
     t = max(int(t), 0)
     for size in range(0, min(k - 1, len(support)) + 1):
-        w = _k_layer_witness(cx, size, t, field, jobs=jobs)
+        w = _k_layer_witness(cx, size, t, field)
         if w is not None:
             return w
     return None
 
 
-def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2,
-              jobs: int = 1) -> bool:
-    return k_cm_t_witness(cx, k, t, field, jobs=jobs) is None
+def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> bool:
+    return k_cm_t_witness(cx, k, t, field) is None
 
 
 def is_k_cm_t_unbounded(cx: SimplicialComplex, k: int, t: int,
@@ -289,17 +251,13 @@ def is_k_buchsbaum(cx: SimplicialComplex, k: int, field: FieldSpec = GF2) -> boo
 
 
 def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
-    """Least t with CM_t; defined (and guaranteed) for pure complexes."""
+    """Least t with CM_t, for pure complexes: CM_t fails exactly when a face
+    with at least t vertices is obstructed, so one more than the largest
+    obstructed face, or 0 if there is none."""
     _require_nonvoid(cx)
     if not is_pure(cx):
         raise ValueError("min_t undefined for impure complexes")
-    if cx.dim == -1:
-        return 0
-    verdicts = [is_cm_t(cx, t, field) for t in range(0, cx.dim + 1)]
-    first = verdicts.index(True) if True in verdicts else None
-    if first is None or not all(verdicts[first:]):
-        raise AssertionError(f"CM_t monotonicity violated: {verdicts}")
-    return first
+    return max((len(sigma) + 1 for sigma in _obstructions(cx, field)), default=0)
 
 
 def _max_k_capped(cx: SimplicialComplex, t: int, field: FieldSpec,

@@ -100,7 +100,7 @@ def cmd_check(args) -> int:
         report["k"] = args.k
         report["property"] = f"{args.k}-CM_{t}"
         try:
-            witness = k_cm_t_witness(cx, args.k, t, field, jobs=args.jobs)
+            witness = k_cm_t_witness(cx, args.k, t, field)
         except ValueError as e:
             raise UsageError(str(e)) from None
     else:
@@ -192,6 +192,10 @@ def cmd_explore_join(args) -> int:
 
 def cmd_verify(args) -> int:
     field = _field(args)
+    if args.max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.seeds < 0:
+        raise UsageError(f"--seeds must be non-negative, got {args.seeds}")
     seed_base = DEFAULT_SEED_BASE
     env_seed = os.environ.get("CMTKIT_SEED")
     if env_seed is not None:
@@ -201,7 +205,7 @@ def cmd_verify(args) -> int:
             raise UsageError(f"CMTKIT_SEED must be an integer, got {env_seed!r}") from None
     corpus = build_corpus(max_n=args.max_n, seeds=args.seeds, seed_base=seed_base)
     try:
-        reports = run_suites([args.suite], corpus, field=field, jobs=args.jobs)
+        reports = run_suites([args.suite], corpus, field=field)
     except ValueError as e:
         raise UsageError(str(e)) from None
     ce_paths = []
@@ -253,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="decide k-CM_t instead")
     p.add_argument("--criterion", default="def", choices=("def", "reisner", "local"),
                    help="CM_t criterion (ignored with --k)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the removal loop")
     add_common(p)
     p.set_defaults(fn=cmd_check)
 
@@ -304,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=int, default=6,
                    help="vertex bound for the generated corpus")
     p.add_argument("--seeds", type=int, default=10, help="number of random corpus seeds")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads over suite cases")
     add_common(p)
     p.set_defaults(fn=cmd_verify)
 

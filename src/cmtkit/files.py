@@ -72,6 +72,9 @@ def _parse_json(text: str) -> SimplicialComplex:
     facets = doc["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ParseError('"facets" must be a list of lists of labels')
+    for tok in (tok for f in facets for tok in f):
+        if isinstance(tok, bool) or not isinstance(tok, (str, int)):
+            raise ParseError(f"vertex labels must be strings or integers, got {json.dumps(tok)}")
     if facets and all(len(f) == 0 for f in facets):
         return from_facets([()])
     return _build([[str(tok) for tok in f] for f in facets]) if facets else from_facets([])

@@ -9,7 +9,6 @@ deciders implement the intended theory.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Callable, Iterable
@@ -122,16 +121,11 @@ def acceptance_corpus() -> list[CorpusItem]:
 
 # -- helpers -----------------------------------------------------------------
 
-def _run_cases(suite: str, cases: list[tuple[str, Callable[[], list[CaseFailure]]]],
-               jobs: int = 1) -> SuiteReport:
+def _run_cases(suite: str,
+               cases: list[tuple[str, Callable[[], list[CaseFailure]]]]) -> SuiteReport:
     report = SuiteReport(suite=suite, cases=len(cases))
-    if jobs > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: c[1](), cases))
-    else:
-        results = [fn() for _, fn in cases]
-    for fails in results:
-        report.failures.extend(fails)
+    for _, fn in cases:
+        report.failures.extend(fn())
     report.failures.sort(key=lambda f: f.case)
     return report
 
@@ -150,8 +144,7 @@ def _ts(cx: SimplicialComplex) -> range:
 
 # -- structural laws -----------------------------------------------------------
 
-def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
-                    jobs: int = 1) -> SuiteReport:
+def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
     """Link/restriction/skeleton/join identities and constructor idempotence."""
     items = list(corpus)
 
@@ -224,13 +217,13 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
     cases = [(name, make_case(name, cx)) for name, cx in items]
     cases += [(f"join:{items[i][0]}", make_join_case(i))
               for i in range(min(len(items), 8))]
-    return _run_cases("link_laws", cases, jobs=jobs)
+    return _run_cases("link_laws", cases)
 
 
 # -- classification theorems ---------------------------------------------------
 
-def suite_criteria_equivalence(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
-                               jobs: int = 1) -> SuiteReport:
+def suite_criteria_equivalence(corpus: Iterable[CorpusItem],
+                               field: FieldSpec = GF2) -> SuiteReport:
     """The three CM_t deciders agree for every t in 0..dim."""
 
     def make_case(name: str, cx: SimplicialComplex):
@@ -247,11 +240,10 @@ def suite_criteria_equivalence(corpus: Iterable[CorpusItem], field: FieldSpec = 
         return run
 
     return _run_cases("criteria_equivalence",
-                      [(name, make_case(name, cx)) for name, cx in corpus], jobs=jobs)
+                      [(name, make_case(name, cx)) for name, cx in corpus])
 
 
-def suite_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
-                         jobs: int = 1) -> SuiteReport:
+def suite_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
     """CM_t (t >= 1) holds iff the complex is pure and every vertex link is CM_{t-1}."""
 
     def make_case(name: str, cx: SimplicialComplex):
@@ -270,11 +262,11 @@ def suite_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
         return run
 
     return _run_cases("link_recursion",
-                      [(name, make_case(name, cx)) for name, cx in corpus], jobs=jobs)
+                      [(name, make_case(name, cx)) for name, cx in corpus])
 
 
-def suite_k_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
-                           jobs: int = 1) -> SuiteReport:
+def suite_k_link_recursion(corpus: Iterable[CorpusItem],
+                           field: FieldSpec = GF2) -> SuiteReport:
     """k-CM_t recursion laws on pure complexes, k = 2:
 
     * t >= 1: k-CM_t iff every nonempty face's link is k-CM_{t-1};
@@ -316,11 +308,11 @@ def suite_k_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
         return run
 
     return _run_cases("k_link_recursion",
-                      [(name, make_case(name, cx)) for name, cx in corpus], jobs=jobs)
+                      [(name, make_case(name, cx)) for name, cx in corpus])
 
 
-def suite_deletion_theorem(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
-                           jobs: int = 1) -> SuiteReport:
+def suite_deletion_theorem(corpus: Iterable[CorpusItem],
+                           field: FieldSpec = GF2) -> SuiteReport:
     """Coface deletion: for CM_t cx and admissible removal sets among facet
     subsets of size <= 2 (pairwise unions outside, dimension drop, links
     2-CM_{t-1}), the survivor is 2-CM_t one dimension down."""
@@ -354,11 +346,11 @@ def suite_deletion_theorem(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
         return run
 
     return _run_cases("deletion_theorem",
-                      [(name, make_case(name, cx)) for name, cx in corpus], jobs=jobs)
+                      [(name, make_case(name, cx)) for name, cx in corpus])
 
 
-def suite_skeleton_theorem(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
-                           jobs: int = 1) -> SuiteReport:
+def suite_skeleton_theorem(corpus: Iterable[CorpusItem],
+                           field: FieldSpec = GF2) -> SuiteReport:
     """For a k-CM_t complex of dimension d-1 the (d-s-1)-skeleton is (k+s)-CM_t."""
 
     def make_case(name: str, cx: SimplicialComplex):
@@ -381,11 +373,10 @@ def suite_skeleton_theorem(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
         return run
 
     return _run_cases("skeleton_theorem",
-                      [(name, make_case(name, cx)) for name, cx in corpus], jobs=jobs)
+                      [(name, make_case(name, cx)) for name, cx in corpus])
 
 
-def suite_monotonicity(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
-                       jobs: int = 1) -> SuiteReport:
+def suite_monotonicity(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
     """CM_t is monotone in t; k-CM_t is antitone in k."""
 
     def make_case(name: str, cx: SimplicialComplex):
@@ -406,11 +397,11 @@ def suite_monotonicity(corpus: Iterable[CorpusItem], field: FieldSpec = GF2,
         return run
 
     return _run_cases("monotonicity",
-                      [(name, make_case(name, cx)) for name, cx in corpus], jobs=jobs)
+                      [(name, make_case(name, cx)) for name, cx in corpus])
 
 
-def suite_paper_fixtures(corpus: Iterable[CorpusItem] = (), field: FieldSpec = GF2,
-                         jobs: int = 1) -> SuiteReport:
+def suite_paper_fixtures(corpus: Iterable[CorpusItem] = (),
+                         field: FieldSpec = GF2) -> SuiteReport:
     """Pinned classification facts for the canonical example families."""
     del corpus  # fixture-driven
     checks: list[tuple[str, Callable[[], bool]]] = []
@@ -480,7 +471,7 @@ def suite_paper_fixtures(corpus: Iterable[CorpusItem] = (), field: FieldSpec = G
     cases = [(name, (lambda name=name, fn=fn:
                      [] if fn() else [CaseFailure("paper_fixtures", name)]))
              for name, fn in checks]
-    return _run_cases("paper_fixtures", cases, jobs=jobs)
+    return _run_cases("paper_fixtures", cases)
 
 
 SUITES: dict[str, Callable[..., SuiteReport]] = {
@@ -498,7 +489,7 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def run_suites(names: Iterable[str], corpus: list[CorpusItem],
-               field: FieldSpec = GF2, jobs: int = 1) -> list[SuiteReport]:
+               field: FieldSpec = GF2) -> list[SuiteReport]:
     wanted: list[str] = []
     for name in names:
         if name == "all":
@@ -507,4 +498,4 @@ def run_suites(names: Iterable[str], corpus: list[CorpusItem],
             wanted.append(name)
         else:
             raise ValueError(f"unknown suite: {name!r} (expected one of {SUITE_NAMES})")
-    return [SUITES[name](corpus, field=field, jobs=jobs) for name in wanted]
+    return [SUITES[name](corpus, field=field) for name in wanted]

@@ -1,0 +1,94 @@
+"""Naive reference deciders for CM and CM_t, one loop per criterion.
+
+Production code (`cmtkit.classify`) derives every CM_t criterion from one
+obstruction map.  These deciders compute each criterion on its own, straight
+from the definitions: the link definition takes links of links, and nothing
+but the Betti numbers is memoized.  Tests compare their witnesses and min_t
+with production's.
+"""
+
+from __future__ import annotations
+
+from cmtkit.classify import (
+    DEFINITION_LINKS,
+    REISNER_HOMOLOGY,
+    Witness,
+    is_pure,
+    normalize_criterion,
+)
+from cmtkit.core import EMPTY_FACE, SimplicialComplex
+from cmtkit.fields import GF2, FieldSpec
+from cmtkit.homology import reduced_betti
+
+
+def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
+    """Reisner test: the first face whose link has homology below its dimension."""
+    for sigma in cx.faces():
+        lk = cx.link(sigma)
+        top = lk.dim
+        if top <= 0:
+            continue  # links of dimension -1 or 0 never obstruct
+        betti = reduced_betti(lk, field)
+        for i in range(-1, top):
+            if betti[i]:
+                return Witness("link_homology", face=sigma, degree=i)
+    return None
+
+
+def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
+                 criterion: str = DEFINITION_LINKS) -> Witness | None:
+    crit = normalize_criterion(criterion)
+    t = max(int(t), 0)
+    if not is_pure(cx):
+        return Witness("impure")
+    d = cx.dim + 1
+    if crit == DEFINITION_LINKS:
+        for sigma in cx.faces():
+            if len(sigma) < t:
+                continue
+            inner = cm_witness(cx.link(sigma), field)
+            if inner is not None:
+                return Witness("link_not_cm", face=sigma, inner=inner)
+        return None
+    if crit == REISNER_HOMOLOGY:
+        for sigma in cx.faces():
+            if len(sigma) < t:
+                continue
+            betti = reduced_betti(cx.link(sigma), field)
+            for i in range(-1, d - len(sigma) - 1):
+                if betti[i]:
+                    return Witness("link_homology", face=sigma, degree=i)
+        return None
+    if t == 0:
+        # punctures never see the empty face: add the global condition
+        betti = reduced_betti(cx, field)
+        for i in range(-1, d - 1):
+            if betti[i]:
+                return Witness("global_homology", face=EMPTY_FACE, degree=i)
+    for sigma in cx.faces():
+        s = len(sigma)
+        if s < max(t, 1):
+            continue
+        betti = reduced_betti(cx.link(sigma), field)
+        for j in range(-1, d - 1 - s):
+            if betti[j]:
+                return Witness("local_homology", face=sigma, degree=j + s)
+    return None
+
+
+def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
+            criterion: str = DEFINITION_LINKS) -> bool:
+    return cm_t_witness(cx, t, field, criterion) is None
+
+
+def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
+    """Least t with CM_t, by deciding CM_t for t = 0..dim in turn."""
+    if not is_pure(cx):
+        raise ValueError("min_t undefined for impure complexes")
+    if cx.dim == -1:
+        return 0
+    verdicts = [is_cm_t(cx, t, field) for t in range(0, cx.dim + 1)]
+    first = verdicts.index(True) if True in verdicts else None
+    if first is None or not all(verdicts[first:]):
+        raise AssertionError(f"CM_t monotonicity violated: {verdicts}")
+    return first

@@ -4,6 +4,7 @@ import pytest
 
 from cmtkit import homology
 from cmtkit.classify import (
+    _OBSTRUCTION_CACHE,
     CRITERIA,
     classify,
     clear_caches,
@@ -69,9 +70,10 @@ class TestIsCm:
 
     def test_clear_caches_drops_betti_memo(self):
         is_cm(boundary_simplex(4), GF2)
-        assert homology._BETTI_CACHE
+        assert homology._BETTI_CACHE and _OBSTRUCTION_CACHE
         clear_caches()
         assert not homology._BETTI_CACHE
+        assert not _OBSTRUCTION_CACHE
 
 
 class TestIsCmT:

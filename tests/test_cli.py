@@ -200,6 +200,17 @@ class TestParseErrors:
     def test_unknown_suite_choice(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
 
+    def test_json_label_of_wrong_type(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"facets": [[true, 2.5]]}')
+        code, out, err = run(capsys, ["homology", str(path)])
+        assert code == 2 and out == "" and "strings or integers" in err
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "tetra.cplx"
+        path.write_text(emit(boundary_simplex(4)))
+        assert main(["check", str(path), "--t", "0", "--k", "2", "--jobs", "2"]) == 2
+
 
 class TestExploreJoin:
     def test_table(self, tmp_path, capsys):
@@ -242,7 +253,7 @@ class TestVerify:
         import cmtkit.cli as cli_mod
         from cmtkit.suites import CaseFailure, SuiteReport
 
-        def fake_run_suites(names, corpus, field, jobs):
+        def fake_run_suites(names, corpus, field):
             rep = SuiteReport(suite="link_laws", cases=1)
             rep.failures.append(CaseFailure("link_laws", "synthetic failure",
                                             boundary_simplex(3)))
@@ -257,9 +268,14 @@ class TestVerify:
         (ce_path,) = doc["counterexample_files"]
         assert parse(open(ce_path).read()) == boundary_simplex(3)
 
-    def test_jobs_flag(self, tmp_path, capsys):
-        path = tmp_path / "tetra.cplx"
-        path.write_text(emit(boundary_simplex(4)))
-        code, out, _ = run(capsys, ["check", str(path), "--t", "0", "--k", "2",
-                                    "--jobs", "4"])
-        assert code == 0 and json.loads(out)["ok"] is True
+    @pytest.mark.parametrize("flag, value", [("--seeds", "-3"), ("--max-n", "0"),
+                                             ("--max-n", "-1")])
+    def test_out_of_range_corpus_size(self, capsys, flag, value):
+        code, out, err = run(capsys, ["verify", "--suite", "monotonicity", flag, value])
+        assert code == 2 and out == "" and flag in err
+
+    def test_zero_seeds_is_allowed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, ["verify", "--suite", "monotonicity",
+                                    "--max-n", "4", "--seeds", "0"])
+        assert code == 0 and json.loads(out)["seeds"] == 0

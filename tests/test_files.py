@@ -69,6 +69,12 @@ class TestParseJson:
         with pytest.raises(ParseError):
             parse('{"facets": "zzz"}')
 
+    @pytest.mark.parametrize("facets", ["[[1, [2]]]", "[[true, 2]]", "[[1, 2.5]]",
+                                        "[[1, null]]", '[[{"v": 1}]]'])
+    def test_labels_must_be_strings_or_integers(self, facets):
+        with pytest.raises(ParseError, match="strings or integers"):
+            parse('{"facets": %s}' % facets)
+
 
 class TestEmit:
     def test_canonical_order(self):

@@ -1,0 +1,50 @@
+"""Production CM_t deciders against the naive per-criterion reference."""
+
+import pytest
+
+import reference_deciders as ref
+from cmtkit.classify import CRITERIA, cm_t_witness, cm_witness, min_t
+from cmtkit.core import from_facets
+from cmtkit.fields import GF2, GF3, RATIONALS
+from cmtkit.generators import miyazaki_example, projective_plane_6
+from cmtkit.suites import acceptance_corpus
+
+
+def _cases():
+    mi, sigma = miyazaki_example()
+    survivor, _ = mi.delete_cofaces([sigma])
+    return acceptance_corpus() + [("rp2-6", projective_plane_6()),
+                                  ("miyazaki-deletion-survivor", survivor),
+                                  ("triangle-with-tail", from_facets([(1, 2, 3), (3, 4)]))]
+
+
+CASES = _cases()
+
+
+def _outcome(fn, cx, *args):
+    """JSON of a witness, a plain value, or the name of the error raised."""
+    try:
+        result = fn(cx, *args)
+    except (ValueError, AssertionError) as e:
+        return type(e).__name__
+    return result.to_json(cx) if hasattr(result, "to_json") else result
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)
+def test_witnesses_and_min_t_match_reference(field):
+    mismatches, kinds = [], set()
+    for name, cx in CASES:
+        pairs = [("cm", cm_witness, ref.cm_witness, (field,)),
+                 ("min_t", min_t, ref.min_t, (field,))]
+        pairs += [(f"t={t} {crit}", cm_t_witness, ref.cm_t_witness, (t, field, crit))
+                  for t in range(0, cx.dim + 2) for crit in CRITERIA]
+        for what, fn, ref_fn, args in pairs:
+            got, want = _outcome(fn, cx, *args), _outcome(ref_fn, cx, *args)
+            if got != want:
+                mismatches.append((name, what, got, want))
+            if isinstance(want, dict):
+                kinds.add(want["kind"])
+    assert not mismatches, mismatches[:5]
+    # every witness kind a CM_t decider can return was compared
+    assert kinds == {"impure", "link_not_cm", "link_homology", "local_homology",
+                     "global_homology"}

@@ -42,10 +42,3 @@ def test_random_corpus_is_deterministic():
     b = random_corpus(5, max_n=6, seed_base=3)
     assert [cx for _, cx in a] == [cx for _, cx in b]
     assert a[0][1] != random_corpus(5, max_n=6, seed_base=4)[0][1]
-
-
-def test_jobs_do_not_change_results():
-    corpus = build_corpus(max_n=4, seeds=2)
-    serial = SUITES["criteria_equivalence"](corpus, field=GF2, jobs=1)
-    threaded = SUITES["criteria_equivalence"](corpus, field=GF2, jobs=4)
-    assert serial.to_json() == threaded.to_json()
