@@ -101,10 +101,10 @@ def _require_nonvoid(cx: SimplicialComplex) -> None:
 
 
 def is_pure(cx: SimplicialComplex) -> bool:
-    """True when all facets share one cardinality; {<>} is pure."""
+    """True when all facets share one cardinality; {<>} is pure.  Facet
+    masks are sorted by size, so the first and the last decide."""
     _require_nonvoid(cx)
-    sizes = {len(f) for f in cx.facets}
-    return len(sizes) == 1
+    return cx.masks[0].bit_count() == cx.masks[-1].bit_count()
 
 
 def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[Face, int]:

@@ -1,16 +1,21 @@
 """Bitmask faces and facet-list simplicial complexes.
 
 A complex stores only its inclusion-maximal faces (facets) over a dense
-vertex id space 0..n-1; every other face is enumerated on demand and
-memoized.  Two degenerate values are representable and distinct: the void
-complex (no faces at all) and the irrelevant complex {<>} whose single face
-is the empty face.  Dimension queries on the void complex raise.
+vertex id space 0..n-1, as ``masks``: one int per facet, bit v set when
+vertex v is in it, in canonical order (by size, then by sorted vertex
+tuple).  Equality, hashing and every derived complex work on these ints;
+``Face`` objects are built only where the API hands faces out (``facets``,
+``faces()``).  Every other face is enumerated on demand and memoized.  Two
+degenerate values are representable and distinct: the void complex (no
+faces at all) and the irrelevant complex {<>} whose single face is the
+empty face.  Dimension queries on the void complex raise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -54,9 +59,6 @@ class Face:
     @property
     def dim(self) -> int:
         return self.mask.bit_count() - 1
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.mask.bit_count(), self.vertices)
 
     def isdisjoint(self, other: "Face") -> bool:
         return self.mask & other.mask == 0
@@ -107,6 +109,18 @@ def _vertex_mask(obj, n_vertices: int) -> int:
     return mask
 
 
+def _canonical(masks: Iterable[int], n_vertices: int) -> tuple[int, ...]:
+    """Masks below 2**n_vertices sorted by size, then by sorted vertex tuple.
+
+    Of two sets of one size, the one holding the smallest vertex where they
+    differ comes first.  The complement's bits read from vertex 0 upward
+    have a '0' there for that set, so comparing those strings gives the order.
+    """
+    full = (1 << n_vertices) - 1
+    spec = f"0{n_vertices}b"
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), format(m ^ full, spec)[::-1])))
+
+
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
     """Keep only inclusion-maximal masks (deduplicated)."""
     uniq = sorted(set(masks), key=lambda m: -m.bit_count())
@@ -139,31 +153,45 @@ class SimplicialComplex:
     parent so they compare structurally.
     """
 
-    __slots__ = ("n_vertices", "facets", "labels", "_cache")
+    __slots__ = ("n_vertices", "masks", "labels", "_cache")
 
     def __init__(self, n_vertices: int, facets: Iterable[Face] = (),
                  labels: Sequence[str] | None = None):
         n_vertices = int(n_vertices)
         if n_vertices < 0:
             raise ValueError("n_vertices must be non-negative")
-        fs = tuple(sorted({as_face(f) for f in facets}, key=Face.sort_key))
-        for f in fs:
-            if f.mask >> n_vertices:
-                raise ValueError(f"facet {f} uses ids beyond ambient size {n_vertices}")
-        for i, a in enumerate(fs):
-            for b in fs[i + 1:]:
-                if a.mask & b.mask == a.mask:
-                    raise ValueError(f"facets must form an antichain: {a} is contained in {b}")
+        masks = [as_face(f).mask for f in facets]
+        for m in masks:
+            if m >> n_vertices:
+                raise ValueError(f"facet {Face.from_mask(m)} uses ids beyond ambient size {n_vertices}")
+        masks = _canonical(set(masks), n_vertices)
+        for i, a in enumerate(masks):
+            for b in masks[i + 1:]:
+                if a & b == a:
+                    raise ValueError("facets must form an antichain: "
+                                     f"{Face.from_mask(a)} is contained in {Face.from_mask(b)}")
         if labels is None:
             labels = tuple(str(i) for i in range(n_vertices))
         else:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n_vertices:
                 raise ValueError("label table must have one entry per ambient vertex")
+        self._set(n_vertices, masks, labels)
+
+    def _set(self, n_vertices: int, masks: tuple[int, ...], labels: tuple[str, ...]) -> None:
         object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "facets", fs)
+        object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_cache", {})
+
+    @classmethod
+    def _trusted(cls, n_vertices: int, masks: Iterable[int],
+                 labels: tuple[str, ...]) -> "SimplicialComplex":
+        """Complex whose facet masks are known to be distinct, an antichain
+        and below 2**n_vertices, with one label per ambient vertex."""
+        cx = cls.__new__(cls)
+        cx._set(n_vertices, _canonical(masks, n_vertices), labels)
+        return cx
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -210,37 +238,39 @@ class SimplicialComplex:
                     stacklevel=2,
                 )
 
-        if not masks:
-            return cls(0, (), ())
-        remap = {old: new for new, old in enumerate(used_ids)}
-        remapped = []
-        for m in masks:
-            nm = 0
-            for v in _bits(m):
-                nm |= 1 << remap[v]
-            remapped.append(nm)
-        facets = [Face.from_mask(m) for m in _maximal_masks(remapped)]
-        return cls(len(used_ids), facets, tuple(label_of(v) for v in used_ids))
+        # unused ids keep a placeholder label; compact() drops their slots
+        table = [""] * used.bit_length()
+        for v in used_ids:
+            table[v] = label_of(v)
+        return cls._trusted(len(table), _maximal_masks(masks), tuple(table)).compact()
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def facets(self) -> tuple[Face, ...]:
+        """The facets as Face objects, in the canonical order of `masks`."""
+        fs = self._cache.get("facets")
+        if fs is None:
+            fs = self._cache["facets"] = tuple(Face.from_mask(m) for m in self.masks)
+        return fs
+
+    @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.masks
 
     @property
     def dim(self) -> int:
         if self.is_void:
             raise ValueError("the void complex has no dimension")
-        return max(f.dim for f in self.facets)
+        return self.masks[-1].bit_count() - 1
 
     @property
     def support_mask(self) -> int:
         m = self._cache.get("support")
         if m is None:
             m = 0
-            for f in self.facets:
-                m |= f.mask
+            for f in self.masks:
+                m |= f
             self._cache["support"] = m
         return m
 
@@ -250,7 +280,7 @@ class SimplicialComplex:
 
     def contains(self, face) -> bool:
         mask = as_face(face).mask
-        return any(mask & f.mask == mask for f in self.facets)
+        return any(mask & f == mask for f in self.masks)
 
     def faces(self, size: int | None = None) -> tuple[Face, ...]:
         """All faces, or all faces with exactly `size` vertices.
@@ -260,26 +290,21 @@ class SimplicialComplex:
         """
         if self.is_void:
             raise ValueError("void complex has no faces")
-        by_size = self._cache.get("faces_by_size")
-        if by_size is None:
+        cached = self._cache.get("faces")
+        if cached is None:
             seen: set[int] = set()
-            for f in self.facets:
-                sub = f.mask
+            for f in self.masks:
+                sub = f
                 while True:
                     seen.add(sub)
                     if sub == 0:
                         break
-                    sub = (sub - 1) & f.mask
-            groups: dict[int, list[Face]] = {}
-            for m in seen:
-                groups.setdefault(m.bit_count(), []).append(Face.from_mask(m))
-            by_size = {s: tuple(sorted(fs, key=Face.sort_key)) for s, fs in groups.items()}
-            self._cache["faces_by_size"] = by_size
+                    sub = (sub - 1) & f
+            flat = tuple(Face.from_mask(m) for m in _canonical(seen, self.n_vertices))
+            cached = self._cache["faces"] = (
+                flat, {s: tuple(group) for s, group in groupby(flat, len)})
+        flat, by_size = cached
         if size is None:
-            flat = self._cache.get("faces_all")
-            if flat is None:
-                flat = tuple(f for s in sorted(by_size) for f in by_size[s])
-                self._cache["faces_all"] = flat
             return flat
         if size < 0:
             raise ValueError("face size must be non-negative")
@@ -295,21 +320,20 @@ class SimplicialComplex:
         sigma = as_face(face)
         if not self.contains(sigma):
             raise ValueError(f"not a face of the complex: {sigma}")
-        if sigma.mask == 0:
+        s = sigma.mask
+        if s == 0:
             return self
         # Facets containing sigma stay an antichain after removing it.
-        facets = tuple(Face.from_mask(f.mask & ~sigma.mask)
-                       for f in self.facets if sigma.mask & f.mask == sigma.mask)
-        return SimplicialComplex(self.n_vertices, facets, self.labels)
+        return SimplicialComplex._trusted(
+            self.n_vertices, [f & ~s for f in self.masks if s & f == s], self.labels)
 
     def restrict(self, keep) -> "SimplicialComplex":
         """Faces contained in the vertex set `keep`; {<>} if nothing survives."""
         keep_mask = _vertex_mask(keep, self.n_vertices)
         if self.is_void:
             return self
-        masks = _maximal_masks(f.mask & keep_mask for f in self.facets)
-        return SimplicialComplex(self.n_vertices,
-                                 tuple(Face.from_mask(m) for m in masks), self.labels)
+        return SimplicialComplex._trusted(
+            self.n_vertices, _maximal_masks(f & keep_mask for f in self.masks), self.labels)
 
     def skeleton(self, j: int) -> "SimplicialComplex":
         """All faces of dimension at most j (j = -1 gives {<>})."""
@@ -319,8 +343,10 @@ class SimplicialComplex:
             raise ValueError("the void complex has no skeleta")
         if j >= self.dim:
             return self
-        facets = self.faces(size=j + 1) + tuple(f for f in self.facets if len(f) <= j)
-        return SimplicialComplex(self.n_vertices, facets, self.labels)
+        # (j+1)-faces and the smaller facets: no facet lies in a larger face
+        masks = [f.mask for f in self.faces(size=j + 1)]
+        masks += [f for f in self.masks if f.bit_count() <= j]
+        return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Simplicial join; the second operand's ids are shifted past ours."""
@@ -334,10 +360,9 @@ class SimplicialComplex:
                 lb = lb + "'"
             taken.add(lb)
             relabeled.append(lb)
-        facets = tuple(Face.from_mask(a.mask | (b.mask << offset))
-                       for a in self.facets for b in other.facets)
-        return SimplicialComplex(offset + other.n_vertices, facets,
-                                 self.labels + tuple(relabeled))
+        masks = [a | (b << offset) for a in self.masks for b in other.masks]
+        return SimplicialComplex._trusted(offset + other.n_vertices, masks,
+                                          self.labels + tuple(relabeled))
 
     def delete_cofaces(self, faces_to_remove: Iterable) -> tuple["SimplicialComplex", DeletionReport]:
         """Remove every face containing one of the given faces.
@@ -362,18 +387,14 @@ class SimplicialComplex:
         for s in sigmas:
             if result.is_void or not result.contains(s):
                 continue
-            if s.mask == 0:
-                result = SimplicialComplex(self.n_vertices, (), self.labels)
-                continue
             cands: list[int] = []
-            for f in result.facets:
-                if s.mask & f.mask == s.mask:
-                    cands.extend(f.mask & ~(1 << v) for v in s)
+            for f in result.masks:
+                if s.mask & f == s.mask:
+                    cands.extend(f & ~(1 << v) for v in s)
                 else:
-                    cands.append(f.mask)
-            result = SimplicialComplex(self.n_vertices,
-                                       tuple(Face.from_mask(m) for m in _maximal_masks(cands)),
-                                       self.labels)
+                    cands.append(f)
+            result = SimplicialComplex._trusted(self.n_vertices, _maximal_masks(cands),
+                                                self.labels)
         if self.is_void:
             dropped = False
         else:
@@ -382,32 +403,29 @@ class SimplicialComplex:
 
     def compact(self) -> "SimplicialComplex":
         """Drop unused ambient vertex slots, keeping labels and id order."""
-        if self.is_void:
-            return SimplicialComplex(0, (), ())
-        used = _bits(self.support_mask)
+        used = self.vertex_ids()
         if len(used) == self.n_vertices:
             return self
-        remap = {old: new for new, old in enumerate(used)}
-        facets = []
-        for f in self.facets:
+        masks = []
+        for f in self.masks:
             m = 0
-            for v in f:
-                m |= 1 << remap[v]
-            facets.append(Face.from_mask(m))
-        return SimplicialComplex(len(used), facets, tuple(self.labels[v] for v in used))
+            for new, old in enumerate(used):
+                m |= (f >> old & 1) << new
+            masks.append(m)
+        return SimplicialComplex._trusted(len(used), masks, tuple(self.labels[v] for v in used))
 
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SimplicialComplex)
                 and self.n_vertices == other.n_vertices
-                and self.facets == other.facets
+                and self.masks == other.masks
                 and self.labels == other.labels)
 
     def __hash__(self) -> int:
         h = self._cache.get("hash")
         if h is None:
-            h = hash((self.n_vertices, self.facets, self.labels))
+            h = hash((self.n_vertices, self.masks, self.labels))
             self._cache["hash"] = h
         return h
 

@@ -26,6 +26,11 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _writable(label: str) -> bool:
+    """Whether the text format can hold the label as one vertex token."""
+    return bool(label) and label.split() == [label] and not label.startswith(("#", "@"))
+
+
 def _label_key(label: str):
     # numeric labels sort numerically, everything else lexicographically after
     if label.isdigit():
@@ -75,6 +80,8 @@ def _parse_json(text: str) -> SimplicialComplex:
     for tok in (tok for f in facets for tok in f):
         if isinstance(tok, bool) or not isinstance(tok, (str, int)):
             raise ParseError(f"vertex labels must be strings or integers, got {json.dumps(tok)}")
+        if not _writable(str(tok)):
+            raise ParseError(f"label {json.dumps(tok)} cannot be written to the facet format")
     if facets and all(len(f) == 0 for f in facets):
         return from_facets([()])
     return _build([[str(tok) for tok in f] for f in facets]) if facets else from_facets([])
@@ -105,7 +112,7 @@ def emit(cx: SimplicialComplex) -> str:
     for facet in cx.facets:
         tokens = [cx.labels[v] for v in facet]
         for tok in tokens:
-            if not tok or tok.split() != [tok] or tok.startswith(("#", "@")):
+            if not _writable(tok):
                 raise ValueError(f"label {tok!r} cannot be written to the facet format")
         lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"

@@ -121,13 +121,8 @@ def acceptance_corpus() -> list[CorpusItem]:
 
 # -- helpers -----------------------------------------------------------------
 
-def _run_cases(suite: str,
-               cases: list[tuple[str, Callable[[], list[CaseFailure]]]]) -> SuiteReport:
-    report = SuiteReport(suite=suite, cases=len(cases))
-    for _, fn in cases:
-        report.failures.extend(fn())
-    report.failures.sort(key=lambda f: f.case)
-    return report
+def _report(suite: str, cases: int, failures: list[CaseFailure]) -> SuiteReport:
+    return SuiteReport(suite, cases, sorted(failures, key=lambda f: f.case))
 
 
 def _sampled(seq, cap: int):
@@ -147,77 +142,62 @@ def _ts(cx: SimplicialComplex) -> range:
 def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
     """Link/restriction/skeleton/join identities and constructor idempotence."""
     items = list(corpus)
+    fails: list[CaseFailure] = []
 
-    def make_case(name: str, cx: SimplicialComplex):
-        def run() -> list[CaseFailure]:
-            fails = []
+    def bad(what: str):
+        fails.append(CaseFailure("link_laws", f"{name}: {what}", cx))
 
-            def bad(what: str):
-                fails.append(CaseFailure("link_laws", f"{name}: {what}", cx))
+    for name, cx in items:
+        for sigma in _sampled(cx.faces(), 24):
+            lk = cx.link(sigma)
+            for tau in _sampled(lk.faces(), 8):
+                if lk.link(tau) != cx.link(sigma | tau):
+                    bad(f"link-of-link fails at {sigma}, {tau}")
+            outside = Face.from_mask(cx.support_mask & ~sigma.mask).vertices[:4]
+            removals = [(v,) for v in outside] + list(combinations(outside, 2))[:2]
+            for removed in removals:
+                keep = Face.from_mask(cx.support_mask & ~Face(removed).mask)
+                if cx.restrict(keep).link(sigma) != cx.link(sigma).restrict(keep):
+                    bad(f"restriction/link commutation fails at {sigma}, W={removed}")
+        prev_faces: set[int] = set()
+        for j in range(-1, cx.dim + 1):
+            sk = cx.skeleton(j)
+            if sk.skeleton(j) != sk:
+                bad(f"skeleton({j}) not idempotent")
+            cur = {f.mask for f in sk.faces()}
+            if not prev_faces <= cur:
+                bad(f"skeleton not monotone at {j}")
+            prev_faces = cur
+        compacted = cx.compact()
+        rebuilt = SimplicialComplex.from_facets(
+            [f.vertices for f in compacted.facets], labels=compacted.labels)
+        if rebuilt != compacted:
+            bad("from_facets not idempotent on its own output")
+        for sigma in (cx.facets[0],) + ((cx.faces(size=1)[0],) if cx.dim >= 0 else ()):
+            deleted, _ = cx.delete_cofaces([sigma])
+            expected = {f.mask for f in cx.faces()
+                        if f.mask & sigma.mask != sigma.mask}
+            got = set() if deleted.is_void else {f.mask for f in deleted.faces()}
+            if got != expected:
+                bad(f"delete_cofaces face filter fails at {sigma}")
 
-            for sigma in _sampled(cx.faces(), 24):
-                lk = cx.link(sigma)
-                for tau in _sampled(lk.faces(), 8):
-                    if lk.link(tau) != cx.link(sigma | tau):
-                        bad(f"link-of-link fails at {sigma}, {tau}")
-                outside = Face.from_mask(cx.support_mask & ~sigma.mask).vertices[:4]
-                removals = [(v,) for v in outside] + list(combinations(outside, 2))[:2]
-                for removed in removals:
-                    keep = Face.from_mask(cx.support_mask & ~Face(removed).mask)
-                    if cx.restrict(keep).link(sigma) != cx.link(sigma).restrict(keep):
-                        bad(f"restriction/link commutation fails at {sigma}, W={removed}")
-            prev_faces: set[int] = set()
-            for j in range(-1, cx.dim + 1):
-                sk = cx.skeleton(j)
-                if sk.skeleton(j) != sk:
-                    bad(f"skeleton({j}) not idempotent")
-                cur = {f.mask for f in sk.faces()}
-                if not prev_faces <= cur:
-                    bad(f"skeleton not monotone at {j}")
-                prev_faces = cur
-            compacted = cx.compact()
-            rebuilt = SimplicialComplex.from_facets(
-                [f.vertices for f in compacted.facets], labels=compacted.labels)
-            if rebuilt != compacted:
-                bad("from_facets not idempotent on its own output")
-            for sigma in (cx.facets[0],) + ((cx.faces(size=1)[0],) if cx.dim >= 0 else ()):
-                deleted, _ = cx.delete_cofaces([sigma])
-                expected = {f.mask for f in cx.faces()
-                            if f.mask & sigma.mask != sigma.mask}
-                got = set() if deleted.is_void else {f.mask for f in deleted.faces()}
-                if got != expected:
-                    bad(f"delete_cofaces face filter fails at {sigma}")
-            return fails
-
-        return run
-
-    def make_join_case(i: int):
+    joins = min(len(items), 8)
+    for i in range(joins):
         name_a, a = items[i]
         _, b = items[(i + 1) % len(items)]
         _, c = items[(i + 2) % len(items)]
-
-        def run() -> list[CaseFailure]:
-            fails = []
-            ab = a.join(b)
-            if ab.dim != a.dim + b.dim + 1:
-                fails.append(CaseFailure(
-                    "link_laws", f"join:{name_a}: dimension formula fails", ab))
-            if a.join(SimplicialComplex.from_facets([()])) != a:
-                fails.append(CaseFailure(
-                    "link_laws", f"join:{name_a}: {{<>}} is not a join identity", a))
-            left = ab.join(c).compact()
-            right = a.join(b.join(c)).compact()
-            if {f.mask for f in left.facets} != {f.mask for f in right.facets}:
-                fails.append(CaseFailure(
-                    "link_laws", f"join:{name_a}: associativity fails", left))
-            return fails
-
-        return run
-
-    cases = [(name, make_case(name, cx)) for name, cx in items]
-    cases += [(f"join:{items[i][0]}", make_join_case(i))
-              for i in range(min(len(items), 8))]
-    return _run_cases("link_laws", cases)
+        ab = a.join(b)
+        if ab.dim != a.dim + b.dim + 1:
+            fails.append(CaseFailure(
+                "link_laws", f"join:{name_a}: dimension formula fails", ab))
+        if a.join(SimplicialComplex.from_facets([()])) != a:
+            fails.append(CaseFailure(
+                "link_laws", f"join:{name_a}: {{<>}} is not a join identity", a))
+        left = ab.join(c).compact()
+        if left.masks != a.join(b.join(c)).compact().masks:
+            fails.append(CaseFailure(
+                "link_laws", f"join:{name_a}: associativity fails", left))
+    return _report("link_laws", len(items) + joins, fails)
 
 
 # -- classification theorems ---------------------------------------------------
@@ -225,44 +205,32 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
 def suite_criteria_equivalence(corpus: Iterable[CorpusItem],
                                field: FieldSpec = GF2) -> SuiteReport:
     """The three CM_t deciders agree for every t in 0..dim."""
-
-    def make_case(name: str, cx: SimplicialComplex):
-        def run() -> list[CaseFailure]:
-            fails = []
-            for t in _ts(cx):
-                verdicts = {crit: is_cm_t(cx, t, field, crit)
-                            for crit in (DEFINITION_LINKS, REISNER_HOMOLOGY, LOCAL_HOMOLOGY)}
-                if len(set(verdicts.values())) != 1:
-                    fails.append(CaseFailure(
-                        "criteria_equivalence", f"{name}: t={t} verdicts {verdicts}", cx))
-            return fails
-
-        return run
-
-    return _run_cases("criteria_equivalence",
-                      [(name, make_case(name, cx)) for name, cx in corpus])
+    items = list(corpus)
+    fails = []
+    for name, cx in items:
+        for t in _ts(cx):
+            verdicts = {crit: is_cm_t(cx, t, field, crit)
+                        for crit in (DEFINITION_LINKS, REISNER_HOMOLOGY, LOCAL_HOMOLOGY)}
+            if len(set(verdicts.values())) != 1:
+                fails.append(CaseFailure(
+                    "criteria_equivalence", f"{name}: t={t} verdicts {verdicts}", cx))
+    return _report("criteria_equivalence", len(items), fails)
 
 
 def suite_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
     """CM_t (t >= 1) holds iff the complex is pure and every vertex link is CM_{t-1}."""
-
-    def make_case(name: str, cx: SimplicialComplex):
-        def run() -> list[CaseFailure]:
-            fails = []
-            vertices = cx.faces(size=1) if cx.dim >= 0 else ()
-            for t in range(1, cx.dim + 1):
-                lhs = is_cm_t(cx, t, field)
-                rhs = is_pure(cx) and all(
-                    is_cm_t(cx.link(v), t - 1, field) for v in vertices)
-                if lhs != rhs:
-                    fails.append(CaseFailure(
-                        "link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
-            return fails
-
-        return run
-
-    return _run_cases("link_recursion",
-                      [(name, make_case(name, cx)) for name, cx in corpus])
+    items = list(corpus)
+    fails = []
+    for name, cx in items:
+        vertices = cx.faces(size=1) if cx.dim >= 0 else ()
+        for t in range(1, cx.dim + 1):
+            lhs = is_cm_t(cx, t, field)
+            rhs = is_pure(cx) and all(
+                is_cm_t(cx.link(v), t - 1, field) for v in vertices)
+            if lhs != rhs:
+                fails.append(CaseFailure(
+                    "link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
+    return _report("link_recursion", len(items), fails)
 
 
 def suite_k_link_recursion(corpus: Iterable[CorpusItem],
@@ -275,40 +243,34 @@ def suite_k_link_recursion(corpus: Iterable[CorpusItem],
       agrees with the removal-set definition for every t.
     """
     k = 2
-
-    def make_case(name: str, cx: SimplicialComplex):
-        def run() -> list[CaseFailure]:
-            fails = []
-            if not is_pure(cx):
-                return fails
-            nonempty = [f for f in cx.faces() if len(f) > 0]
-            for t in range(1, cx.dim + 1):
-                lhs = is_k_cm_t_unbounded(cx, k, t, field)
-                rhs = all(is_k_cm_t_unbounded(cx.link(s), k, t - 1, field)
-                          for s in nonempty)
-                if lhs != rhs:
-                    fails.append(CaseFailure(
-                        "k_link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
-                if lhs:
-                    for s in _sampled([f for f in nonempty if len(f) <= 2], 6):
-                        if not is_k_cm_t_unbounded(cx.link(s), k, max(t - len(s), 0), field):
-                            fails.append(CaseFailure(
-                                "k_link_recursion",
-                                f"{name}: t={t} link drop fails at {s}", cx))
-            for t in _ts(cx):
-                lhs = is_k_cm_t_unbounded(cx, k, t, field)
-                rhs = all(is_k_cm_t_unbounded(cx.link(s), k, 0, field)
-                          for s in cx.faces() if len(s) >= t)
-                if lhs != rhs:
-                    fails.append(CaseFailure(
-                        "k_link_recursion",
-                        f"{name}: t={t} link formulation lhs={lhs} rhs={rhs}", cx))
-            return fails
-
-        return run
-
-    return _run_cases("k_link_recursion",
-                      [(name, make_case(name, cx)) for name, cx in corpus])
+    items = list(corpus)
+    fails = []
+    for name, cx in items:
+        if not is_pure(cx):
+            continue
+        nonempty = [f for f in cx.faces() if len(f) > 0]
+        for t in range(1, cx.dim + 1):
+            lhs = is_k_cm_t_unbounded(cx, k, t, field)
+            rhs = all(is_k_cm_t_unbounded(cx.link(s), k, t - 1, field)
+                      for s in nonempty)
+            if lhs != rhs:
+                fails.append(CaseFailure(
+                    "k_link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
+            if lhs:
+                for s in _sampled([f for f in nonempty if len(f) <= 2], 6):
+                    if not is_k_cm_t_unbounded(cx.link(s), k, max(t - len(s), 0), field):
+                        fails.append(CaseFailure(
+                            "k_link_recursion",
+                            f"{name}: t={t} link drop fails at {s}", cx))
+        for t in _ts(cx):
+            lhs = is_k_cm_t_unbounded(cx, k, t, field)
+            rhs = all(is_k_cm_t_unbounded(cx.link(s), k, 0, field)
+                      for s in cx.faces() if len(s) >= t)
+            if lhs != rhs:
+                fails.append(CaseFailure(
+                    "k_link_recursion",
+                    f"{name}: t={t} link formulation lhs={lhs} rhs={rhs}", cx))
+    return _report("k_link_recursion", len(items), fails)
 
 
 def suite_deletion_theorem(corpus: Iterable[CorpusItem],
@@ -316,143 +278,123 @@ def suite_deletion_theorem(corpus: Iterable[CorpusItem],
     """Coface deletion: for CM_t cx and admissible removal sets among facet
     subsets of size <= 2 (pairwise unions outside, dimension drop, links
     2-CM_{t-1}), the survivor is 2-CM_t one dimension down."""
-
-    def make_case(name: str, cx: SimplicialComplex):
-        def run() -> list[CaseFailure]:
-            fails = []
-            if not is_pure(cx):
-                return fails
-            sigma_sets = [[f] for f in cx.facets]
-            sigma_sets += [list(p) for p in combinations(cx.facets, 2)]
-            for sigmas in sigma_sets:
-                survivor, rep = cx.delete_cofaces(sigmas)
-                if not (rep.union_condition and rep.dim_dropped):
+    items = list(corpus)
+    fails = []
+    for name, cx in items:
+        if not is_pure(cx):
+            continue
+        sigma_sets = [[f] for f in cx.facets]
+        sigma_sets += [list(p) for p in combinations(cx.facets, 2)]
+        for sigmas in sigma_sets:
+            survivor, rep = cx.delete_cofaces(sigmas)
+            if not (rep.union_condition and rep.dim_dropped):
+                continue
+            for t in _ts(cx):
+                if not is_cm_t(cx, t, field):
                     continue
-                for t in _ts(cx):
-                    if not is_cm_t(cx, t, field):
-                        continue
-                    if not all(is_k_cm_t_unbounded(cx.link(s), 2, t - 1, field)
-                               for s in sigmas):
-                        continue
-                    ok = (not survivor.is_void
-                          and survivor.dim == cx.dim - 1
-                          and is_k_cm_t_unbounded(survivor, 2, t, field))
-                    if not ok:
-                        fails.append(CaseFailure(
-                            "deletion_theorem",
-                            f"{name}: t={t} sigmas={sigmas} conclusion fails", cx))
-            return fails
-
-        return run
-
-    return _run_cases("deletion_theorem",
-                      [(name, make_case(name, cx)) for name, cx in corpus])
+                if not all(is_k_cm_t_unbounded(cx.link(s), 2, t - 1, field)
+                           for s in sigmas):
+                    continue
+                ok = (not survivor.is_void
+                      and survivor.dim == cx.dim - 1
+                      and is_k_cm_t_unbounded(survivor, 2, t, field))
+                if not ok:
+                    fails.append(CaseFailure(
+                        "deletion_theorem",
+                        f"{name}: t={t} sigmas={sigmas} conclusion fails", cx))
+    return _report("deletion_theorem", len(items), fails)
 
 
 def suite_skeleton_theorem(corpus: Iterable[CorpusItem],
                            field: FieldSpec = GF2) -> SuiteReport:
     """For a k-CM_t complex of dimension d-1 the (d-s-1)-skeleton is (k+s)-CM_t."""
-
-    def make_case(name: str, cx: SimplicialComplex):
-        def run() -> list[CaseFailure]:
-            fails = []
-            if not is_pure(cx) or cx.dim < 1:
-                return fails
-            t = min_t(cx, field)
-            k = _max_k_capped(cx, t, field, cap=3)
-            for s in (1, 2):
-                if s > cx.dim:
-                    continue
-                target = cx.skeleton(cx.dim - s)
-                if not is_k_cm_t_unbounded(target, k + s, t, field):
-                    fails.append(CaseFailure(
-                        "skeleton_theorem",
-                        f"{name}: t={t} k={k} s={s} skeleton not (k+s)-CM_t", cx))
-            return fails
-
-        return run
-
-    return _run_cases("skeleton_theorem",
-                      [(name, make_case(name, cx)) for name, cx in corpus])
+    items = list(corpus)
+    fails = []
+    for name, cx in items:
+        if not is_pure(cx) or cx.dim < 1:
+            continue
+        t = min_t(cx, field)
+        k = _max_k_capped(cx, t, field, cap=3)
+        for s in (1, 2):
+            if s > cx.dim:
+                continue
+            target = cx.skeleton(cx.dim - s)
+            if not is_k_cm_t_unbounded(target, k + s, t, field):
+                fails.append(CaseFailure(
+                    "skeleton_theorem",
+                    f"{name}: t={t} k={k} s={s} skeleton not (k+s)-CM_t", cx))
+    return _report("skeleton_theorem", len(items), fails)
 
 
 def suite_monotonicity(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
     """CM_t is monotone in t; k-CM_t is antitone in k."""
-
-    def make_case(name: str, cx: SimplicialComplex):
-        def run() -> list[CaseFailure]:
-            fails = []
-            verdicts = [is_cm_t(cx, t, field) for t in _ts(cx)]
-            for a, b in zip(verdicts, verdicts[1:]):
-                if a and not b:
-                    fails.append(CaseFailure(
-                        "monotonicity", f"{name}: CM_t not monotone: {verdicts}", cx))
-                    break
-            for t in _ts(cx):
-                if is_k_cm_t_unbounded(cx, 2, t, field) and not is_k_cm_t_unbounded(cx, 1, t, field):
-                    fails.append(CaseFailure(
-                        "monotonicity", f"{name}: k-monotonicity fails at t={t}", cx))
-            return fails
-
-        return run
-
-    return _run_cases("monotonicity",
-                      [(name, make_case(name, cx)) for name, cx in corpus])
+    items = list(corpus)
+    fails = []
+    for name, cx in items:
+        verdicts = [is_cm_t(cx, t, field) for t in _ts(cx)]
+        for a, b in zip(verdicts, verdicts[1:]):
+            if a and not b:
+                fails.append(CaseFailure(
+                    "monotonicity", f"{name}: CM_t not monotone: {verdicts}", cx))
+                break
+        for t in _ts(cx):
+            if is_k_cm_t_unbounded(cx, 2, t, field) and not is_k_cm_t_unbounded(cx, 1, t, field):
+                fails.append(CaseFailure(
+                    "monotonicity", f"{name}: k-monotonicity fails at t={t}", cx))
+    return _report("monotonicity", len(items), fails)
 
 
 def suite_paper_fixtures(corpus: Iterable[CorpusItem] = (),
                          field: FieldSpec = GF2) -> SuiteReport:
     """Pinned classification facts for the canonical example families."""
     del corpus  # fixture-driven
-    checks: list[tuple[str, Callable[[], bool]]] = []
+    checks: list[tuple[str, bool]] = []
 
     two_tri_vertex = SimplicialComplex.from_facets([(1, 2, 3), (3, 4, 5)])
     checks.append(("two triangles at a vertex: link of the shared vertex",
-                   lambda: two_tri_vertex.link(Face((2,)))
+                   two_tri_vertex.link(Face((2,)))
                    == SimplicialComplex(5, [Face((0, 1)), Face((3, 4))],
                                         two_tri_vertex.labels)))
     checks.append(("two triangles at a vertex: CM_2 but not CM_1",
-                   lambda: is_cm_t(two_tri_vertex, 2, field)
+                   is_cm_t(two_tri_vertex, 2, field)
                    and not is_cm_t(two_tri_vertex, 1, field)))
     checks.append(("two triangles at a vertex: min_t = 2",
-                   lambda: min_t(two_tri_vertex, field) == 2))
+                   min_t(two_tri_vertex, field) == 2))
     checks.append(("two triangles at a vertex: not CM",
-                   lambda: not is_cm(two_tri_vertex, field)))
+                   not is_cm(two_tri_vertex, field)))
 
     two_tets = SimplicialComplex.from_facets([(1, 2, 3, 4), (4, 5, 6, 7)])
     checks.append(("two tetrahedra at a vertex: min_t = 2",
-                   lambda: min_t(two_tets, field) == 2))
+                   min_t(two_tets, field) == 2))
 
     mi, sigma1 = miyazaki_example()
     wedge = SimplicialComplex.from_facets([(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
     checks.append(("miyazaki: join has 6 facets of size 4 and dimension 3",
-                   lambda: mi.dim == 3 and len(mi.facets) == 6
-                   and all(len(f) == 4 for f in mi.facets)))
+                   mi.dim == 3 and len(mi.masks) == 6
+                   and all(m.bit_count() == 4 for m in mi.masks)))
     checks.append(("miyazaki: the join is Cohen-Macaulay",
-                   lambda: is_cm_t(mi, 0, field)))
+                   is_cm_t(mi, 0, field)))
     checks.append(("miyazaki: link of {x,y} is the wedge of two circles",
-                   lambda: mi.link(sigma1).compact() == wedge))
+                   mi.link(sigma1).compact() == wedge))
     checks.append(("miyazaki: wedge is 2-CM_1 but not 2-CM_0",
-                   lambda: is_k_cm_t_unbounded(wedge, 2, 1, field)
+                   is_k_cm_t_unbounded(wedge, 2, 1, field)
                    and not is_k_cm_t_unbounded(wedge, 2, 0, field)))
 
     deleted, _ = mi.delete_cofaces([sigma1])
     two_points = SimplicialComplex.from_facets([(0,), (1,)], labels=("x", "y"))
     checks.append(("miyazaki: deleting cofaces of {x,y} gives wedge * two points",
-                   lambda: {f.mask for f in deleted.facets}
-                   == {f.mask for f in wedge.join(two_points).facets}))
+                   deleted.masks == wedge.join(two_points).masks))
     checks.append(("miyazaki: the deletion survivor is not 2-CM_1",
-                   lambda: not is_k_cm_t_unbounded(deleted, 2, 1, field)))
+                   not is_k_cm_t_unbounded(deleted, 2, 1, field)))
 
     for d in range(2, 6):
         for t in range(1, d):
             cx = glued_simplices(GluedFamilySpec.uniform(d, 2, t - 2))
-            checks.append((f"glued d={d} t={t}: min_t = {t}",
-                           lambda cx=cx, t=t: min_t(cx, field) == t))
+            checks.append((f"glued d={d} t={t}: min_t = {t}", min_t(cx, field) == t))
 
     gamma3 = glued_simplices(GluedFamilySpec.uniform(4, 3, 0))
     checks.append(("three glued tetrahedra: CM_2 with min_t = 2",
-                   lambda: is_cm_t(gamma3, 2, field) and min_t(gamma3, field) == 2))
+                   is_cm_t(gamma3, 2, field) and min_t(gamma3, field) == 2))
 
     # skeleton of a glued family: 2-CM_t always; the sharpness half
     # (not 2-CM_{t-1}) only bites for t <= d-2, where the skeleton is
@@ -462,16 +404,13 @@ def suite_paper_fixtures(corpus: Iterable[CorpusItem] = (),
             gamma = glued_simplices(GluedFamilySpec.uniform(d, 2, t - 2))
             lam = gamma.skeleton(d - 2)
             checks.append((f"glued skeleton d={d} t={t}: 2-CM_{t}",
-                           lambda lam=lam, t=t: is_k_cm_t_unbounded(lam, 2, t, field)))
+                           is_k_cm_t_unbounded(lam, 2, t, field)))
             if t <= d - 2:
                 checks.append((f"glued skeleton d={d} t={t}: not 2-CM_{t - 1}",
-                               lambda lam=lam, t=t:
                                not is_k_cm_t_unbounded(lam, 2, t - 1, field)))
 
-    cases = [(name, (lambda name=name, fn=fn:
-                     [] if fn() else [CaseFailure("paper_fixtures", name)]))
-             for name, fn in checks]
-    return _run_cases("paper_fixtures", cases)
+    return _report("paper_fixtures", len(checks),
+                   [CaseFailure("paper_fixtures", name) for name, ok in checks if not ok])
 
 
 SUITES: dict[str, Callable[..., SuiteReport]] = {

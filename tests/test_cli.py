@@ -206,6 +206,13 @@ class TestParseErrors:
         code, out, err = run(capsys, ["homology", str(path)])
         assert code == 2 and out == "" and "strings or integers" in err
 
+    def test_json_label_the_text_format_cannot_hold(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"facets": [["a b", "c"], ["", "d"]]}')
+        for argv in (["homology", str(path)], ["link", str(path), "--face", "c"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and "parse error" in err
+
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
         path = tmp_path / "tetra.cplx"
         path.write_text(emit(boundary_simplex(4)))

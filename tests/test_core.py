@@ -79,6 +79,12 @@ class TestFromFacets:
         with pytest.raises(ValueError):
             SimplicialComplex(3, [Face((0, 1)), Face((0,))])
 
+    def test_range_and_labels_enforced_by_raw_constructor(self):
+        with pytest.raises(ValueError, match="beyond ambient size"):
+            SimplicialComplex(2, [Face((0, 2))])
+        with pytest.raises(ValueError, match="one entry per ambient vertex"):
+            SimplicialComplex(2, [Face((0, 1))], labels=("a",))
+
 
 class TestQueries:
     def test_contains(self):

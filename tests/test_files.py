@@ -1,5 +1,7 @@
 """Facet file parsing, emission and round trips."""
 
+import json
+
 import pytest
 
 from cmtkit.core import from_facets
@@ -74,6 +76,11 @@ class TestParseJson:
     def test_labels_must_be_strings_or_integers(self, facets):
         with pytest.raises(ParseError, match="strings or integers"):
             parse('{"facets": %s}' % facets)
+
+    @pytest.mark.parametrize("label", ["a b", "", "#x", "@x", "a\tb"])
+    def test_labels_must_fit_the_text_format(self, label):
+        with pytest.raises(ParseError, match="cannot be written to the facet format"):
+            parse(json.dumps({"facets": [[label, "c"], ["d"]]}))
 
 
 class TestEmit:

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmtkit.core import Face, from_facets
+from cmtkit.core import Face, SimplicialComplex, from_facets
 from cmtkit.fields import GF2
 from cmtkit.homology import reduced_betti, reduced_euler_from_faces
 
@@ -11,11 +11,9 @@ from cmtkit.homology import reduced_betti, reduced_euler_from_faces
 @st.composite
 def complexes(draw, max_n=6):
     n = draw(st.integers(1, max_n))
-    n_facets = draw(st.integers(1, 5))
-    raw = draw(st.lists(
-        st.sets(st.integers(0, n - 1), min_size=0, max_size=n),
-        min_size=n_facets, max_size=n_facets))
-    return from_facets(raw)
+    # drawn as masks: lists of small vertex sets mostly collapse to one facet
+    raw = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
+    return from_facets(Face.from_mask(m) for m in raw)
 
 
 @st.composite
@@ -107,6 +105,29 @@ class TestConstructors:
                     if not any(s.mask & f.mask == s.mask for s in sigmas)}
         got = set() if result.is_void else {f.mask for f in result.faces()}
         assert got == expected
+
+
+def _canonical_order(faces):
+    return sorted(faces, key=lambda f: (len(f), f.vertices))
+
+
+class TestTrustedConstruction:
+    """Derived complexes skip the validating constructor; rebuilding each
+    one through it checks range, antichain, duplicates, labels and order."""
+
+    @given(complexes(), complexes(max_n=3), st.data())
+    def test_derived_complexes_pass_validation(self, cx, other, data):
+        sigmas = data.draw(st.lists(st.sampled_from(cx.faces()), min_size=1, max_size=3))
+        derived = [cx, cx.join(other), cx.delete_cofaces(sigmas)[0]]
+        derived += [cx.skeleton(j) for j in range(-1, cx.dim + 2)]
+        derived += [cx.link(sigma) for sigma in cx.faces()]
+        derived += [cx.restrict(Face.from_mask(keep)) for keep in range(1 << cx.n_vertices)]
+        derived += [out.compact() for out in derived]
+        for out in derived:
+            assert SimplicialComplex(out.n_vertices, out.facets, out.labels) == out
+            assert list(out.facets) == _canonical_order(out.facets)
+            if not out.is_void:
+                assert list(out.faces()) == _canonical_order(out.faces())
 
 
 class TestHomologyLaws:
