@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 when the command succeeded (and, for deciders, the property
-holds), 1 when a decided property fails, 2 on usage or parse errors.
+holds), 1 when a decided property fails, 2 on usage or parse errors and
+when an output file cannot be written.
 Reports are JSON with a stable schema (schema: 1); exit code 1 is always
 accompanied by a concrete witness in the report.
 """
@@ -45,13 +46,6 @@ class UsageError(Exception):
     pass
 
 
-def _field(args) -> FieldSpec:
-    try:
-        return FieldSpec.parse(args.field)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
 def _face_from_labels(cx: SimplicialComplex, text: str) -> Face:
     tokens = text.replace(",", " ").split()
     index = {lb: i for i, lb in enumerate(cx.labels)}
@@ -78,7 +72,7 @@ def _write_complex(cx: SimplicialComplex, args) -> None:
 
 def cmd_homology(args) -> int:
     cx = load(args.file)
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     betti = reduced_betti(cx, field)
     dim = cx.dim
     _write_report({
@@ -93,16 +87,13 @@ def cmd_homology(args) -> int:
 
 def cmd_check(args) -> int:
     cx = load(args.file)
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     t = max(args.t, 0)  # CM_t for t <= 0 is CM_0
     report: dict = {"schema": SCHEMA, "command": "check", "field": field.token, "t": t}
     if args.k is not None:
         report["k"] = args.k
         report["property"] = f"{args.k}-CM_{t}"
-        try:
-            witness = k_cm_t_witness(cx, args.k, t, field)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        witness = k_cm_t_witness(cx, args.k, t, field)
     else:
         criterion = normalize_criterion(args.criterion)
         report["criterion"] = criterion
@@ -116,7 +107,7 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     cx = load(args.file)
-    report: ClassificationReport = classify(cx, _field(args))
+    report: ClassificationReport = classify(cx, FieldSpec.parse(args.field))
     _write_report({"schema": SCHEMA, "command": "classify", **report.to_json()}, args)
     return 0
 
@@ -124,61 +115,46 @@ def cmd_classify(args) -> int:
 def cmd_link(args) -> int:
     cx = load(args.file)
     face = _face_from_labels(cx, args.face)
-    try:
-        _write_complex(cx.link(face).compact(), args)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    _write_complex(cx.link(face).compact(), args)
     return 0
 
 
 def cmd_skeleton(args) -> int:
     cx = load(args.file)
-    try:
-        _write_complex(cx.skeleton(args.j).compact(), args)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    _write_complex(cx.skeleton(args.j).compact(), args)
     return 0
 
 
 def cmd_join(args) -> int:
     a = load(args.file_a)
     b = load(args.file_b)
-    try:
-        _write_complex(a.join(b), args)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    _write_complex(a.join(b), args)
     return 0
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.family == "simplex":
-            cx = simplex(args.n)
-        elif args.family == "boundary":
-            cx = boundary_simplex(args.n)
-        elif args.family == "glued":
-            cx = glued_simplices(GluedFamilySpec.uniform(args.d, args.m, args.overlap))
-        elif args.family == "miyazaki":
-            cx, _ = miyazaki_example()
-        elif args.family == "rp2":
-            cx = projective_plane_6()
-        elif args.family == "random":
-            cx = random_pure(args.n, args.d, args.density, args.seed)
-        else:  # pragma: no cover - argparse restricts choices
-            raise UsageError(f"unknown family {args.family!r}")
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    if args.family == "simplex":
+        cx = simplex(args.n)
+    elif args.family == "boundary":
+        cx = boundary_simplex(args.n)
+    elif args.family == "glued":
+        cx = glued_simplices(GluedFamilySpec.uniform(args.d, args.m, args.overlap))
+    elif args.family == "miyazaki":
+        cx, _ = miyazaki_example()
+    elif args.family == "rp2":
+        cx = projective_plane_6()
+    elif args.family == "random":
+        cx = random_pure(args.n, args.d, args.density, args.seed)
+    else:  # pragma: no cover - argparse restricts choices
+        raise UsageError(f"unknown family {args.family!r}")
     _write_complex(cx, args)
     return 0
 
 
 def cmd_explore_join(args) -> int:
     pool = [load(args.file_a), load(args.file_b)]
-    field = _field(args)
-    try:
-        observations = explore_join(pool, field)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    field = FieldSpec.parse(args.field)
+    observations = explore_join(pool, field)
     _write_report({
         "schema": SCHEMA,
         "command": "explore-join",
@@ -191,7 +167,7 @@ def cmd_explore_join(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     if args.max_n < 1:
         raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
     if args.seeds < 0:
@@ -204,10 +180,7 @@ def cmd_verify(args) -> int:
         except ValueError:
             raise UsageError(f"CMTKIT_SEED must be an integer, got {env_seed!r}") from None
     corpus = build_corpus(max_n=args.max_n, seeds=args.seeds, seed_base=seed_base)
-    try:
-        reports = run_suites([args.suite], corpus, field=field)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    reports = run_suites([args.suite], corpus, field=field)
     ce_paths = []
     ce_dir = Path(args.output).parent if args.output else Path.cwd()
     for rep in reports:
@@ -327,6 +300,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as e:
         # domain errors (void complex, bad parameters) are input errors here
         print(f"cmtkit: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # load() turns read errors into ParseError: this is a write
+        print(f"cmtkit: cannot write {e.filename}: {e.strerror or e}", file=sys.stderr)
         return 2
 
 

@@ -20,13 +20,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def _bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask, ascending."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

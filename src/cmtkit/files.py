@@ -1,7 +1,8 @@
 """Facet file parsing and emission.
 
-Text format: one facet per line as whitespace-separated vertex labels;
-lines starting with '#' are comments; an empty file is the void complex and
+Text format: one facet per line as whitespace-separated vertex labels, none
+starting with '#' or '@' (both formats share the rule `_writable`); lines
+starting with '#' are comments; an empty file is the void complex and
 a file whose only content is the line '@empty-face' is {<>}.  A JSON
 alternative {"facets": [["1", "2"], ...]} is accepted on input (detected by
 a leading '{').  Emission always uses the canonical text form, so
@@ -46,7 +47,7 @@ def _build(facet_tokens: list[list[str]]) -> SimplicialComplex:
 
 
 def _parse_text(text: str) -> SimplicialComplex:
-    rows: list[tuple[int, list[str]]] = []
+    rows: list[list[str]] = []
     marker_line = None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -57,14 +58,18 @@ def _parse_text(text: str) -> SimplicialComplex:
                 raise ParseError(f"duplicate {EMPTY_FACE_LINE}", line=ln)
             marker_line = ln
             continue
-        rows.append((ln, line.split()))
+        tokens = line.split()
+        for tok in tokens:
+            if not _writable(tok):
+                raise ParseError(f"label {tok!r} cannot be written to the facet format", line=ln)
+        rows.append(tokens)
     if marker_line is not None:
         if rows:
             raise ParseError(f"{EMPTY_FACE_LINE} must be the only content", line=marker_line)
         return from_facets([()])
     if not rows:
         return from_facets([])
-    return _build([tokens for _, tokens in rows])
+    return _build(rows)
 
 
 def _parse_json(text: str) -> SimplicialComplex:

@@ -4,17 +4,20 @@ The chain complex is augmented: the empty face contributes a generator in
 degree -1, so the Betti vector of {<>} is beta[-1] = 1 and links of facets
 report the acyclic case correctly.  Orientation follows the lexicographic
 convention: dropping the j-th smallest vertex carries sign (-1)^j.
+
+Boundary maps stay sparse from the face masks to the rank kernels: each
+column is built as row index -> +-1 and ranked as a `linalg.Sparse` value.
+A dense numpy view (`BoundaryMatrix.matrix`) is built only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .core import Face, SimplicialComplex, as_face
 from .fields import FieldSpec
-from .linalg import rank
+from .linalg import Sparse, rank
 
 
 class BettiVector:
@@ -63,10 +66,20 @@ class BoundaryMatrix:
     degree: int
     rows: tuple[Face, ...]
     cols: tuple[Face, ...]
-    matrix: np.ndarray
+    sparse: Sparse
+
+    @cached_property
+    def matrix(self):
+        """Dense int64 numpy view, built on first access."""
+        import numpy as np
+        cols = self.sparse.columns
+        a = np.zeros((len(self.rows), len(cols)), dtype=np.int64)
+        a[[r for col in cols for r in col],
+          [c for c, col in enumerate(cols) for _ in col]] = [v for col in cols for v in col.values()]
+        return a
 
     def rank_over(self, field: FieldSpec) -> int:
-        return rank(self.matrix, field)
+        return rank(self.sparse, field)
 
 
 def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
@@ -78,11 +91,9 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     for size in range(1, cx.dim + 2):
         cur = cx.faces(size=size)
         index = {f.mask: i for i, f in enumerate(prev)}
-        a = np.zeros((len(prev), len(cur)), dtype=np.int64)
-        for c, f in enumerate(cur):
-            for j, v in enumerate(f.vertices):
-                a[index[f.mask & ~(1 << v)], c] = -1 if j & 1 else 1
-        mats.append(BoundaryMatrix(degree=size - 1, rows=prev, cols=cur, matrix=a))
+        columns = [{index[f.mask & ~(1 << v)]: -1 if j & 1 else 1
+                    for j, v in enumerate(f.vertices)} for f in cur]
+        mats.append(BoundaryMatrix(size - 1, prev, cur, Sparse(len(prev), columns)))
         prev = cur
     return mats
 

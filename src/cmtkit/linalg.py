@@ -3,23 +3,34 @@
 Ranks are computed by sparse low-pivot column reduction (Kaczynski, Mrozek
 and Slusarek, "Homology computation by reduction of chain complexes",
 Comput. Math. Appl. 1998).  A boundary matrix has only |face| nonzeros per
-column, so columns are kept sparse: a Python-int bitset over rows for GF(2),
-a dict row -> value for odd p and for Q.  The low of a column is its largest
-nonzero row.  Each column is reduced against the pivot that owns its low
-until the low is unowned (the column becomes that row's pivot) or the column
-vanishes; the rank is the number of pivots.
-
-Over Q the columns hold Python ints and elimination is fraction-free, so no
-floating point is involved anywhere.
+column, so it arrives as a `Sparse` value (row count, columns as dicts
+row -> nonzero int) built straight from the face masks; dense matrices
+(nested lists or arrays) are converted once, in pure Python, to the same
+columns.  The kernels reduce a copy of each column: a Python-int bitset over
+GF(2), a dict of residues over odd p, a dict of Python ints over Q.  The low
+of a column is its largest nonzero row; a column is reduced against the
+pivot owning its low until the low is unowned (the column becomes its pivot)
+or it vanishes, and the rank is the number of pivots.  Over Q elimination is
+fraction-free, so no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-import numpy as np
+from typing import NamedTuple
 
 from .fields import FieldSpec
+
+
+class Sparse(NamedTuple):
+    """A matrix as its row count and its columns, each a dict row -> nonzero int."""
+
+    n_rows: int
+    columns: list[dict[int, int]]
+
+    @property
+    def size(self) -> int:
+        return self.n_rows * len(self.columns)
 
 
 def active_backend() -> str:
@@ -27,23 +38,23 @@ def active_backend() -> str:
     return "sparse"
 
 
-def _dict_columns(a: np.ndarray) -> list[dict[int, int]]:
-    """The nonzero entries of each column, as row -> value."""
-    t = a.T
-    cols, rows = np.nonzero(t)
-    columns: list[dict[int, int]] = [{} for _ in range(a.shape[1])]
-    for c, r, v in zip(cols.tolist(), rows.tolist(), t[cols, rows].tolist()):
-        columns[c][r] = v
+def _columns(a) -> list[dict[int, int]]:
+    """The columns of a Sparse value, or of a dense matrix (lists or array)."""
+    if isinstance(a, Sparse):
+        return a.columns
+    rows = a.tolist() if hasattr(a, "tolist") else a
+    columns: list[dict[int, int]] = [{} for _ in (rows[0] if rows else ())]
+    for r, row in enumerate(rows):
+        for col, v in zip(columns, row):
+            if v:
+                col[r] = int(v)
     return columns
 
 
-def _rank_gf2(a: np.ndarray) -> int:
-    cols, rows = np.nonzero((a & 1).T)
-    columns = [0] * a.shape[1]
-    for c, r in zip(cols.tolist(), rows.tolist()):
-        columns[c] |= 1 << r
+def _rank_gf2(columns: list[dict[int, int]]) -> int:
     pivots: dict[int, int] = {}
-    for col in columns:
+    for c in columns:
+        col = sum(1 << r for r, v in c.items() if v & 1)
         while col:
             low = col.bit_length() - 1
             piv = pivots.get(low)
@@ -54,15 +65,13 @@ def _rank_gf2(a: np.ndarray) -> int:
     return len(pivots)
 
 
-def rank_mod_p(a: np.ndarray, p: int) -> int:
+def rank_mod_p(a, p: int) -> int:
     """Exact rank of an integer matrix viewed over GF(p)."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
     if p == 2:
-        return _rank_gf2(a)
+        return _rank_gf2(_columns(a))
     pivots: dict[int, dict[int, int]] = {}
-    for col in _dict_columns(np.mod(a, p)):
+    for c in _columns(a):
+        col = {r: v % p for r, v in c.items() if v % p}
         while col:
             low = max(col)
             piv = pivots.get(low)
@@ -90,11 +99,9 @@ def rank_rational(a) -> int:
     entries so they stay small; pivots keep a positive low, so a pivot with
     low 1 eliminates without scaling.
     """
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
     pivots: dict[int, dict[int, int]] = {}
-    for col in _dict_columns(a):
+    for c in _columns(a):
+        col = dict(c)
         while col:
             low = max(col)
             piv = pivots.get(low)
@@ -124,8 +131,8 @@ def rank_rational(a) -> int:
     return len(pivots)
 
 
-def rank(a: np.ndarray, field: FieldSpec) -> int:
-    """Exact rank of an integer matrix over the requested field."""
+def rank(a, field: FieldSpec) -> int:
+    """Exact rank of an integer matrix (Sparse or dense) over the requested field."""
     if field.is_rationals:
         return rank_rational(a)
     return rank_mod_p(a, field.p)

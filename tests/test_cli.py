@@ -1,12 +1,18 @@
 """CLI surface: exit codes, JSON reports, witnesses, facet-file pipelines."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmtkit
 from cmtkit.cli import main
 from cmtkit.files import parse
 from cmtkit.generators import boundary_simplex
+from cmtkit.suites import CaseFailure, SuiteReport
 from cmtkit.files import emit
 
 TWO_TRI_VERTEX = "1 2 3\n3 4 5\n"
@@ -23,6 +29,13 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def one_failing_suite(names, corpus, field):
+    """Stand-in for run_suites: one link_laws failure on the boundary of a triangle."""
+    rep = SuiteReport(suite="link_laws", cases=1)
+    rep.failures.append(CaseFailure("link_laws", "synthetic failure", boundary_simplex(3)))
+    return [rep]
 
 
 class TestCheck:
@@ -149,6 +162,50 @@ class TestTransformers:
         assert parse(out_path.read_text()) == parse("1 2\n4 5\n")
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["homology", "{f}"], ["check", "{f}", "--t", "1"], ["classify", "{f}"],
+        ["link", "{f}", "--face", "3"], ["skeleton", "{f}", "-j", "0"],
+        ["join", "{f}", "{f}"], ["gen", "rp2"], ["explore-join", "{f}", "{f}"],
+        ["verify", "--suite", "monotonicity", "--max-n", "3", "--seeds", "0"],
+    ])
+    def test_missing_directory_is_exit_2(self, argv, two_tri, tmp_path, capsys):
+        target = tmp_path / "missing" / "out"
+        argv = [a.format(f=two_tri) for a in argv] + ["-o", str(target)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"cmtkit: cannot write {target}: No such file or directory\n"
+
+    def test_counterexample_file_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        import cmtkit.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "run_suites", one_failing_suite)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ["verify", "--suite", "link_laws", "-o", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("cmtkit: cannot write "
+                              f"{target.parent / 'cmtkit-counterexample-link_laws-0.cplx'}: ")
+
+
+class TestImports:
+    def test_cli_runs_without_numpy(self, two_tri, tmp_path):
+        script = f"""
+import sys
+from cmtkit.cli import main
+assert "numpy" not in sys.modules, "import"
+f, out = {two_tri!r}, {str(tmp_path / "out.json")!r}
+for argv in (["homology", f], ["check", f, "--t", "1"], ["check", f, "--k", "2"],
+             ["classify", f, "--field", "q"],
+             ["verify", "--max-n", "4", "--seeds", "1", "--field", "gf3"]):
+    main(argv + ["-o", out])
+    assert "numpy" not in sys.modules, argv
+"""
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
 class TestGen:
     def test_gen_then_check_pipeline(self, tmp_path, capsys):
         path = tmp_path / "glued.cplx"
@@ -213,6 +270,13 @@ class TestParseErrors:
             code, out, err = run(capsys, argv)
             assert code == 2 and out == "" and "parse error" in err
 
+    def test_text_token_the_format_cannot_write_back(self, tmp_path, capsys):
+        path = tmp_path / "bad.cplx"
+        path.write_text("1 2 #x\n2 3\n")
+        for argv in (["homology", str(path)], ["link", str(path), "--face", "2"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and "parse error: line 1" in err
+
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
         path = tmp_path / "tetra.cplx"
         path.write_text(emit(boundary_simplex(4)))
@@ -258,16 +322,8 @@ class TestVerify:
 
     def test_failure_serializes_counterexample(self, tmp_path, capsys, monkeypatch):
         import cmtkit.cli as cli_mod
-        from cmtkit.suites import CaseFailure, SuiteReport
-
-        def fake_run_suites(names, corpus, field):
-            rep = SuiteReport(suite="link_laws", cases=1)
-            rep.failures.append(CaseFailure("link_laws", "synthetic failure",
-                                            boundary_simplex(3)))
-            return [rep]
-
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli_mod, "run_suites", fake_run_suites)
+        monkeypatch.setattr(cli_mod, "run_suites", one_failing_suite)
         code, out, _ = run(capsys, ["verify", "--suite", "link_laws"])
         assert code == 1
         doc = json.loads(out)

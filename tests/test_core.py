@@ -1,5 +1,7 @@
 """Faces, complexes, and the combinatorial operations on them."""
 
+import time
+
 import pytest
 
 from cmtkit.core import EMPTY_FACE, Face, SimplicialComplex, from_facets
@@ -66,6 +68,12 @@ class TestFromFacets:
         assert cx.n_vertices == 3
         assert cx.labels == ("10", "20", "30")
         assert facet_sets(cx) == {frozenset({0, 1}), frozenset({2})}
+
+    def test_huge_vertex_id_is_linear(self):
+        start = time.perf_counter()
+        cx = from_facets([(0, 10**6)])
+        assert time.perf_counter() - start < 5.0
+        assert cx.n_vertices == 2 and cx.labels == ("0", "1000000")
 
     def test_n_hint_validates(self):
         with pytest.raises(ValueError):

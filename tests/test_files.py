@@ -40,6 +40,12 @@ class TestParseText:
         cx = parse("x y\ny z\n")
         assert cx.labels == ("x", "y", "z")
 
+    @pytest.mark.parametrize("text", ["1 2 #x\n2 3\n", "1 @x\n", "@x 2\n"])
+    def test_tokens_the_format_cannot_write_back_rejected(self, text):
+        with pytest.raises(ParseError, match="cannot be written") as exc:
+            parse(text)
+        assert exc.value.line == 1
+
     def test_numeric_labels_sort_numerically(self):
         cx = parse("10 2\n")
         assert cx.labels == ("2", "10")

@@ -1,5 +1,6 @@
 """Reduced and local homology, cross-checked against the integer oracle."""
 
+import numpy as np
 import pytest
 
 from cmtkit.core import EMPTY_FACE, Face, from_facets
@@ -106,6 +107,13 @@ class TestBoundaryMatrices:
             mats = boundary_matrices(cx)
             for a, b in zip(mats, mats[1:]):
                 assert not (a.matrix @ b.matrix).any()
+
+    def test_dense_view(self):
+        m = boundary_matrices(TRIANGLE)[1]
+        assert isinstance(m.matrix, np.ndarray) and m.matrix.dtype == np.int64
+        assert m.matrix is m.matrix  # built on first access, then cached
+        assert m.matrix.tolist() == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+        assert m.sparse.size == m.matrix.size
 
     def test_rank_over(self):
         mats = boundary_matrices(TRIANGLE)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cmtkit.fields import GF2, GF3, GF5, RATIONALS, FieldSpec
 from cmtkit.generators import boundary_simplex
 from cmtkit.homology import boundary_matrices
-from cmtkit.linalg import active_backend, rank, rank_mod_p, rank_rational
+from cmtkit.linalg import Sparse, active_backend, rank, rank_mod_p, rank_rational
 from cmtkit.snf import rank_from_diagonal, smith_diagonal
 
 TRIANGLE_D1 = np.array([
@@ -38,6 +38,16 @@ def test_triangle_boundary_rank_gf2():
     # hand elimination: the three edge columns sum to zero mod 2
     assert rank_mod_p(TRIANGLE_D1, 2) == 2
     assert rank_rational(TRIANGLE_D1) == 2
+
+
+def test_sparse_lists_and_arrays_agree():
+    sparse = Sparse(3, [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}])
+    before = [dict(col) for col in sparse.columns]
+    for field in (GF2, GF3, RATIONALS):
+        assert rank(sparse, field) == rank(TRIANGLE_D1.tolist(), field) == 2
+        assert rank(TRIANGLE_D1, field) == 2
+    assert sparse.columns == before  # the kernels reduce copies
+    assert sparse.size == TRIANGLE_D1.size
 
 
 def test_empty_shapes():

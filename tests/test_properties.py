@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmtkit.core import Face, SimplicialComplex, from_facets
-from cmtkit.fields import GF2
+from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.homology import reduced_betti, reduced_euler_from_faces
+from cmtkit.snf import betti_via_snf
 
 
 @st.composite
@@ -137,6 +138,12 @@ class TestHomologyLaws:
         mats = boundary_matrices(cx)
         for a, b in zip(mats, mats[1:]):
             assert not (a.matrix @ b.matrix).any()
+
+    @given(complexes(max_n=5))
+    def test_betti_matches_snf_oracle(self, cx):
+        # snf.py assembles its own dense boundary matrices from vertex tuples
+        for field in (GF2, GF3, RATIONALS):
+            assert reduced_betti(cx, field) == betti_via_snf(cx, field)
 
     @given(complexes(max_n=5))
     def test_euler_consistency(self, cx):
