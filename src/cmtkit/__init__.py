@@ -6,6 +6,7 @@ from .classify import (
     JoinObservation,
     Witness,
     classify,
+    clear_caches,
     cm_t_witness,
     cm_witness,
     explore_join,
@@ -52,12 +53,13 @@ __all__ = [
     "DeletionReport", "EMPTY_FACE", "Face", "FieldSpec", "GF2", "GF3", "GF5",
     "GluedFamilySpec", "GluedRealizabilityError", "JoinObservation",
     "ParseError", "RATIONALS", "SimplicialComplex", "SplitMix64", "Witness",
-    "active_backend", "betti_via_snf", "boundary_matrices", "boundary_simplex",
-    "classify", "cm_t_witness", "cm_witness", "dump", "emit", "explore_join",
-    "from_facets", "glued_simplices", "is_buchsbaum", "is_cm", "is_cm_t",
-    "is_k_buchsbaum", "is_k_cm_t", "is_k_cm_t_unbounded", "is_pure",
-    "k_cm_t_witness", "load", "local_betti", "max_k", "min_t",
-    "miyazaki_example", "parse", "projective_plane_6", "random_pure", "rank",
-    "rank_mod_p", "rank_rational", "reduced_betti", "reduced_euler_from_faces",
-    "simplex", "smith_diagonal",
+    "active_backend", "betti_via_snf", "boundary_matrices",
+    "boundary_simplex", "classify", "clear_caches", "cm_t_witness",
+    "cm_witness", "dump", "emit", "explore_join", "from_facets",
+    "glued_simplices", "is_buchsbaum", "is_cm", "is_cm_t", "is_k_buchsbaum",
+    "is_k_cm_t", "is_k_cm_t_unbounded", "is_pure", "k_cm_t_witness", "load",
+    "local_betti", "max_k", "min_t", "miyazaki_example", "parse",
+    "projective_plane_6", "random_pure", "rank", "rank_mod_p",
+    "rank_rational", "reduced_betti", "reduced_euler_from_faces", "simplex",
+    "smith_diagonal",
 ]

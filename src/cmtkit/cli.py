@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 when the command succeeded (and, for deciders, the property
-holds), 1 when a decided property fails, 2 on usage or parse errors and
-when an output file cannot be written.
+holds), 1 when a decided property fails, 2 on usage or parse errors, when
+an output file cannot be written, and on an internal error (reported as
+`cmtkit: internal error: <type>: <message>`, never as a traceback).
 Reports are JSON with a stable schema (schema: 1); exit code 1 is always
 accompanied by a concrete witness in the report.
 """
@@ -303,6 +304,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:  # load() turns read errors into ParseError: this is a write
         print(f"cmtkit: cannot write {e.filename}: {e.strerror or e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a defect: report it as one line, within the 0/1/2 contract
+        print(f"cmtkit: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -5,6 +5,22 @@ degree -1, so the Betti vector of {<>} is beta[-1] = 1 and links of facets
 report the acyclic case correctly.  Orientation follows the lexicographic
 convention: dropping the j-th smallest vertex carries sign (-1)^j.
 
+`reduced_betti` ranks a relative chain complex instead of the full one.
+For a vertex v of K, the star st v (the faces whose union with v is a face)
+is a cone with apex v, hence contractible, and the long exact sequence of
+the pair (K, st v) in reduced homology gives H~_i(K) = H_i(K, st v) in every
+degree i >= -1.  The chain complex of the pair has one basis element per
+face outside the star, and its boundary is the full boundary with the terms
+in the star dropped.  Those faces are closed upward inside each facet, so
+they are enumerated from the facets avoiding v downward, and nothing else
+is.  The apex is the vertex lying in the most facets, lowest id on ties: it
+puts the most faces into the star.  When it lies in every facet, K is a
+cone and every Betti number is 0, with no enumeration at all.  The identity
+is exact over every field and the ranks come from the same exact kernels,
+so the result equals the full complex's Betti numbers, zero degrees
+included; `boundary_matrices` builds that full complex for the API and as
+the tests' oracle.
+
 Boundary maps stay sparse from the face masks to the rank kernels: each
 column is built as row index -> +-1 and ranked as a `linalg.Sparse` value.
 A dense numpy view (`BoundaryMatrix.matrix`) is built only when asked for.
@@ -13,9 +29,10 @@ A dense numpy view (`BoundaryMatrix.matrix`) is built only when asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
-from .core import Face, SimplicialComplex, as_face
+from .core import Face, SimplicialComplex, _bits, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
 
@@ -82,8 +99,29 @@ class BoundaryMatrix:
         return rank(self.sparse, field)
 
 
+def _columns(cells: list[int], index: dict[int, int]) -> list[dict[int, int]]:
+    """Boundary columns of the face masks in `cells`, rows numbered by `index`.
+
+    Dropping the j-th smallest vertex carries sign (-1)^j; a face missing from
+    `index` gets no row (in a relative complex it is zero in the quotient).
+    """
+    columns = []
+    for m in cells:
+        col: dict[int, int] = {}
+        rest, sign = m, 1
+        while rest:
+            low = rest & -rest
+            r = index.get(m ^ low)
+            if r is not None:
+                col[r] = sign
+            rest ^= low
+            sign = -sign
+        columns.append(col)
+    return columns
+
+
 def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
-    """Boundary matrices of the augmented chain complex, degrees 0..dim."""
+    """Boundary matrices of the full augmented chain complex, degrees 0..dim."""
     if cx.is_void:
         raise ValueError("the void complex has no chain complex")
     mats: list[BoundaryMatrix] = []
@@ -91,8 +129,7 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     for size in range(1, cx.dim + 2):
         cur = cx.faces(size=size)
         index = {f.mask: i for i, f in enumerate(prev)}
-        columns = [{index[f.mask & ~(1 << v)]: -1 if j & 1 else 1
-                    for j, v in enumerate(f.vertices)} for f in cur]
+        columns = _columns([f.mask for f in cur], index)
         mats.append(BoundaryMatrix(size - 1, prev, cur, Sparse(len(prev), columns)))
         prev = cur
     return mats
@@ -101,23 +138,82 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
 _BETTI_CACHE: dict[tuple[SimplicialComplex, FieldSpec], BettiVector] = {}
 
 
+def _apex(cx: SimplicialComplex) -> int | None:
+    """The vertex lying in the most facets, lowest id on ties; None for {<>}."""
+    best, most = None, 0
+    for u in _bits(cx.support_mask):
+        bit = 1 << u
+        count = sum(1 for f in cx.masks if f & bit)
+        if count > most:
+            best, most = u, count
+    return best
+
+
+def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -> BettiVector:
+    """Betti numbers of the pair (cx, st apex), degrees -1..dim.
+
+    They equal the reduced Betti numbers of cx when apex is a vertex of cx
+    (excision onto a contractible star), and also when apex is None: the
+    star is then empty and the pair's chain complex is the augmented one.
+    """
+    masks = cx.masks
+    top = cx.dim + 1
+    vbit = 0 if apex is None else 1 << apex
+    cells: list[set[int]] = [set() for _ in range(top + 1)]
+    for f in masks:
+        if not f & vbit:
+            cells[f.bit_count()].add(f)
+    # A face lies in st apex when some facet through the apex, less the apex,
+    # contains it: when the AND of its vertices' owner sets is nonzero.
+    star = [f ^ vbit for f in masks if f & vbit]
+    owners = [0] * cx.n_vertices
+    for i, f in enumerate(star):
+        for u in _bits(f):
+            owners[u] |= 1 << i
+    every = (1 << len(star)) - 1
+    # Faces outside the star are closed upward within a facet, so walk down
+    # from the facets avoiding the apex and stop at faces in the star.
+    seen: set[int] = set()
+    for size in range(top, 0, -1):
+        below = cells[size - 1]
+        for m in cells[size]:
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                t = m ^ low
+                if t in seen:
+                    continue
+                seen.add(t)
+                hit, w = every, t
+                while w and hit:
+                    lw = w & -w
+                    hit &= owners[lw.bit_length() - 1]
+                    w ^= lw
+                if not hit:
+                    below.add(t)
+    ordered = [sorted(level) for level in cells]
+    ranks = [0] * (top + 2)  # ranks[s]: rank of the boundary from size s to size s - 1
+    for size in range(1, top + 1):
+        index = {m: i for i, m in enumerate(ordered[size - 1])}
+        columns = _columns(ordered[size], index)
+        if any(columns):
+            ranks[size] = rank(Sparse(len(index), columns), field)
+    return BettiVector({size - 1: len(ordered[size]) - ranks[size] - ranks[size + 1]
+                        for size in range(top + 1)})
+
+
 def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> BettiVector:
     """Reduced Betti numbers beta[-1..dim] over the given field."""
     if cx.is_void:
         raise ValueError("the void complex has no homology")
+    if reduce(and_, cx.masks):  # a vertex in every facet: a cone, acyclic (not memoized)
+        return BettiVector(dict.fromkeys(range(-1, cx.dim + 1), 0))
     key = (cx, field)
     cached = _BETTI_CACHE.get(key)
-    if cached is not None:
-        return cached
-    top = cx.dim
-    ranks = [bm.rank_over(field) for bm in boundary_matrices(cx)] + [0]
-    counts = [cx.face_count(size=s) for s in range(0, top + 2)]
-    betti = {-1: counts[0] - ranks[0]}
-    for i in range(0, top + 1):
-        betti[i] = counts[i + 1] - ranks[i] - ranks[i + 1]
-    result = BettiVector(betti)
-    _BETTI_CACHE[key] = result
-    return result
+    if cached is None:
+        cached = _BETTI_CACHE[key] = _relative_betti(cx, field, _apex(cx))
+    return cached
 
 
 def local_betti(cx: SimplicialComplex, face, field: FieldSpec) -> BettiVector:

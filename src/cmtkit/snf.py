@@ -27,7 +27,10 @@ def smith_diagonal(matrix) -> list[int]:
     n = len(a[0]) if m else 0
     t = 0
     while t < min(m, n):
-        # find a pivot of smallest magnitude to keep entries tame
+        # Pick the smallest nonzero entry of the whole trailing block again
+        # after every sweep (Havas-Majewski-Matthews): a sweep that leaves a
+        # remainder makes a strictly smaller pivot, so step t ends.  Keeping
+        # one pivot for the step let the other entries grow without bound.
         best = None
         for r in range(t, m):
             for c in range(t, n):
@@ -39,28 +42,21 @@ def smith_diagonal(matrix) -> list[int]:
         a[t], a[r0] = a[r0], a[t]
         for row in a:
             row[t], row[c0] = row[c0], row[t]
-        while True:
-            done = True
-            for r in range(t + 1, m):
-                if a[r][t]:
-                    q = a[r][t] // a[t][t]
-                    for c in range(t, n):
-                        a[r][c] -= q * a[t][c]
-                    if a[r][t]:
-                        a[t], a[r] = a[r], a[t]
-                        done = False
-            for c in range(t + 1, n):
-                if a[t][c]:
-                    q = a[t][c] // a[t][t]
-                    for r in range(t, m):
-                        a[r][c] -= q * a[r][t]
-                    if a[t][c]:
-                        for r in range(t, m):
-                            a[r][t], a[r][c] = a[r][c], a[r][t]
-                        done = False
-            if done:
-                break
-        t += 1
+        done = True
+        for r in range(t + 1, m):
+            if a[r][t]:
+                q = a[r][t] // a[t][t]
+                for c in range(t, n):
+                    a[r][c] -= q * a[t][c]
+                done = done and not a[r][t]
+        for c in range(t + 1, n):
+            if a[t][c]:
+                q = a[t][c] // a[t][t]
+                for r in range(t, m):
+                    a[r][c] -= q * a[r][t]
+                done = done and not a[t][c]
+        if done:
+            t += 1
     return [a[i][i] for i in range(t)]
 
 

@@ -1,7 +1,10 @@
 """The CM/CM_t/k-CM_t deciders on pinned fixtures."""
 
+import sys
+
 import pytest
 
+import cmtkit
 from cmtkit import homology
 from cmtkit.classify import (
     _OBSTRUCTION_CACHE,
@@ -74,6 +77,16 @@ class TestIsCm:
         clear_caches()
         assert not homology._BETTI_CACHE
         assert not _OBSTRUCTION_CACHE
+
+    def test_package_level_clear_caches(self):
+        # cmtkit.classify is the function, which shadows the module
+        module = sys.modules["cmtkit.classify"]
+        assert "clear_caches" in cmtkit.__all__
+        assert is_k_cm_t(boundary_simplex(4), 1, 0, GF2)
+        caches = (module._OBSTRUCTION_CACHE, module._KLAYER_CACHE, homology._BETTI_CACHE)
+        assert all(caches)
+        cmtkit.clear_caches()
+        assert not any(caches)
 
 
 class TestIsCmT:

@@ -1,12 +1,17 @@
 """CLI surface: exit codes, JSON reports, witnesses, facet-file pipelines."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cmtkit
 from cmtkit.cli import main
@@ -281,6 +286,75 @@ class TestParseErrors:
         path = tmp_path / "tetra.cplx"
         path.write_text(emit(boundary_simplex(4)))
         assert main(["check", str(path), "--t", "0", "--k", "2", "--jobs", "2"]) == 2
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_one_line_and_exit_2(self, two_tri, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+
+        monkeypatch.setattr("cmtkit.cli.reduced_betti", broken)
+        code, out, err = run(capsys, ["homology", two_tri])
+        assert code == 2 and out == ""
+        assert err == "cmtkit: internal error: KeyError: 'lost'\n"
+
+
+# Facet files as the CLI may meet them: small label alphabets with the
+# tokens the parser must reject, comments, markers, blank lines and JSON.
+_TOKENS = st.sampled_from(["1", "2", "3", "4", "5", "6", "a", "b", "07", "-1",
+                           "#x", "@empty-face", "{", "\"", "\u00e9", "1.5"])
+_TEXT_FILES = st.lists(
+    st.one_of(st.lists(_TOKENS, max_size=5).map(" ".join),
+              st.sampled_from(["", "# comment", "@empty-face", "  \t "])),
+    max_size=7).map("\n".join)
+_JSON_FILES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 7), st.sampled_from(["1", "a", ""])),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12,
+).map(lambda facets: json.dumps({"facets": facets}))
+_ARGV = st.one_of(
+    st.tuples(st.just("homology")),
+    st.tuples(st.just("classify")),
+    st.tuples(st.just("check"), st.just("--t"), st.integers(-2, 6).map(str),
+              st.sampled_from(["--criterion", "--field"]),
+              st.sampled_from(["def", "reisner", "local", "gf3", "q"])),
+    st.tuples(st.just("check"), st.just("--k"), st.integers(-1, 3).map(str),
+              st.just("--t"), st.integers(-1, 3).map(str)),
+)
+
+
+class TestFuzzedFacetFiles:
+    @given(st.one_of(_TEXT_FILES, _JSON_FILES, st.binary(max_size=40)), _ARGV,
+           st.sampled_from(["gf2", "gf3", "q", "gf4"]))
+    def test_exit_code_contract(self, content, argv, field):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cplx"
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), "--field", field, *argv[1:]])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith(("cmtkit: ", "usage: "))
+        else:
+            doc = json.loads(out.getvalue())
+            if code == 1:
+                assert doc["ok"] is False and doc["witnesses"]
+
+
+class TestLargeInputs:
+    def test_check_of_a_14_vertex_simplex_is_fast(self, tmp_path):
+        # every link of a simplex is a cone; each used to be ranked in full
+        path = tmp_path / "s14.cplx"
+        path.write_text(" ".join(map(str, range(14))) + "\n")
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "check", str(path), "--t", "0"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=20)
+        assert done.returncode == 0 and json.loads(done.stdout)["ok"] is True
 
 
 class TestExploreJoin:

@@ -1,13 +1,17 @@
 """Reduced and local homology, cross-checked against the integer oracle."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
+from cmtkit import homology
 from cmtkit.core import EMPTY_FACE, Face, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS, FieldSpec
 from cmtkit.generators import boundary_simplex, projective_plane_6, simplex
 from cmtkit.homology import (
     BettiVector,
+    _relative_betti,
     boundary_matrices,
     local_betti,
     reduced_betti,
@@ -94,6 +98,48 @@ class TestReducedBetti:
             expected = BettiVector({n - 2: 1})
             for f in all_fields:
                 assert reduced_betti(cx, f) == expected
+
+
+class TestExcision:
+    """reduced_betti ranks the pair (K, st v); closed forms pin its output,
+    zero degrees included, since the CLI prints every degree."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_sphere_skeleta(self, n, all_fields):
+        # the j-skeleton of the boundary of the (n-1)-simplex has
+        # C(n-1, j+1) in degree j and nothing else
+        sphere = boundary_simplex(n)
+        for j in range(0, n - 1):
+            expected = tuple((d, comb(n - 1, j + 1) if d == j else 0)
+                             for d in range(-1, j + 1))
+            for f in all_fields:
+                assert reduced_betti(sphere.skeleton(j), f).items() == expected
+
+    def test_projective_plane_from_every_apex(self):
+        rp2 = projective_plane_6()
+        for v in rp2.vertex_ids():
+            assert _relative_betti(rp2, GF2, v).items() == ((-1, 0), (0, 0), (1, 1), (2, 1))
+            assert _relative_betti(rp2, RATIONALS, v).items() == ((-1, 0), (0, 0), (1, 0), (2, 0))
+
+    def test_irrelevant_complex_keeps_degree_minus_one(self, all_fields):
+        for f in all_fields:
+            assert reduced_betti(from_facets([()]), f).items() == ((-1, 1),)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_point_set(self, m, all_fields):
+        points = from_facets([(v,) for v in range(m)])
+        for f in all_fields:
+            assert reduced_betti(points, f).items() == ((-1, 0), (0, m - 1))
+
+    def test_cone_is_answered_without_rank_or_enumeration(self, monkeypatch, all_fields):
+        def fail(*args):
+            raise AssertionError("a cone needs no chain complex")
+
+        monkeypatch.setattr(homology, "rank", fail)
+        monkeypatch.setattr(homology, "_relative_betti", fail)
+        cone = projective_plane_6().join(simplex(1))
+        for f in all_fields:
+            assert reduced_betti(cone, f).items() == tuple((d, 0) for d in range(-1, 4))
 
 
 class TestBoundaryMatrices:

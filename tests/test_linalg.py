@@ -1,13 +1,19 @@
 """Rank kernels: sparse column reduction over GF(2), odd p and Q,
 cross-checked against the integer diagonalization oracle."""
 
+import ast
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cmtkit
 from cmtkit.fields import GF2, GF3, GF5, RATIONALS, FieldSpec
 from cmtkit.generators import boundary_simplex
 from cmtkit.homology import boundary_matrices
@@ -108,6 +114,22 @@ def test_rational_rank_matches_snf_oracle(rows):
     a = np.array(rows, dtype=np.int64)
     expected = rank_from_diagonal(smith_diagonal(rows), RATIONALS)
     assert rank_rational(a) == expected
+
+
+def test_snf_oracle_returns_on_a_matrix_that_blew_up():
+    # With one pivot per step, this matrix (drawn by `matrices`) grew
+    # entries of hundreds of bits and did not return; run it in a child
+    # process so a regression fails on the bound instead of hanging.
+    rows = [[-5, -9, 5, 3, 1], [-8, -2, -2, 5, 5], [-9, -9, 5, -8, 7],
+            [6, 3, -5, 0, -7], [-7, -1, 9, 0, 9], [-3, -2, 0, 1, 9]]
+    script = f"from cmtkit.snf import smith_diagonal; print(smith_diagonal({rows!r}))"
+    src = str(Path(cmtkit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert done.returncode == 0, done.stderr
+    diagonal = ast.literal_eval(done.stdout)
+    for field in (GF2, GF3, GF5, FieldSpec.gf(7), RATIONALS):
+        assert rank_from_diagonal(diagonal, field) == rank(rows, field)
 
 
 def test_rational_rank_beyond_int64():

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from cmtkit.core import Face, SimplicialComplex, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
-from cmtkit.homology import reduced_betti, reduced_euler_from_faces
+from cmtkit.homology import (
+    _relative_betti,
+    boundary_matrices,
+    reduced_betti,
+    reduced_euler_from_faces,
+)
 from cmtkit.snf import betti_via_snf
 
 
@@ -131,10 +136,18 @@ class TestTrustedConstruction:
                 assert list(out.faces()) == _canonical_order(out.faces())
 
 
+def _full_chain_betti(cx, field):
+    """(degree, Betti number) pairs from the ranks of the full augmented
+    chain complex; ranks[s] is the rank of the boundary out of size s."""
+    mats = boundary_matrices(cx)
+    counts = [len(m.rows) for m in mats] + [cx.face_count(size=cx.dim + 1)]
+    ranks = [0] + [m.rank_over(field) for m in mats] + [0]
+    return tuple((s - 1, counts[s] - ranks[s] - ranks[s + 1]) for s in range(len(counts)))
+
+
 class TestHomologyLaws:
     @given(complexes(max_n=5))
     def test_boundary_squared_zero(self, cx):
-        from cmtkit.homology import boundary_matrices
         mats = boundary_matrices(cx)
         for a, b in zip(mats, mats[1:]):
             assert not (a.matrix @ b.matrix).any()
@@ -144,6 +157,18 @@ class TestHomologyLaws:
         # snf.py assembles its own dense boundary matrices from vertex tuples
         for field in (GF2, GF3, RATIONALS):
             assert reduced_betti(cx, field) == betti_via_snf(cx, field)
+
+    @given(complexes(max_n=5))
+    def test_excision_matches_full_chain_complex(self, cx):
+        # H~(K) = H(K, st v) for every vertex v, not only the chosen apex,
+        # on K and on every link; zero degrees included
+        for lk in {cx.link(sigma) for sigma in cx.faces()}:
+            for field in (GF2, GF3, RATIONALS):
+                full = _full_chain_betti(lk, field)
+                assert reduced_betti(lk, field).items() == full
+                assert betti_via_snf(lk, field).items() == full
+                for v in lk.vertex_ids():
+                    assert _relative_betti(lk, field, v).items() == full
 
     @given(complexes(max_n=5))
     def test_euler_consistency(self, cx):
