@@ -24,11 +24,13 @@ the same links and restrictions many times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
+from . import homology
 from .core import EMPTY_FACE, Face, SimplicialComplex
 from .fields import GF2, FieldSpec
-from .homology import _BETTI_CACHE, reduced_betti
 
 DEFINITION_LINKS = "definition_links"
 REISNER_HOMOLOGY = "reisner_homology"
@@ -92,7 +94,7 @@ _KLAYER_CACHE: dict[tuple, Witness | None] = {}
 def clear_caches() -> None:
     _OBSTRUCTION_CACHE.clear()
     _KLAYER_CACHE.clear()
-    _BETTI_CACHE.clear()
+    homology._BETTI_CACHE.clear()
 
 
 def _require_nonvoid(cx: SimplicialComplex) -> None:
@@ -109,18 +111,27 @@ def is_pure(cx: SimplicialComplex) -> bool:
 
 def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[Face, int]:
     """Each face whose link has reduced homology below the link's dimension,
-    mapped to the lowest such degree, in canonical face order."""
+    mapped to the lowest such degree, in canonical face order.
+
+    The scan derives each link's facet masks itself and skips links of
+    dimension at most 0 and cones (acyclic) before building anything; only
+    the other links become complexes and reach `reduced_betti`.
+    """
     _require_nonvoid(cx)
     key = (cx, field)
     found = _OBSTRUCTION_CACHE.get(key)
     if found is None:
         found = {}
+        masks, n, labels = cx.masks, cx.n_vertices, cx.labels
         for sigma in cx.faces():
-            lk = cx.link(sigma)
-            if lk.dim <= 0:
-                continue  # links of dimension -1 or 0 never obstruct
-            betti = reduced_betti(lk, field)
-            low = next((i for i in range(-1, lk.dim) if betti[i]), None)
+            # the link's facets, already in canonical order (see core.link)
+            s = sigma.mask
+            lk = tuple(f & ~s for f in masks if f & s == s)
+            top = lk[-1].bit_count() - 1
+            if top <= 0 or reduce(and_, lk):
+                continue  # links of dimension -1 or 0, and cones, never obstruct
+            betti = homology.reduced_betti(SimplicialComplex._trusted(n, lk, labels), field)
+            low = next((i for i in range(-1, top) if betti[i]), None)
             if low is not None:
                 found[sigma] = low
         _OBSTRUCTION_CACHE[key] = found

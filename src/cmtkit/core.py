@@ -9,11 +9,26 @@ tuple).  Equality, hashing and every derived complex work on these ints;
 degenerate values are representable and distinct: the void complex (no
 faces at all) and the irrelevant complex {<>} whose single face is the
 empty face.  Dimension queries on the void complex raise.
+
+Derived complexes avoid per-element Python work where the structure allows:
+
+* The canonical key of a mask, (size, vertex ids ascending), does not
+  depend on the ambient vertex space, so ``_canonical`` memoizes it per
+  mask in one module-level table (replaced when it would outgrow ``_KEY_LIMIT``)
+  and sorts with the table's ``__getitem__``: no Python frame per element.
+* A link is not re-sorted.  The facets through a face differ only outside
+  it, so removing the face keeps their canonical order.  Compaction and
+  skeleta keep the order too; a restriction re-sorts only when a facet it
+  shrank survives.
+* Maximality goes by size class: a mask can lie only in a strictly larger
+  one, so ``_maximal_masks`` and the constructor's antichain check compare
+  each facet only with larger ones, and pure input compares nothing.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -108,24 +123,57 @@ def _vertex_mask(obj, n_vertices: int) -> int:
     return mask
 
 
-def _canonical(masks: Iterable[int], n_vertices: int) -> tuple[int, ...]:
-    """Masks below 2**n_vertices sorted by size, then by sorted vertex tuple.
+# Canonical sort keys (size, then the vertex ids ascending), one per mask.
+# A key does not depend on the ambient vertex space, so one memo serves
+# every complex.  A call that would take it past _KEY_LIMIT entries starts a
+# new table (holding only its own keys when it has more masks than that).
+# Entries are never removed from a table, so a call that started with the
+# old one in another thread still finds every key it put there.
+_KEYS: dict[int, tuple[int, ...]] = {}
+_KEY_LIMIT = 1 << 16
 
-    Of two sets of one size, the one holding the smallest vertex where they
-    differ comes first.  The complement's bits read from vertex 0 upward
-    have a '0' there for that set, so comparing those strings gives the order.
+
+def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """Masks sorted by size, then by sorted vertex tuple."""
+    global _KEYS
+    masks = list(masks)
+    keys = _KEYS
+    new = set(masks).difference(keys)
+    if len(keys) + len(new) > _KEY_LIMIT:
+        keys = _KEYS = {}
+        new = set(masks)
+    for m in new:
+        keys[m] = (m.bit_count(),) + _bits(m)
+    return tuple(sorted(masks, key=keys.__getitem__))
+
+
+def _maximal_masks(masks: Iterable[int], above: Iterable[int] = ()) -> list[int]:
+    """The inclusion-maximal masks among `masks`, deduplicated and unordered,
+    that also lie in no mask of `above` (an antichain none of them equals).
+
+    A mask lies only in strictly larger masks, so the masks are taken by
+    size, largest first, and each is compared only with the larger masks
+    kept before its size class: pure input compares nothing.
     """
-    full = (1 << n_vertices) - 1
-    spec = f"0{n_vertices}b"
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), format(m ^ full, spec)[::-1])))
-
-
-def _maximal_masks(masks: Iterable[int]) -> list[int]:
-    """Keep only inclusion-maximal masks (deduplicated)."""
-    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
+    ordered = sorted(set(masks), key=int.bit_count, reverse=True)
+    fixed = sorted(above, key=int.bit_count, reverse=True)
     kept: list[int] = []
-    for m in uniq:
-        if not any(m & k == m for k in kept):
+    larger: list[int] = []  # kept or fixed masks larger than the current class
+    start = j = 0
+    size = None
+    for m in ordered:
+        c = m.bit_count()
+        if c != size:
+            larger += kept[start:]
+            start = len(kept)
+            while j < len(fixed) and fixed[j].bit_count() > c:
+                larger.append(fixed[j])
+                j += 1
+            size = c
+        for k in larger:
+            if m & k == m:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -163,9 +211,12 @@ class SimplicialComplex:
         for m in masks:
             if m >> n_vertices:
                 raise ValueError(f"facet {Face.from_mask(m)} uses ids beyond ambient size {n_vertices}")
-        masks = _canonical(set(masks), n_vertices)
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
+        masks = _canonical(set(masks))
+        # masks ascend by size and a facet lies only in a strictly larger one,
+        # so each scan starts at the first larger facet
+        sizes = [m.bit_count() for m in masks]
+        for a, size in zip(masks, sizes):
+            for b in masks[bisect_right(sizes, size):]:
                 if a & b == a:
                     raise ValueError("facets must form an antichain: "
                                      f"{Face.from_mask(a)} is contained in {Face.from_mask(b)}")
@@ -184,12 +235,13 @@ class SimplicialComplex:
         object.__setattr__(self, "_cache", {})
 
     @classmethod
-    def _trusted(cls, n_vertices: int, masks: Iterable[int],
+    def _trusted(cls, n_vertices: int, masks: tuple[int, ...],
                  labels: tuple[str, ...]) -> "SimplicialComplex":
-        """Complex whose facet masks are known to be distinct, an antichain
-        and below 2**n_vertices, with one label per ambient vertex."""
+        """Complex whose facet masks are known to be distinct, an antichain,
+        below 2**n_vertices and in canonical order, with one label per
+        ambient vertex."""
         cx = cls.__new__(cls)
-        cx._set(n_vertices, _canonical(masks, n_vertices), labels)
+        cx._set(n_vertices, masks, labels)
         return cx
 
     def __setattr__(self, name, value):
@@ -241,7 +293,7 @@ class SimplicialComplex:
         table = [""] * used.bit_length()
         for v in used_ids:
             table[v] = label_of(v)
-        return cls._trusted(len(table), _maximal_masks(masks), tuple(table)).compact()
+        return cls._trusted(len(table), _canonical(_maximal_masks(masks)), tuple(table)).compact()
 
     # -- basic queries -----------------------------------------------------
 
@@ -279,7 +331,10 @@ class SimplicialComplex:
 
     def contains(self, face) -> bool:
         mask = as_face(face).mask
-        return any(mask & f == mask for f in self.masks)
+        for f in self.masks:
+            if mask & f == mask:
+                return True
+        return False
 
     def faces(self, size: int | None = None) -> tuple[Face, ...]:
         """All faces, or all faces with exactly `size` vertices.
@@ -299,7 +354,7 @@ class SimplicialComplex:
                     if sub == 0:
                         break
                     sub = (sub - 1) & f
-            flat = tuple(Face.from_mask(m) for m in _canonical(seen, self.n_vertices))
+            flat = tuple(Face.from_mask(m) for m in _canonical(seen))
             cached = self._cache["faces"] = (
                 flat, {s: tuple(group) for s, group in groupby(flat, len)})
         flat, by_size = cached
@@ -317,22 +372,34 @@ class SimplicialComplex:
     def link(self, face) -> "SimplicialComplex":
         """The link {tau | tau u sigma is a face, tau disjoint from sigma}."""
         sigma = as_face(face)
-        if not self.contains(sigma):
-            raise ValueError(f"not a face of the complex: {sigma}")
         s = sigma.mask
+        # Facets containing sigma stay an antichain after removing it, and in
+        # canonical order: they differ only outside sigma.
+        masks = tuple(f & ~s for f in self.masks if s & f == s)
+        if not masks:
+            raise ValueError(f"not a face of the complex: {sigma}")
         if s == 0:
             return self
-        # Facets containing sigma stay an antichain after removing it.
-        return SimplicialComplex._trusted(
-            self.n_vertices, [f & ~s for f in self.masks if s & f == s], self.labels)
+        return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
 
     def restrict(self, keep) -> "SimplicialComplex":
         """Faces contained in the vertex set `keep`; {<>} if nothing survives."""
         keep_mask = _vertex_mask(keep, self.n_vertices)
         if self.is_void:
             return self
-        return SimplicialComplex._trusted(
-            self.n_vertices, _maximal_masks(f & keep_mask for f in self.masks), self.labels)
+        # Facets inside `keep` stay maximal and in order; only the shrunk ones
+        # are filtered, against those and each other.
+        inside, shrunk = [], []
+        for f in self.masks:
+            if f & ~keep_mask:
+                shrunk.append(f & keep_mask)
+            else:
+                inside.append(f)
+        if not shrunk:
+            return self
+        extra = _maximal_masks(shrunk, above=inside)
+        masks = _canonical(inside + extra) if extra else tuple(inside)
+        return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
 
     def skeleton(self, j: int) -> "SimplicialComplex":
         """All faces of dimension at most j (j = -1 gives {<>})."""
@@ -342,9 +409,10 @@ class SimplicialComplex:
             raise ValueError("the void complex has no skeleta")
         if j >= self.dim:
             return self
-        # (j+1)-faces and the smaller facets: no facet lies in a larger face
-        masks = [f.mask for f in self.faces(size=j + 1)]
-        masks += [f for f in self.masks if f.bit_count() <= j]
+        # the smaller facets, then the (j+1)-faces: no facet lies in a larger
+        # face, and both runs are already in canonical order
+        masks = tuple(f for f in self.masks if f.bit_count() <= j)
+        masks += tuple(f.mask for f in self.faces(size=j + 1))
         return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
@@ -359,7 +427,7 @@ class SimplicialComplex:
                 lb = lb + "'"
             taken.add(lb)
             relabeled.append(lb)
-        masks = [a | (b << offset) for a in self.masks for b in other.masks]
+        masks = _canonical(a | (b << offset) for a in self.masks for b in other.masks)
         return SimplicialComplex._trusted(offset + other.n_vertices, masks,
                                           self.labels + tuple(relabeled))
 
@@ -392,8 +460,8 @@ class SimplicialComplex:
                     cands.extend(f & ~(1 << v) for v in s)
                 else:
                     cands.append(f)
-            result = SimplicialComplex._trusted(self.n_vertices, _maximal_masks(cands),
-                                                self.labels)
+            result = SimplicialComplex._trusted(self.n_vertices,
+                                                _canonical(_maximal_masks(cands)), self.labels)
         if self.is_void:
             dropped = False
         else:
@@ -411,7 +479,9 @@ class SimplicialComplex:
             for new, old in enumerate(used):
                 m |= (f >> old & 1) << new
             masks.append(m)
-        return SimplicialComplex._trusted(len(used), masks, tuple(self.labels[v] for v in used))
+        # an order-preserving relabelling keeps the canonical order
+        return SimplicialComplex._trusted(len(used), tuple(masks),
+                                          tuple(self.labels[v] for v in used))
 
     # -- value semantics ----------------------------------------------------
 

@@ -92,3 +92,18 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
     if first is None or not all(verdicts[first:]):
         raise AssertionError(f"CM_t monotonicity violated: {verdicts}")
     return first
+
+
+def obstructions(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict:
+    """Each face whose link has reduced homology below the link's dimension,
+    mapped to the lowest such degree: every link built with `cx.link`."""
+    found = {}
+    for sigma in cx.faces():
+        lk = cx.link(sigma)
+        if lk.dim <= 0:
+            continue
+        betti = reduced_betti(lk, field)
+        low = next((i for i in range(-1, lk.dim) if betti[i]), None)
+        if low is not None:
+            found[sigma] = low
+    return found

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,18 @@ class TestLargeInputs:
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=20)
         assert done.returncode == 0 and json.loads(done.stdout)["ok"] is True
+
+    def test_homology_of_19448_facets_is_fast(self, tmp_path):
+        # the 6-skeleton of the 16-sphere: pure, so maximality compares nothing
+        path = tmp_path / "sk6.cplx"
+        path.write_text("".join(" ".join(map(str, c)) + "\n"
+                                for c in combinations(range(17), 7)))
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "homology", str(path)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=5)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["betti"]["6"] == 11440
 
 
 class TestExploreJoin:

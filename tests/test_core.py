@@ -1,6 +1,7 @@
 """Faces, complexes, and the combinatorial operations on them."""
 
 import time
+from itertools import combinations
 
 import pytest
 
@@ -86,6 +87,23 @@ class TestFromFacets:
     def test_antichain_enforced_by_raw_constructor(self):
         with pytest.raises(ValueError):
             SimplicialComplex(3, [Face((0, 1)), Face((0,))])
+
+    def test_antichain_error_names_the_first_pair_in_canonical_order(self):
+        # four violations; (0, 5) is the first facet, in canonical order,
+        # that lies in another, and (0, 4, 5) the first facet holding it
+        facets = [(1, 2, 3), (4, 5), (2, 3), (0, 5), (0, 4, 5), (1, 2)]
+        with pytest.raises(ValueError) as err:
+            SimplicialComplex(6, [Face(f) for f in facets])
+        assert str(err.value) == ("facets must form an antichain: "
+                                  "Face(0, 5) is contained in Face(0, 4, 5)")
+
+    def test_pure_construction_is_fast(self):
+        # no facet of one size can lie in another of that size
+        facets = [Face(c) for c in combinations(range(16), 6)]
+        start = time.perf_counter()
+        cx = SimplicialComplex(16, facets)
+        assert time.perf_counter() - start < 1.0
+        assert len(cx.masks) == 8008
 
     def test_range_and_labels_enforced_by_raw_constructor(self):
         with pytest.raises(ValueError, match="beyond ambient size"):

@@ -1,0 +1,104 @@
+"""The mask-level fast paths of core and classify against plain oracles."""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import reference_deciders as ref
+from cmtkit import core
+from cmtkit.classify import _obstructions, clear_caches
+from cmtkit.core import Face, SimplicialComplex, _bits, _canonical, _maximal_masks, from_facets
+from cmtkit.fields import GF2, GF3, RATIONALS
+from cmtkit.generators import miyazaki_example, projective_plane_6
+from cmtkit.suites import acceptance_corpus
+
+
+def quadratic_maximal_masks(masks):
+    """Each mask compared with every mask kept before it: the plain filter."""
+    kept = []
+    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    return kept
+
+
+mask_lists = st.integers(0, 10).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=24))
+
+
+class TestCanonical:
+    def test_matches_sorted_vertex_tuples(self, monkeypatch):
+        # a small bound makes most calls start a new memo table
+        monkeypatch.setattr(core, "_KEY_LIMIT", 8)
+        monkeypatch.setattr(core, "_KEYS", {})
+        rng = random.Random(5)
+        for n in range(25):
+            for count in (0, 1, 3, 7, 30):
+                masks = list({rng.getrandbits(n) for _ in range(count)})
+                assert _canonical(masks) == tuple(
+                    sorted(masks, key=lambda m: (m.bit_count(), _bits(m))))
+                assert len(core._KEYS) <= max(8, len(masks))
+
+
+class TestMaximalMasks:
+    @given(mask_lists)
+    def test_matches_quadratic_filter(self, masks):
+        assert sorted(_maximal_masks(masks)) == sorted(quadratic_maximal_masks(masks))
+
+    @given(mask_lists, mask_lists)
+    def test_above_masks_are_kept_out(self, masks, others):
+        above = quadratic_maximal_masks(others)
+        masks = [m for m in masks if m not in above]
+        want = [m for m in quadratic_maximal_masks(masks + above) if m not in above]
+        assert sorted(_maximal_masks(masks, above=above)) == sorted(want)
+
+
+@st.composite
+def mixed_complexes(draw):
+    """Up to 9 vertices and 12 facets of mixed sizes."""
+    n = draw(st.integers(1, 9))
+    raw = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    return from_facets(Face.from_mask(m) for m in raw)
+
+
+def rebuilt(cx):
+    return SimplicialComplex(cx.n_vertices, cx.facets, cx.labels)
+
+
+class TestDerivedComplexes:
+    @given(mixed_complexes())
+    def test_links_equal_their_validated_rebuild(self, cx):
+        for sigma in cx.faces():
+            lk = cx.link(sigma)
+            assert rebuilt(lk) == lk
+
+    @given(mixed_complexes(), st.data())
+    def test_restrictions_equal_their_validated_rebuild(self, cx, data):
+        keeps = data.draw(st.lists(st.integers(0, (1 << cx.n_vertices) - 1), max_size=20))
+        for keep in keeps:
+            sub = cx.restrict(Face.from_mask(keep))
+            assert rebuilt(sub) == sub
+            assert {f.mask for f in sub.faces()} == {
+                f.mask for f in cx.faces() if f.mask & keep == f.mask}
+
+
+def _obstruction_cases():
+    mi, _ = miyazaki_example()
+    return [cx for _, cx in acceptance_corpus()] + [
+        projective_plane_6(), mi, from_facets([(1, 2, 3), (3, 4)]), from_facets([()])]
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)
+def test_obstructions_match_link_by_link_scan(field):
+    for cx in _obstruction_cases():
+        clear_caches()
+        got = _obstructions(cx, field)
+        want = ref.obstructions(cx, field)
+        assert list(got.items()) == list(want.items())
+
+
+@given(mixed_complexes())
+def test_obstructions_match_on_random_complexes(cx):
+    assert list(_obstructions(cx, GF2).items()) == list(ref.obstructions(cx, GF2).items())
