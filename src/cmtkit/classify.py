@@ -17,8 +17,10 @@ criteria are three readings of that map:
 Naive per-criterion deciders in ``tests/reference_deciders.py`` are the
 independent check on these.  All deciders produce concrete witnesses on
 failure so the CLI can report them.  The obstruction map and the k-CM_t
-removal layers are memoized per complex since the theorem suites revisit
-the same links and restrictions many times.
+removal layers are memoized in `core`'s memo, keyed on the facet masks,
+since the theorem suites revisit the same links and restrictions many times,
+often under other labels.  Both hold int masks; a `Face` is built only for
+a witness that is returned.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from itertools import combinations
 from operator import and_
 
 from . import homology
-from .core import EMPTY_FACE, Face, SimplicialComplex
+from .core import EMPTY_FACE, Face, SimplicialComplex, _memoized
+from .core import clear_caches  # noqa: F401  (re-exported; the memo lives in core)
 from .fields import GF2, FieldSpec
 
 DEFINITION_LINKS = "definition_links"
@@ -87,16 +90,6 @@ class Witness:
         return out
 
 
-_OBSTRUCTION_CACHE: dict[tuple, dict[Face, int]] = {}
-_KLAYER_CACHE: dict[tuple, Witness | None] = {}
-
-
-def clear_caches() -> None:
-    _OBSTRUCTION_CACHE.clear()
-    _KLAYER_CACHE.clear()
-    homology._BETTI_CACHE.clear()
-
-
 def _require_nonvoid(cx: SimplicialComplex) -> None:
     if cx.is_void:
         raise ValueError("the void complex cannot be classified")
@@ -109,39 +102,39 @@ def is_pure(cx: SimplicialComplex) -> bool:
     return cx.masks[0].bit_count() == cx.masks[-1].bit_count()
 
 
-def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[Face, int]:
-    """Each face whose link has reduced homology below the link's dimension,
-    mapped to the lowest such degree, in canonical face order.
+def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
+    """Each face mask whose link has reduced homology below the link's
+    dimension, mapped to the lowest such degree, in canonical face order."""
+    _require_nonvoid(cx)
+    return _memoized(("obstructions", cx.masks, field), lambda: _scan_links(cx, field))
+
+
+def _scan_links(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
+    """The obstruction map, one face mask at a time.
 
     The scan derives each link's facet masks itself and skips links of
     dimension at most 0 and cones (acyclic) before building anything; only
     the other links become complexes and reach `reduced_betti`.
     """
-    _require_nonvoid(cx)
-    key = (cx, field)
-    found = _OBSTRUCTION_CACHE.get(key)
-    if found is None:
-        found = {}
-        masks, n, labels = cx.masks, cx.n_vertices, cx.labels
-        for sigma in cx.faces():
-            # the link's facets, already in canonical order (see core.link)
-            s = sigma.mask
-            lk = tuple(f & ~s for f in masks if f & s == s)
-            top = lk[-1].bit_count() - 1
-            if top <= 0 or reduce(and_, lk):
-                continue  # links of dimension -1 or 0, and cones, never obstruct
-            betti = homology.reduced_betti(SimplicialComplex._trusted(n, lk, labels), field)
-            low = next((i for i in range(-1, top) if betti[i]), None)
-            if low is not None:
-                found[sigma] = low
-        _OBSTRUCTION_CACHE[key] = found
+    found = {}
+    masks, n, labels = cx.masks, cx.n_vertices, cx.labels
+    for s in cx._face_masks():
+        # the link's facets, already in canonical order (see core.link)
+        lk = tuple(f & ~s for f in masks if f & s == s)
+        top = lk[-1].bit_count() - 1
+        if top <= 0 or reduce(and_, lk):
+            continue  # links of dimension -1 or 0, and cones, never obstruct
+        betti = homology.reduced_betti(SimplicialComplex._trusted(n, lk, labels), field)
+        low = next((i for i in range(-1, top) if betti[i]), None)
+        if low is not None:
+            found[s] = low
     return found
 
 
 def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
     """Reisner test: the first face whose link has homology below its dimension, or None."""
-    for sigma, degree in _obstructions(cx, field).items():
-        return Witness("link_homology", face=sigma, degree=degree)
+    for s, degree in _obstructions(cx, field).items():
+        return Witness("link_homology", face=Face.from_mask(s), degree=degree)
     return None
 
 
@@ -167,21 +160,22 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
         # with more than t vertices fails only if its t-subsets do.  The faces
         # rho - sigma of lk(sigma) come in the same order as the faces rho.
-        for sigma in cx.faces(size=t):
-            for rho, degree in obstructed.items():
-                if sigma <= rho:
-                    inner = Witness("link_homology", face=rho - sigma, degree=degree)
-                    return Witness("link_not_cm", face=sigma, inner=inner)
+        for s in cx._face_masks(t):
+            for r, degree in obstructed.items():
+                if s & r == s:
+                    inner = Witness("link_homology", face=Face.from_mask(r & ~s), degree=degree)
+                    return Witness("link_not_cm", face=Face.from_mask(s), inner=inner)
         return None
-    for sigma, degree in obstructed.items():
-        if len(sigma) < t:
+    for s, degree in obstructed.items():
+        size = s.bit_count()
+        if size < t:
             continue
         if crit == REISNER_HOMOLOGY:
-            return Witness("link_homology", face=sigma, degree=degree)
-        if sigma == EMPTY_FACE:
+            return Witness("link_homology", face=Face.from_mask(s), degree=degree)
+        if not s:
             # punctures never see the empty face: this is the global condition
             return Witness("global_homology", face=EMPTY_FACE, degree=degree)
-        return Witness("local_homology", face=sigma, degree=degree + len(sigma))
+        return Witness("local_homology", face=Face.from_mask(s), degree=degree + size)
     return None
 
 
@@ -198,26 +192,25 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
 def _k_layer_witness(cx: SimplicialComplex, size: int, t: int,
                      field: FieldSpec) -> Witness | None:
     """First failing removal set of exactly `size` vertices, or None."""
-    key = (cx, size, t, field)
-    if key in _KLAYER_CACHE:
-        return _KLAYER_CACHE[key]
+    return _memoized(("k_layer", cx.masks, size, t, field),
+                     lambda: _first_failing_removal(cx, size, t, field))
+
+
+def _first_failing_removal(cx: SimplicialComplex, size: int, t: int,
+                           field: FieldSpec) -> Witness | None:
     support_mask = cx.support_mask
     d = cx.dim
-    found = None
     for removal in combinations(cx.vertex_ids(), size):
         keep_mask = support_mask
         for v in removal:
             keep_mask &= ~(1 << v)
         sub = cx.restrict(Face.from_mask(keep_mask))
         if sub.dim != d:
-            found = Witness("restriction_dimension", removed=removal)
-            break
+            return Witness("restriction_dimension", removed=removal)
         inner = cm_t_witness(sub, t, field, DEFINITION_LINKS)
         if inner is not None:
-            found = Witness("restriction", removed=removal, inner=inner)
-            break
-    _KLAYER_CACHE[key] = found
-    return found
+            return Witness("restriction", removed=removal, inner=inner)
+    return None
 
 
 def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2,
@@ -268,7 +261,7 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
     _require_nonvoid(cx)
     if not is_pure(cx):
         raise ValueError("min_t undefined for impure complexes")
-    return max((len(sigma) + 1 for sigma in _obstructions(cx, field)), default=0)
+    return max((s.bit_count() + 1 for s in _obstructions(cx, field)), default=0)
 
 
 def _max_k_capped(cx: SimplicialComplex, t: int, field: FieldSpec,

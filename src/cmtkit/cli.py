@@ -48,7 +48,7 @@ class UsageError(Exception):
 
 
 def _face_from_labels(cx: SimplicialComplex, text: str) -> Face:
-    tokens = text.replace(",", " ").split()
+    tokens = text.split()  # whitespace only, as in facet files: a label may hold commas
     index = {lb: i for i, lb in enumerate(cx.labels)}
     missing = [t for t in tokens if t not in index]
     if missing:

@@ -5,10 +5,11 @@ vertex id space 0..n-1, as ``masks``: one int per facet, bit v set when
 vertex v is in it, in canonical order (by size, then by sorted vertex
 tuple).  Equality, hashing and every derived complex work on these ints;
 ``Face`` objects are built only where the API hands faces out (``facets``,
-``faces()``).  Every other face is enumerated on demand and memoized.  Two
-degenerate values are representable and distinct: the void complex (no
-faces at all) and the irrelevant complex {<>} whose single face is the
-empty face.  Dimension queries on the void complex raise.
+``faces()``).  Every other face is enumerated on demand as a mask and
+memoized per complex, grouped by size (``_face_masks``).  Two degenerate
+values are representable and distinct: the void complex (no faces at all)
+and the irrelevant complex {<>} whose single face is the empty face.
+Dimension queries on the void complex raise.
 
 Derived complexes avoid per-element Python work where the structure allows:
 
@@ -23,6 +24,13 @@ Derived complexes avoid per-element Python work where the structure allows:
 * Maximality goes by size class: a mask can lie only in a strictly larger
   one, so ``_maximal_masks`` and the constructor's antichain check compare
   each facet only with larger ones, and pure input compares nothing.
+
+Values derived from a complex (Betti vectors, obstruction maps, k-CM_t
+removal layers) live in one module-level memo, ``_MEMO``, keyed on
+``(kind, masks, parameters...)``.  Such a value depends only on the facet
+masks, so complexes that differ only in their labels or ambient size share
+one entry, and no key keeps a complex (or its face enumeration) alive.  The
+memo is emptied when it reaches ``_MEMO_LIMIT`` entries.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -145,6 +153,31 @@ def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     for m in new:
         keys[m] = (m.bit_count(),) + _bits(m)
     return tuple(sorted(masks, key=keys.__getitem__))
+
+
+# Derived values keyed on (kind, facet masks, parameters...); see the module
+# docstring.  Emptied, not evicted, when full: a request that fills it again
+# recomputes only what it revisits.
+_MEMO: dict[tuple, object] = {}
+_MEMO_LIMIT = 1 << 16
+
+
+def _memoized(key: tuple, compute: Callable[[], object]):
+    """The memoized value under key, computed (and stored) on a miss."""
+    try:
+        return _MEMO[key]
+    except KeyError:
+        pass
+    value = compute()
+    if len(_MEMO) >= _MEMO_LIMIT:
+        _MEMO.clear()
+    _MEMO[key] = value
+    return value
+
+
+def clear_caches() -> None:
+    """Drop every memoized Betti vector, obstruction map and removal layer."""
+    _MEMO.clear()
 
 
 def _maximal_masks(masks: Iterable[int], above: Iterable[int] = ()) -> list[int]:
@@ -336,12 +369,10 @@ class SimplicialComplex:
                 return True
         return False
 
-    def faces(self, size: int | None = None) -> tuple[Face, ...]:
-        """All faces, or all faces with exactly `size` vertices.
-
-        Deterministic order: by (size, vertex tuple).  The enumeration is
-        memoized per complex; racing fills recompute identical values.
-        """
+    def _face_masks(self, size: int | None = None) -> tuple[int, ...]:
+        """Masks of all faces, or of the faces with exactly `size` vertices,
+        in canonical order.  Memoized per complex, grouped by size; racing
+        fills recompute identical values."""
         if self.is_void:
             raise ValueError("void complex has no faces")
         cached = self._cache.get("faces")
@@ -354,9 +385,9 @@ class SimplicialComplex:
                     if sub == 0:
                         break
                     sub = (sub - 1) & f
-            flat = tuple(Face.from_mask(m) for m in _canonical(seen))
+            flat = _canonical(seen)
             cached = self._cache["faces"] = (
-                flat, {s: tuple(group) for s, group in groupby(flat, len)})
+                flat, {s: tuple(group) for s, group in groupby(flat, int.bit_count)})
         flat, by_size = cached
         if size is None:
             return flat
@@ -364,8 +395,16 @@ class SimplicialComplex:
             raise ValueError("face size must be non-negative")
         return by_size.get(size, ())
 
+    def faces(self, size: int | None = None) -> tuple[Face, ...]:
+        """All faces, or all faces with exactly `size` vertices.
+
+        Deterministic order: by (size, vertex tuple).  The Face objects are
+        built on each call from the memoized masks.
+        """
+        return tuple(map(Face.from_mask, self._face_masks(size)))
+
     def face_count(self, size: int) -> int:
-        return len(self.faces(size=size))
+        return len(self._face_masks(size))
 
     # -- derived complexes -------------------------------------------------
 
@@ -412,7 +451,7 @@ class SimplicialComplex:
         # the smaller facets, then the (j+1)-faces: no facet lies in a larger
         # face, and both runs are already in canonical order
         masks = tuple(f for f in self.masks if f.bit_count() <= j)
-        masks += tuple(f.mask for f in self.faces(size=j + 1))
+        masks += self._face_masks(j + 1)
         return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
@@ -492,11 +531,7 @@ class SimplicialComplex:
                 and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        h = self._cache.get("hash")
-        if h is None:
-            h = hash((self.n_vertices, self.masks, self.labels))
-            self._cache["hash"] = h
-        return h
+        return hash((self.n_vertices, self.masks, self.labels))
 
     def __repr__(self) -> str:
         if self.is_void:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
-from .core import Face, SimplicialComplex, _bits, as_face
+from .core import Face, SimplicialComplex, _bits, _memoized, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
 
@@ -135,9 +135,6 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     return mats
 
 
-_BETTI_CACHE: dict[tuple[SimplicialComplex, FieldSpec], BettiVector] = {}
-
-
 def _apex(cx: SimplicialComplex) -> int | None:
     """The vertex lying in the most facets, lowest id on ties; None for {<>}."""
     best, most = None, 0
@@ -204,16 +201,18 @@ def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -
 
 
 def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> BettiVector:
-    """Reduced Betti numbers beta[-1..dim] over the given field."""
+    """Reduced Betti numbers beta[-1..dim] over the given field.
+
+    Memoized in `core`'s memo on the facet masks and the field, so complexes
+    that differ only in labels share one entry.  Cones (a vertex in every
+    facet) are acyclic: their zeros are returned without memoizing.
+    """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
-    if reduce(and_, cx.masks):  # a vertex in every facet: a cone, acyclic (not memoized)
+    if reduce(and_, cx.masks):
         return BettiVector(dict.fromkeys(range(-1, cx.dim + 1), 0))
-    key = (cx, field)
-    cached = _BETTI_CACHE.get(key)
-    if cached is None:
-        cached = _BETTI_CACHE[key] = _relative_betti(cx, field, _apex(cx))
-    return cached
+    return _memoized(("betti", cx.masks, field),
+                     lambda: _relative_betti(cx, field, _apex(cx)))
 
 
 def local_betti(cx: SimplicialComplex, face, field: FieldSpec) -> BettiVector:

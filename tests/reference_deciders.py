@@ -95,8 +95,9 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
 
 
 def obstructions(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict:
-    """Each face whose link has reduced homology below the link's dimension,
-    mapped to the lowest such degree: every link built with `cx.link`."""
+    """Each face mask whose link has reduced homology below the link's
+    dimension, mapped to the lowest such degree: every link built with
+    `cx.link`."""
     found = {}
     for sigma in cx.faces():
         lk = cx.link(sigma)
@@ -105,5 +106,5 @@ def obstructions(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict:
         betti = reduced_betti(lk, field)
         low = next((i for i in range(-1, lk.dim) if betti[i]), None)
         if low is not None:
-            found[sigma] = low
+            found[sigma.mask] = low
     return found

@@ -5,13 +5,14 @@ import sys
 import pytest
 
 import cmtkit
-from cmtkit import homology
+from cmtkit import core
 from cmtkit.classify import (
-    _OBSTRUCTION_CACHE,
+    _obstructions,
     CRITERIA,
     classify,
     clear_caches,
     cm_t_witness,
+    cm_witness,
     explore_join,
     is_buchsbaum,
     is_cm,
@@ -25,7 +26,7 @@ from cmtkit.classify import (
     min_t,
     normalize_criterion,
 )
-from cmtkit.core import Face, from_facets
+from cmtkit.core import Face, SimplicialComplex, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.generators import boundary_simplex, miyazaki_example, projective_plane_6, simplex
 
@@ -72,21 +73,40 @@ class TestIsCm:
         assert is_cm(rp2, RATIONALS)
 
     def test_clear_caches_drops_betti_memo(self):
-        is_cm(boundary_simplex(4), GF2)
-        assert homology._BETTI_CACHE and _OBSTRUCTION_CACHE
         clear_caches()
-        assert not homology._BETTI_CACHE
-        assert not _OBSTRUCTION_CACHE
+        is_cm(boundary_simplex(4), GF2)
+        assert {"betti", "obstructions"} <= {key[0] for key in core._MEMO}
+        clear_caches()
+        assert not core._MEMO
 
     def test_package_level_clear_caches(self):
         # cmtkit.classify is the function, which shadows the module
         module = sys.modules["cmtkit.classify"]
         assert "clear_caches" in cmtkit.__all__
-        assert is_k_cm_t(boundary_simplex(4), 1, 0, GF2)
-        caches = (module._OBSTRUCTION_CACHE, module._KLAYER_CACHE, homology._BETTI_CACHE)
-        assert all(caches)
+        assert module.clear_caches is cmtkit.clear_caches
         cmtkit.clear_caches()
-        assert not any(caches)
+        assert is_k_cm_t(boundary_simplex(4), 1, 0, GF2)
+        assert {"betti", "obstructions", "k_layer"} <= {key[0] for key in core._MEMO}
+        cmtkit.clear_caches()
+        assert not core._MEMO
+
+
+class TestMemo:
+    def test_relabelled_complexes_share_one_obstruction_entry(self):
+        a = TWO_TRI_VERTEX
+        b = SimplicialComplex(a.n_vertices, a.facets, ["p", "q", "r", "s", "u"])
+        wider = SimplicialComplex(a.n_vertices + 1, a.facets, b.labels + ("z",))
+        clear_caches()
+        found = _obstructions(a, GF2)
+        assert _obstructions(b, GF2) is found
+        assert _obstructions(wider, GF2) is found
+        assert [key for key in core._MEMO if key[0] == "obstructions"] == [
+            ("obstructions", a.masks, GF2)]
+        # the shared entry holds masks; each witness names its own labels
+        assert cm_witness(a, GF2).to_json(a) == {
+            "kind": "link_homology", "face": ["3"], "degree": 0}
+        assert cm_witness(b, GF2).to_json(b) == {
+            "kind": "link_homology", "face": ["r"], "degree": 0}
 
 
 class TestIsCmT:

@@ -147,6 +147,13 @@ class TestTransformers:
         code, _, err = run(capsys, ["link", two_tri, "--face", "zzz"])
         assert code == 2 and "unknown vertex label" in err
 
+    def test_face_label_with_a_comma(self, tmp_path, capsys):
+        # --face splits on whitespace only, as facet files do
+        path = tmp_path / "comma.cplx"
+        path.write_text("a,b c\nc d\n")
+        code, out, _ = run(capsys, ["link", str(path), "--face", "a,b"])
+        assert code == 0 and out == "c\n"
+
     def test_skeleton(self, two_tri, capsys):
         code, out, _ = run(capsys, ["skeleton", two_tri, "-j", "0"])
         assert code == 0

@@ -3,7 +3,8 @@
 import pytest
 
 import reference_deciders as ref
-from cmtkit.classify import CRITERIA, cm_t_witness, cm_witness, min_t
+from cmtkit import core
+from cmtkit.classify import CRITERIA, clear_caches, cm_t_witness, cm_witness, min_t
 from cmtkit.core import from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.generators import miyazaki_example, projective_plane_6
@@ -30,21 +31,35 @@ def _outcome(fn, cx, *args):
     return result.to_json(cx) if hasattr(result, "to_json") else result
 
 
-@pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)
-def test_witnesses_and_min_t_match_reference(field):
-    mismatches, kinds = [], set()
+def _comparisons(field):
+    """(case, decider, production outcome, reference outcome) for every
+    decider, t and criterion on every case."""
+    out = []
     for name, cx in CASES:
         pairs = [("cm", cm_witness, ref.cm_witness, (field,)),
                  ("min_t", min_t, ref.min_t, (field,))]
         pairs += [(f"t={t} {crit}", cm_t_witness, ref.cm_t_witness, (t, field, crit))
                   for t in range(0, cx.dim + 2) for crit in CRITERIA]
         for what, fn, ref_fn, args in pairs:
-            got, want = _outcome(fn, cx, *args), _outcome(ref_fn, cx, *args)
-            if got != want:
-                mismatches.append((name, what, got, want))
-            if isinstance(want, dict):
-                kinds.add(want["kind"])
+            out.append((name, what, _outcome(fn, cx, *args), _outcome(ref_fn, cx, *args)))
+    return out
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)
+def test_witnesses_and_min_t_match_reference(field):
+    comparisons = _comparisons(field)
+    mismatches = [c for c in comparisons if c[2] != c[3]]
+    kinds = {want["kind"] for *_, want in comparisons if isinstance(want, dict)}
     assert not mismatches, mismatches[:5]
     # every witness kind a CM_t decider can return was compared
     assert kinds == {"impure", "link_not_cm", "link_homology", "local_homology",
                      "global_homology"}
+
+
+def test_small_memo_bound_changes_no_outcome(monkeypatch):
+    clear_caches()
+    at_default = _comparisons(GF2)
+    monkeypatch.setattr(core, "_MEMO_LIMIT", 8)
+    clear_caches()
+    assert _comparisons(GF2) == at_default
+    assert len(core._MEMO) <= 8

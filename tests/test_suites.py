@@ -2,6 +2,8 @@
 
 import pytest
 
+from cmtkit import core
+from cmtkit.classify import clear_caches
 from cmtkit.fields import GF2
 from cmtkit.suites import (
     SUITES,
@@ -24,6 +26,15 @@ def test_suite_runs_clean(name):
 def test_run_suites_all_expands():
     reports = run_suites(["all"], build_corpus(max_n=4, seeds=2), field=GF2)
     assert {r.suite for r in reports} == set(SUITES)
+
+
+def test_small_memo_bound_changes_no_report(monkeypatch):
+    clear_caches()
+    at_default = [r.to_json() for r in run_suites(["all"], CORPUS, field=GF2)]
+    monkeypatch.setattr(core, "_MEMO_LIMIT", 8)
+    clear_caches()
+    assert [r.to_json() for r in run_suites(["all"], CORPUS, field=GF2)] == at_default
+    assert len(core._MEMO) <= 8
 
 
 def test_unknown_suite_rejected():
