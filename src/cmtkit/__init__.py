@@ -5,7 +5,6 @@ from .classify import (
     ClassificationReport,
     JoinObservation,
     Witness,
-    classify,
     cm_t_witness,
     cm_witness,
     explore_join,

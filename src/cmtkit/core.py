@@ -17,10 +17,14 @@ Derived complexes avoid per-element Python work where the structure allows:
   depend on the ambient vertex space, so ``_canonical`` memoizes it per
   mask in one module-level table (replaced when it would outgrow ``_KEY_LIMIT``)
   and sorts with the table's ``__getitem__``: no Python frame per element.
-* A link is not re-sorted.  The facets through a face differ only outside
-  it, so removing the face keeps their canonical order.  Compaction and
-  skeleta keep the order too; a restriction re-sorts only when a facet it
-  shrank survives.
+* One normalization step, ``_canonical(_maximal_masks(...))``, builds every
+  complex whose facets may collide or nest: ``from_facets``, a restriction
+  that shrinks a facet, and coface deletion.  The rest take their masks as
+  they come, since their construction keeps an antichain in canonical
+  order: a link (the facets through a face differ only outside it, so
+  removing the face keeps their order), a skeleton, a compaction (an
+  order-preserving relabelling through one old -> new id map, which
+  ``from_facets`` uses too), and a join, which only sorts.
 * Maximality goes by size class: a mask can lie only in a strictly larger
   one, so ``_maximal_masks`` and the constructor's antichain check compare
   each facet only with larger ones, and pure input compares nothing.
@@ -38,7 +42,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -180,35 +184,32 @@ def clear_caches() -> None:
     _MEMO.clear()
 
 
-def _maximal_masks(masks: Iterable[int], above: Iterable[int] = ()) -> list[int]:
-    """The inclusion-maximal masks among `masks`, deduplicated and unordered,
-    that also lie in no mask of `above` (an antichain none of them equals).
+def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal masks among `masks`, deduplicated and unordered.
 
     A mask lies only in strictly larger masks, so the masks are taken by
-    size, largest first, and each is compared only with the larger masks
-    kept before its size class: pure input compares nothing.
+    size, largest first, and each is compared only with the masks kept
+    before its size class: pure input compares nothing.
     """
-    ordered = sorted(set(masks), key=int.bit_count, reverse=True)
-    fixed = sorted(above, key=int.bit_count, reverse=True)
     kept: list[int] = []
-    larger: list[int] = []  # kept or fixed masks larger than the current class
-    start = j = 0
+    larger: tuple[int, ...] = ()  # the kept masks larger than the current class
     size = None
-    for m in ordered:
-        c = m.bit_count()
-        if c != size:
-            larger += kept[start:]
-            start = len(kept)
-            while j < len(fixed) and fixed[j].bit_count() > c:
-                larger.append(fixed[j])
-                j += 1
-            size = c
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), tuple(kept)
         for k in larger:
             if m & k == m:
                 break
         else:
             kept.append(m)
     return kept
+
+
+def _relabelled(masks: Iterable[int], used: Sequence[int]) -> list[int]:
+    """The masks with vertex used[i] renamed i, through one old -> new id map;
+    every bit of every mask must be in `used`."""
+    bit = {old: 1 << new for new, old in enumerate(used)}
+    return [sum(map(bit.__getitem__, _bits(m))) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -312,21 +313,18 @@ class SimplicialComplex:
             return str(labels[old])
 
         if labels is not None:
-            if isinstance(labels, Mapping):
-                ghost = sorted(set(labels) - set(used_ids))
-            else:
-                ghost = [i for i in range(len(labels)) if i not in set(used_ids)]
+            ids = labels if isinstance(labels, Mapping) else range(len(labels))
+            ghost = sorted(set(ids).difference(used_ids))
             if ghost:
                 warnings.warn(
                     f"dropping {len(ghost)} labelled vertex id(s) not used by any face: {ghost}",
                     stacklevel=2,
                 )
 
-        # unused ids keep a placeholder label; compact() drops their slots
-        table = [""] * used.bit_length()
-        for v in used_ids:
-            table[v] = label_of(v)
-        return cls._trusted(len(table), _canonical(_maximal_masks(masks)), tuple(table)).compact()
+        if len(used_ids) < used.bit_length():  # ids 0..n-1 (a parsed file) map to themselves
+            masks = _relabelled(masks, used_ids)
+        return cls._trusted(len(used_ids), _canonical(_maximal_masks(masks)),
+                            tuple(map(label_of, used_ids)))
 
     # -- basic queries -----------------------------------------------------
 
@@ -424,21 +422,11 @@ class SimplicialComplex:
     def restrict(self, keep) -> "SimplicialComplex":
         """Faces contained in the vertex set `keep`; {<>} if nothing survives."""
         keep_mask = _vertex_mask(keep, self.n_vertices)
-        if self.is_void:
+        masks = tuple(f & keep_mask for f in self.masks)
+        if masks == self.masks:
             return self
-        # Facets inside `keep` stay maximal and in order; only the shrunk ones
-        # are filtered, against those and each other.
-        inside, shrunk = [], []
-        for f in self.masks:
-            if f & ~keep_mask:
-                shrunk.append(f & keep_mask)
-            else:
-                inside.append(f)
-        if not shrunk:
-            return self
-        extra = _maximal_masks(shrunk, above=inside)
-        masks = _canonical(inside + extra) if extra else tuple(inside)
-        return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
+        return SimplicialComplex._trusted(self.n_vertices, _canonical(_maximal_masks(masks)),
+                                          self.labels)
 
     def skeleton(self, j: int) -> "SimplicialComplex":
         """All faces of dimension at most j (j = -1 gives {<>})."""
@@ -481,45 +469,28 @@ class SimplicialComplex:
         for s in sigmas:
             if not self.contains(s):
                 raise ValueError(f"not a face of the complex: {s}")
-        union_ok, violating = True, None
-        for i, a in enumerate(sigmas):
-            for b in sigmas[i + 1:]:
-                if self.contains(a | b):
-                    union_ok, violating = False, (a, b)
-                    break
-            if not union_ok:
-                break
-        result = self
+        violating = next(((a, b) for a, b in combinations(sigmas, 2)
+                          if self.contains(a | b)), None)
+        masks = self.masks
         for s in sigmas:
-            if result.is_void or not result.contains(s):
-                continue
             cands: list[int] = []
-            for f in result.masks:
+            for f in masks:
                 if s.mask & f == s.mask:
                     cands.extend(f & ~(1 << v) for v in s)
                 else:
                     cands.append(f)
-            result = SimplicialComplex._trusted(self.n_vertices,
-                                                _canonical(_maximal_masks(cands)), self.labels)
-        if self.is_void:
-            dropped = False
-        else:
-            dropped = result.is_void or result.dim < self.dim
-        return result, DeletionReport(union_ok, violating, dropped)
+            masks = _canonical(_maximal_masks(cands))
+        result = SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
+        dropped = not self.is_void and (result.is_void or result.dim < self.dim)
+        return result, DeletionReport(violating is None, violating, dropped)
 
     def compact(self) -> "SimplicialComplex":
         """Drop unused ambient vertex slots, keeping labels and id order."""
         used = self.vertex_ids()
         if len(used) == self.n_vertices:
             return self
-        masks = []
-        for f in self.masks:
-            m = 0
-            for new, old in enumerate(used):
-                m |= (f >> old & 1) << new
-            masks.append(m)
         # an order-preserving relabelling keeps the canonical order
-        return SimplicialComplex._trusted(len(used), tuple(masks),
+        return SimplicialComplex._trusted(len(used), tuple(_relabelled(self.masks, used)),
                                           tuple(self.labels[v] for v in used))
 
     # -- value semantics ----------------------------------------------------

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .core import Face, SimplicialComplex, from_facets
 
 _MASK64 = (1 << 64) - 1
+
+# random_pure draws once per d-subset on every attempt, so it refuses more
+# subsets than this: C(18, 9) = 48,620 of them take a few seconds over all
+# 64 attempts at a density that keeps none.
+_MAX_SUBSETS = 1 << 16
 
 
 class SplitMix64:
@@ -147,12 +153,16 @@ def random_pure(n: int, d: int, density: float, seed: int,
 
     The splitmix64 stream makes the output a pure function of the seed.
     Unused vertices are compacted away, so the result may have fewer than
-    n vertices but always has dimension d - 1.
+    n vertices but always has dimension d - 1.  More than _MAX_SUBSETS
+    d-subsets is a ValueError.
     """
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
+    if comb(n, d) > _MAX_SUBSETS:
+        raise ValueError(f"C({n}, {d}) = {comb(n, d)} candidate facets exceed "
+                         f"the limit of {_MAX_SUBSETS}")
     rng = SplitMix64(seed)
     threshold = int(density * 2 ** 64)
     for _ in range(max_attempts):

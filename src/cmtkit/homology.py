@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
+from typing import Iterable
 
 from .core import Face, SimplicialComplex, _bits, _memoized, as_face
 from .fields import FieldSpec
@@ -99,7 +100,7 @@ class BoundaryMatrix:
         return rank(self.sparse, field)
 
 
-def _columns(cells: list[int], index: dict[int, int]) -> list[dict[int, int]]:
+def _columns(cells: Iterable[int], index: dict[int, int]) -> list[dict[int, int]]:
     """Boundary columns of the face masks in `cells`, rows numbered by `index`.
 
     Dropping the j-th smallest vertex carries sign (-1)^j; a face missing from
@@ -124,26 +125,27 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     """Boundary matrices of the full augmented chain complex, degrees 0..dim."""
     if cx.is_void:
         raise ValueError("the void complex has no chain complex")
+    masks = [cx._face_masks(size) for size in range(cx.dim + 2)]
+    faces = [tuple(map(Face.from_mask, level)) for level in masks]
     mats: list[BoundaryMatrix] = []
-    prev = cx.faces(size=0)
     for size in range(1, cx.dim + 2):
-        cur = cx.faces(size=size)
-        index = {f.mask: i for i, f in enumerate(prev)}
-        columns = _columns([f.mask for f in cur], index)
-        mats.append(BoundaryMatrix(size - 1, prev, cur, Sparse(len(prev), columns)))
-        prev = cur
+        index = {m: i for i, m in enumerate(masks[size - 1])}
+        columns = _columns(masks[size], index)
+        mats.append(BoundaryMatrix(size - 1, faces[size - 1], faces[size],
+                                   Sparse(len(index), columns)))
     return mats
 
 
 def _apex(cx: SimplicialComplex) -> int | None:
     """The vertex lying in the most facets, lowest id on ties; None for {<>}."""
-    best, most = None, 0
-    for u in _bits(cx.support_mask):
-        bit = 1 << u
-        count = sum(1 for f in cx.masks if f & bit)
-        if count > most:
-            best, most = u, count
-    return best
+    counts = [0] * cx.n_vertices
+    for f in cx.masks:
+        while f:
+            low = f & -f
+            counts[low.bit_length() - 1] += 1
+            f ^= low
+    most = max(counts, default=0)
+    return counts.index(most) if most else None
 
 
 def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -> BettiVector:

@@ -164,7 +164,7 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
             sk = cx.skeleton(j)
             if sk.skeleton(j) != sk:
                 bad(f"skeleton({j}) not idempotent")
-            cur = {f.mask for f in sk.faces()}
+            cur = set(sk._face_masks())
             if not prev_faces <= cur:
                 bad(f"skeleton not monotone at {j}")
             prev_faces = cur
@@ -175,9 +175,8 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
             bad("from_facets not idempotent on its own output")
         for sigma in (cx.facets[0],) + ((cx.faces(size=1)[0],) if cx.dim >= 0 else ()):
             deleted, _ = cx.delete_cofaces([sigma])
-            expected = {f.mask for f in cx.faces()
-                        if f.mask & sigma.mask != sigma.mask}
-            got = set() if deleted.is_void else {f.mask for f in deleted.faces()}
+            expected = {m for m in cx._face_masks() if m & sigma.mask != sigma.mask}
+            got = set() if deleted.is_void else set(deleted._face_masks())
             if got != expected:
                 bad(f"delete_cofaces face filter fails at {sigma}")
 
@@ -248,7 +247,8 @@ def suite_k_link_recursion(corpus: Iterable[CorpusItem],
     for name, cx in items:
         if not is_pure(cx):
             continue
-        nonempty = [f for f in cx.faces() if len(f) > 0]
+        faces = cx.faces()
+        nonempty = [f for f in faces if len(f) > 0]
         for t in range(1, cx.dim + 1):
             lhs = is_k_cm_t_unbounded(cx, k, t, field)
             rhs = all(is_k_cm_t_unbounded(cx.link(s), k, t - 1, field)
@@ -265,7 +265,7 @@ def suite_k_link_recursion(corpus: Iterable[CorpusItem],
         for t in _ts(cx):
             lhs = is_k_cm_t_unbounded(cx, k, t, field)
             rhs = all(is_k_cm_t_unbounded(cx.link(s), k, 0, field)
-                      for s in cx.faces() if len(s) >= t)
+                      for s in faces if len(s) >= t)
             if lhs != rhs:
                 fails.append(CaseFailure(
                     "k_link_recursion",

@@ -79,11 +79,15 @@ class TestIsCm:
         clear_caches()
         assert not core._MEMO
 
-    def test_package_level_clear_caches(self):
-        # cmtkit.classify is the function, which shadows the module
-        module = sys.modules["cmtkit.classify"]
-        assert "clear_caches" in cmtkit.__all__
+    def test_package_attribute_is_the_module(self):
+        from cmtkit import classify as module
+        assert module is sys.modules["cmtkit.classify"]
         assert module.clear_caches is cmtkit.clear_caches
+        assert module.classify is classify
+        assert "classify" in cmtkit.__all__
+
+    def test_package_level_clear_caches(self):
+        assert "clear_caches" in cmtkit.__all__
         cmtkit.clear_caches()
         assert is_k_cm_t(boundary_simplex(4), 1, 0, GF2)
         assert {"betti", "obstructions", "k_layer"} <= {key[0] for key in core._MEMO}

@@ -84,6 +84,21 @@ class TestFromFacets:
         with pytest.warns(UserWarning):
             from_facets([(0, 1)], labels={0: "a", 1: "b", 7: "ghost"})
 
+    @pytest.mark.parametrize("labels", [("a", "b", "c"), {0: "a", 1: "b", 2: "c"}],
+                             ids=["sequence", "mapping"])
+    def test_ghost_warning_names_the_unused_ids(self, labels):
+        with pytest.warns(UserWarning, match=r"not used by any face: \[2\]$"):
+            cx = from_facets([(0, 1)], labels=labels)
+        assert cx.labels == ("a", "b")
+
+    def test_many_sparse_ids_relabel_in_one_pass(self):
+        start = time.perf_counter()
+        cx = from_facets([(4 * i, 4 * i + 2) for i in range(4000)])
+        assert time.perf_counter() - start < 1.0
+        assert cx.n_vertices == 8000
+        assert cx.labels[:4] == ("0", "2", "4", "6")
+        assert cx.masks[:2] == (0b11, 0b1100)
+
     def test_antichain_enforced_by_raw_constructor(self):
         with pytest.raises(ValueError):
             SimplicialComplex(3, [Face((0, 1)), Face((0,))])
@@ -190,6 +205,12 @@ class TestRestrict:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             from_facets([(0, 1)]).restrict((5,))
+
+    def test_keeping_every_facet_returns_the_complex(self):
+        cx = from_facets([(1, 2), (2, 3), (5,)])
+        assert cx.restrict((0, 1, 2, 3)) is cx
+        void = from_facets([])
+        assert void.restrict(()) is void
 
 
 class TestSkeleton:

@@ -1,6 +1,7 @@
 """Facet file parsing, emission and round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,14 @@ class TestLoadDump:
         path = tmp_path / "tetra.cplx"
         dump(cx, path)
         assert load(path) == cx
+
+    def test_many_vertices_load_in_one_pass(self, tmp_path):
+        path = tmp_path / "edges.cplx"
+        path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(10000)))
+        start = time.perf_counter()
+        cx = load(path)
+        assert time.perf_counter() - start < 2.0
+        assert cx.n_vertices == 20000 and len(cx.masks) == 10000
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

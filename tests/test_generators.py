@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cmtkit import generators
 from cmtkit.classify import is_cm, is_cm_t, min_t
 from cmtkit.core import Face
 from cmtkit.fields import GF2, GF3, RATIONALS
@@ -172,6 +173,16 @@ class TestRandomPure:
             random_pure(3, 4, 0.5, seed=0)
         with pytest.raises(ValueError):
             random_pure(5, 2, 0.0, seed=0)
+
+    def test_too_many_subsets_rejected_before_drawing(self, monkeypatch):
+        assert len(random_pure(17, 8, 1e-3, seed=0).masks) > 0  # C(17, 8) = 24,310
+
+        def fail(*args):
+            raise AssertionError("C(40, 20) subsets cannot be drawn")
+
+        monkeypatch.setattr(generators, "combinations", fail)
+        with pytest.raises(ValueError, match="limit of 65536"):
+            random_pure(40, 20, 1e-9, seed=0)
 
     def test_hopeless_density_errors(self):
         with pytest.raises(ValueError, match="no facets"):

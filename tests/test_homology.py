@@ -1,5 +1,6 @@
 """Reduced and local homology, cross-checked against the integer oracle."""
 
+import time
 from math import comb
 
 import numpy as np
@@ -11,6 +12,7 @@ from cmtkit.fields import GF2, GF3, RATIONALS, FieldSpec
 from cmtkit.generators import boundary_simplex, projective_plane_6, simplex
 from cmtkit.homology import (
     BettiVector,
+    _apex,
     _relative_betti,
     boundary_matrices,
     local_betti,
@@ -130,6 +132,17 @@ class TestExcision:
         points = from_facets([(v,) for v in range(m)])
         for f in all_fields:
             assert reduced_betti(points, f).items() == ((-1, 0), (0, m - 1))
+
+    def test_apex_is_the_vertex_in_most_facets_lowest_id_first(self):
+        assert _apex(from_facets([(0, 1), (1, 2), (2, 3)])) == 1
+        assert _apex(from_facets([(0, 1), (2, 3), (3, 4), (4, 0)])) == 0
+        assert _apex(from_facets([()])) is None
+
+    def test_apex_counts_facets_in_one_pass(self):
+        edges = from_facets([(2 * i, 2 * i + 1) for i in range(3000)])
+        start = time.perf_counter()
+        assert _apex(edges) == 0
+        assert time.perf_counter() - start < 0.5
 
     def test_cone_is_answered_without_rank_or_enumeration(self, monkeypatch, all_fields):
         def fail(*args):

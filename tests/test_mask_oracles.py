@@ -47,13 +47,6 @@ class TestMaximalMasks:
     def test_matches_quadratic_filter(self, masks):
         assert sorted(_maximal_masks(masks)) == sorted(quadratic_maximal_masks(masks))
 
-    @given(mask_lists, mask_lists)
-    def test_above_masks_are_kept_out(self, masks, others):
-        above = quadratic_maximal_masks(others)
-        masks = [m for m in masks if m not in above]
-        want = [m for m in quadratic_maximal_masks(masks + above) if m not in above]
-        assert sorted(_maximal_masks(masks, above=above)) == sorted(want)
-
 
 @st.composite
 def mixed_complexes(draw):
