@@ -17,10 +17,12 @@ criteria are three readings of that map:
 Naive per-criterion deciders in ``tests/reference_deciders.py`` are the
 independent check on these.  All deciders produce concrete witnesses on
 failure so the CLI can report them.  The obstruction map and the k-CM_t
-removal layers are memoized in `core`'s memo, keyed on the facet masks,
-since the theorem suites revisit the same links and restrictions many times,
-often under other labels.  Both hold int masks; a `Face` is built only for
-a witness that is returned.
+removal layers are memoized in `core`'s memo, keyed on the compacted facet
+masks (the used vertex ids renamed 0..m-1 in order), since the deciders and
+the theorem suites revisit the same links and restrictions many times, often
+under other labels or on shifted vertex ids.  Both hold int masks, lifted
+back to the complex's own ids on the way out; a `Face` is built only for a
+witness that is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import combinations
 from operator import and_
 
 from . import homology
-from .core import EMPTY_FACE, Face, SimplicialComplex, _memoized
+from .core import EMPTY_FACE, Face, SimplicialComplex, _bits, _memoized_compact, _relabelled
 from .core import clear_caches  # noqa: F401  (re-exported; the memo lives in core)
 from .fields import GF2, FieldSpec
 
@@ -89,6 +91,19 @@ class Witness:
             out["inner"] = self.inner.to_json(cx)
         return out
 
+    def lifted(self, support: int) -> "Witness":
+        """The witness with vertex i renamed the i-th lowest id of support
+        (undoes a compaction)."""
+        def up(mask: int) -> int:
+            return _relabelled((mask,), support, inverse=True)[0]
+
+        return Witness(
+            self.kind,
+            None if self.face is None else Face.from_mask(up(self.face.mask)),
+            self.degree,
+            None if self.removed is None else _bits(up(sum(1 << v for v in self.removed))),
+            None if self.inner is None else self.inner.lifted(support))
+
 
 def _require_nonvoid(cx: SimplicialComplex) -> None:
     if cx.is_void:
@@ -106,7 +121,9 @@ def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """Each face mask whose link has reduced homology below the link's
     dimension, mapped to the lowest such degree, in canonical face order."""
     _require_nonvoid(cx)
-    return _memoized(("obstructions", cx.masks, field), lambda: _scan_links(cx, field))
+    return _memoized_compact(
+        "obstructions", cx, (field,), lambda small: _scan_links(small, field),
+        lambda found, support: dict(zip(_relabelled(found, support, inverse=True), found.values())))
 
 
 def _scan_links(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
@@ -114,13 +131,22 @@ def _scan_links(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
 
     The scan derives each link's facet masks itself and skips links of
     dimension at most 0 and cones (acyclic) before building anything; only
-    the other links become complexes and reach `reduced_betti`.
+    the other links become complexes and reach `reduced_betti`.  The facets
+    through a face are the AND of its vertices' facet bitsets.
     """
     found = {}
     masks, n, labels = cx.masks, cx.n_vertices, cx.labels
+    owners = [0] * n  # bit i of owners[v] set when facet i contains v
+    for i, f in enumerate(masks):
+        for v in _bits(f):
+            owners[v] |= 1 << i
+    every = (1 << len(masks)) - 1
     for s in cx._face_masks():
-        # the link's facets, already in canonical order (see core.link)
-        lk = tuple(f & ~s for f in masks if f & s == s)
+        through = every
+        for v in _bits(s):
+            through &= owners[v]
+        # the link's facets in index order, hence canonical (see core.link)
+        lk = tuple(masks[i] & ~s for i in _bits(through))
         top = lk[-1].bit_count() - 1
         if top <= 0 or reduce(and_, lk):
             continue  # links of dimension -1 or 0, and cones, never obstruct
@@ -156,6 +182,8 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
     if not is_pure(cx):
         return Witness("impure")
     obstructed = _obstructions(cx, field)
+    if not obstructed:
+        return None
     if crit == DEFINITION_LINKS:
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
         # with more than t vertices fails only if its t-subsets do.  The faces
@@ -192,8 +220,9 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
 def _k_layer_witness(cx: SimplicialComplex, size: int, t: int,
                      field: FieldSpec) -> Witness | None:
     """First failing removal set of exactly `size` vertices, or None."""
-    return _memoized(("k_layer", cx.masks, size, t, field),
-                     lambda: _first_failing_removal(cx, size, t, field))
+    return _memoized_compact("k_layer", cx, (size, t, field),
+                             lambda small: _first_failing_removal(small, size, t, field),
+                             lambda w, support: None if w is None else w.lifted(support))
 
 
 def _first_failing_removal(cx: SimplicialComplex, size: int, t: int,

@@ -23,18 +23,24 @@ Derived complexes avoid per-element Python work where the structure allows:
   they come, since their construction keeps an antichain in canonical
   order: a link (the facets through a face differ only outside it, so
   removing the face keeps their order), a skeleton, a compaction (an
-  order-preserving relabelling through one old -> new id map, which
-  ``from_facets`` uses too), and a join, which only sorts.
+  order-preserving relabelling, ``_relabelled``, which ``from_facets`` uses
+  too), and a join, which only sorts.
 * Maximality goes by size class: a mask can lie only in a strictly larger
   one, so ``_maximal_masks`` and the constructor's antichain check compare
   each facet only with larger ones, and pure input compares nothing.
 
 Values derived from a complex (Betti vectors, obstruction maps, k-CM_t
 removal layers) live in one module-level memo, ``_MEMO``, keyed on
-``(kind, masks, parameters...)``.  Such a value depends only on the facet
-masks, so complexes that differ only in their labels or ambient size share
-one entry, and no key keeps a complex (or its face enumeration) alive.  The
-memo is emptied when it reaches ``_MEMO_LIMIT`` entries.
+``(kind, compact masks, parameters...)``: the facet masks with the used
+vertex ids renamed 0..m-1 in order (``_memoized_compact``).  The value is
+computed on that compact complex and lifted back through the used ids; an
+order-preserving relabelling keeps the canonical face order, so a lifted
+obstruction map keeps its order and its first witness.  So complexes that
+differ by an order-preserving relabelling share one entry (the links of a
+sphere at its faces are a handful of complexes on shifted ids), not only
+complexes that differ in their labels or ambient size, and no key keeps a
+complex (or its face enumeration) alive.  The memo is emptied when it
+reaches ``_MEMO_LIMIT`` entries.
 """
 
 from __future__ import annotations
@@ -179,6 +185,24 @@ def _memoized(key: tuple, compute: Callable[[], object]):
     return value
 
 
+def _memoized_compact(kind: str, cx: "SimplicialComplex", params: tuple,
+                      compute: Callable[["SimplicialComplex"], object],
+                      lift: Callable[[object, int], object]):
+    """compute(cx), memoized on cx relabelled to the ids 0..m-1.
+
+    The key is (kind, the masks of cx.compact(), *params), and a miss
+    computes the value on that compact complex.  It comes back through
+    lift(value, cx.support_mask), except when cx already uses the ids
+    0..m-1: then the memo value itself is returned.
+    """
+    support = cx.support_mask
+    if support & (support + 1) == 0:
+        return _memoized((kind, cx.masks, *params), lambda: compute(cx))
+    masks = tuple(_relabelled(cx.masks, support))  # those of cx.compact()
+    value = _memoized((kind, masks, *params), lambda: compute(cx.compact()))
+    return lift(value, support)
+
+
 def clear_caches() -> None:
     """Drop every memoized Betti vector, obstruction map and removal layer."""
     _MEMO.clear()
@@ -205,11 +229,35 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _relabelled(masks: Iterable[int], used: Sequence[int]) -> list[int]:
-    """The masks with vertex used[i] renamed i, through one old -> new id map;
-    every bit of every mask must be in `used`."""
-    bit = {old: 1 << new for new, old in enumerate(used)}
-    return [sum(map(bit.__getitem__, _bits(m))) for m in masks]
+def _relabelled(masks: Iterable[int], support: int, inverse: bool = False) -> list[int]:
+    """The masks with the i-th lowest id of `support` renamed i (every bit of
+    every mask must lie in support); with inverse, i renamed that id instead.
+
+    Each run of ids missing below the top of support takes one shift of every
+    mask, the highest run first (the lowest first to insert them back).  Once
+    the runs outnumber the bits per mask, every mask is renamed bit by bit
+    through one id map instead, so the time stays linear in the mask sizes.
+    """
+    masks = list(masks)
+    budget = sum(map(int.bit_count, masks))
+    runs = []  # (mask of the ids below a run, its width), lowest run first
+    gaps = ~support & ((1 << support.bit_length()) - 1)
+    while gaps:
+        if (len(runs) + 1) * len(masks) > budget:
+            ids = _bits(support)
+            bit = [1 << v for v in ids] if inverse else {v: 1 << i for i, v in enumerate(ids)}
+            return [sum(map(bit.__getitem__, _bits(m))) for m in masks]
+        low = gaps & -gaps
+        above = (gaps + low) & ~gaps
+        runs.append((low - 1, above.bit_length() - low.bit_length()))
+        gaps &= -above
+    if inverse:
+        for below, width in runs:
+            masks = [m & below | (m & ~below) << width for m in masks]
+    else:
+        for below, width in reversed(runs):
+            masks = [m & below | m >> width & ~below for m in masks]
+    return masks
 
 
 @dataclass(frozen=True)
@@ -322,7 +370,7 @@ class SimplicialComplex:
                 )
 
         if len(used_ids) < used.bit_length():  # ids 0..n-1 (a parsed file) map to themselves
-            masks = _relabelled(masks, used_ids)
+            masks = _relabelled(masks, used)
         return cls._trusted(len(used_ids), _canonical(_maximal_masks(masks)),
                             tuple(map(label_of, used_ids)))
 
@@ -490,8 +538,8 @@ class SimplicialComplex:
         if len(used) == self.n_vertices:
             return self
         # an order-preserving relabelling keeps the canonical order
-        return SimplicialComplex._trusted(len(used), tuple(_relabelled(self.masks, used)),
-                                          tuple(self.labels[v] for v in used))
+        masks = tuple(_relabelled(self.masks, self.support_mask))
+        return SimplicialComplex._trusted(len(used), masks, tuple(self.labels[v] for v in used))
 
     # -- value semantics ----------------------------------------------------
 

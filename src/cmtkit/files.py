@@ -34,7 +34,7 @@ def _writable(label: str) -> bool:
 
 def _label_key(label: str):
     # numeric labels sort numerically, everything else lexicographically after
-    if label.isdigit():
+    if label.isdecimal():
         return (0, int(label), label)
     return (1, 0, label)
 

@@ -33,7 +33,7 @@ from functools import cached_property, reduce
 from operator import and_
 from typing import Iterable
 
-from .core import Face, SimplicialComplex, _bits, _memoized, as_face
+from .core import Face, SimplicialComplex, _bits, _memoized_compact, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
 
@@ -205,16 +205,18 @@ def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -
 def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> BettiVector:
     """Reduced Betti numbers beta[-1..dim] over the given field.
 
-    Memoized in `core`'s memo on the facet masks and the field, so complexes
-    that differ only in labels share one entry.  Cones (a vertex in every
-    facet) are acyclic: their zeros are returned without memoizing.
+    Memoized in `core`'s memo on the compacted facet masks and the field, so
+    complexes that differ by an order-preserving relabelling share one entry;
+    a Betti vector needs no lift.  Cones (a vertex in every facet) are
+    acyclic: their zeros are returned without memoizing.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
     if reduce(and_, cx.masks):
         return BettiVector(dict.fromkeys(range(-1, cx.dim + 1), 0))
-    return _memoized(("betti", cx.masks, field),
-                     lambda: _relative_betti(cx, field, _apex(cx)))
+    return _memoized_compact("betti", cx, (field,),
+                             lambda small: _relative_betti(small, field, _apex(small)),
+                             lambda betti, support: betti)
 
 
 def local_betti(cx: SimplicialComplex, face, field: FieldSpec) -> BettiVector:

@@ -1,13 +1,17 @@
-"""Naive reference deciders for CM and CM_t, one loop per criterion.
+"""Naive reference deciders for CM, CM_t and k-CM_t, one loop per criterion.
 
 Production code (`cmtkit.classify`) derives every CM_t criterion from one
-obstruction map.  These deciders compute each criterion on its own, straight
-from the definitions: the link definition takes links of links, and nothing
-but the Betti numbers is memoized.  Tests compare their witnesses and min_t
-with production's.
+obstruction map, and memoizes k-CM_t removal layers on compacted masks.
+These deciders compute each criterion on its own, straight from the
+definitions: the link definition takes links of links, k-CM_t rebuilds every
+restriction through the validating constructor, and nothing but the Betti
+numbers is memoized.  Tests compare their witnesses and min_t with
+production's.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from cmtkit.classify import (
     DEFINITION_LINKS,
@@ -16,7 +20,7 @@ from cmtkit.classify import (
     is_pure,
     normalize_criterion,
 )
-from cmtkit.core import EMPTY_FACE, SimplicialComplex
+from cmtkit.core import EMPTY_FACE, Face, SimplicialComplex
 from cmtkit.fields import GF2, FieldSpec
 from cmtkit.homology import reduced_betti
 
@@ -79,6 +83,30 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
             criterion: str = DEFINITION_LINKS) -> bool:
     return cm_t_witness(cx, t, field, criterion) is None
+
+
+def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
+                   field: FieldSpec = GF2) -> Witness | None:
+    """Witness against k-CM_t: the first removal set W with fewer than k
+    vertices, smallest sets first, whose restriction to V - W drops the
+    dimension or fails CM_t by the link definition."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    support = cx.vertex_ids()
+    if k > len(support) + 1:
+        raise ValueError("k exceeds vertex budget")
+    for size in range(min(k - 1, len(support)) + 1):
+        for removed in combinations(support, size):
+            keep = set(support).difference(removed)
+            parts = {frozenset(f).intersection(keep) for f in cx.facets}
+            facets = [Face(p) for p in parts if not any(p < q for q in parts)]
+            sub = SimplicialComplex(cx.n_vertices, facets, cx.labels)
+            if sub.dim != cx.dim:
+                return Witness("restriction_dimension", removed=removed)
+            inner = cm_t_witness(sub, t, field, DEFINITION_LINKS)
+            if inner is not None:
+                return Witness("restriction", removed=removed, inner=inner)
+    return None
 
 
 def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:

@@ -112,6 +112,28 @@ class TestMemo:
         assert cm_witness(b, GF2).to_json(b) == {
             "kind": "link_homology", "face": ["r"], "degree": 0}
 
+    def test_gapped_copy_shares_the_obstruction_entry(self):
+        a = TWO_TRI_VERTEX
+        gapped = SimplicialComplex(2 * a.n_vertices, [Face(2 * v for v in f) for f in a.facets],
+                                   [f"v{i}" for i in range(2 * a.n_vertices)])
+        clear_caches()
+        _obstructions(a, GF2)
+        assert list(_obstructions(gapped, GF2).items()) == [(Face((4,)).mask, 0)]
+        assert [key for key in core._MEMO if key[0] == "obstructions"] == [
+            ("obstructions", a.masks, GF2)]
+        # the shared vertex 2 of `a` is vertex 4 of the gapped copy
+        assert cm_witness(gapped, GF2).to_json(gapped) == {
+            "kind": "link_homology", "face": ["v4"], "degree": 0}
+
+    def test_sphere_links_share_betti_entries(self):
+        # the links of a sphere's faces are spheres on shifted vertex ids:
+        # one Betti entry per dimension, not one per face
+        sphere = boundary_simplex(10)
+        clear_caches()
+        assert cm_t_witness(sphere, 0) is None
+        betti = [key for key in core._MEMO if key[0] == "betti"]
+        assert len(betti) <= sphere.dim + 2
+
 
 class TestIsCmT:
     def test_two_triangles_at_vertex(self):

@@ -124,6 +124,14 @@ class TestHomology:
         assert code == 2
         assert "gf9" in err or "prime" in err
 
+    def test_digit_labels_that_are_not_decimal(self, tmp_path, capsys):
+        # "²".isdigit() holds but int("²") raises: such labels sort as text
+        path = tmp_path / "superscript.cplx"
+        path.write_text("1 \u00b2\n\u00b2 3\n", encoding="utf-8")
+        code, out, err = run(capsys, ["homology", str(path)])
+        assert code == 0, err
+        assert json.loads(out)["betti"] == {"-1": 0, "0": 0, "1": 0}
+
 
 class TestClassifyCommand:
     def test_report(self, two_tri, capsys):
@@ -363,6 +371,25 @@ class TestLargeInputs:
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=20)
         assert done.returncode == 0 and json.loads(done.stdout)["ok"] is True
+
+    def test_check_of_3000_disjoint_edges_is_fast(self, tmp_path):
+        # each face finds its link through its vertices' facet bitsets, not
+        # by a comparison with every facet
+        path = tmp_path / "edges.cplx"
+        path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(3000)))
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        code = ("import contextlib, io, sys, time\n"
+                "from cmtkit.cli import main\n"
+                "out = io.StringIO()\n"
+                "start = time.perf_counter()\n"
+                "with contextlib.redirect_stdout(out):\n"
+                f"    code = main(['check', {str(path)!r}, '--t', '1'])\n"
+                "print(code, time.perf_counter() - start, out.getvalue())\n")
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        exit_code, seconds, report = done.stdout.split(" ", 2)
+        assert exit_code == "0" and json.loads(report)["ok"] is True, done.stderr
+        assert float(seconds) < 1.5
 
     def test_homology_of_19448_facets_is_fast(self, tmp_path):
         # the 6-skeleton of the 16-sphere: pure, so maximality compares nothing

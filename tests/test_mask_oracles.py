@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 
 import reference_deciders as ref
 from cmtkit import core
-from cmtkit.classify import _obstructions, clear_caches
-from cmtkit.core import Face, SimplicialComplex, _bits, _canonical, _maximal_masks, from_facets
+from cmtkit.classify import CRITERIA, _obstructions, clear_caches, cm_t_witness, k_cm_t_witness
+from cmtkit.core import (
+    Face,
+    SimplicialComplex,
+    _bits,
+    _canonical,
+    _maximal_masks,
+    _relabelled,
+    from_facets,
+)
 from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.generators import miyazaki_example, projective_plane_6
 from cmtkit.suites import acceptance_corpus
@@ -46,6 +54,24 @@ class TestMaximalMasks:
     @given(mask_lists)
     def test_matches_quadratic_filter(self, masks):
         assert sorted(_maximal_masks(masks)) == sorted(quadratic_maximal_masks(masks))
+
+
+# dense masks take one shift per run of missing ids, sparse ones the id map
+_dense_or_sparse = st.one_of(
+    st.integers(0, (1 << 30) - 1),
+    st.sets(st.integers(0, 29), max_size=2).map(lambda ids: sum(1 << v for v in ids)))
+
+
+class TestRelabelled:
+    @given(st.lists(_dense_or_sparse, max_size=12), st.integers(0, (1 << 30) - 1))
+    def test_matches_the_old_to_new_id_map(self, masks, extra):
+        support = extra
+        for m in masks:
+            support |= m
+        used = _bits(support)
+        compact = _relabelled(masks, support)
+        assert compact == [sum(1 << used.index(v) for v in _bits(m)) for m in masks]
+        assert _relabelled(compact, support, inverse=True) == masks
 
 
 @st.composite
@@ -95,3 +121,49 @@ def test_obstructions_match_link_by_link_scan(field):
 @given(mixed_complexes())
 def test_obstructions_match_on_random_complexes(cx):
     assert list(_obstructions(cx, GF2).items()) == list(ref.obstructions(cx, GF2).items())
+
+
+@st.composite
+def gapped_embeddings(draw):
+    """A mixed complex, and its copy on ids spread over 0..20 by a random
+    increasing map, built through the validating constructor (which keeps
+    the gaps, unlike `from_facets`)."""
+    cx = draw(mixed_complexes())
+    ids = sorted(draw(st.sets(st.integers(0, 20), min_size=cx.n_vertices,
+                              max_size=cx.n_vertices)))
+    labels = [f"x{i}" for i in range(21)]
+    for v, i in enumerate(ids):
+        labels[i] = cx.labels[v]
+    wide = SimplicialComplex(21, [Face(ids[v] for v in f) for f in cx.facets], labels)
+    return cx, wide, ids
+
+
+def _decisions(cx):
+    """Obstruction items (as vertex tuples), then the JSON of every CM_t
+    and k-CM_t witness, or the name of the error raised."""
+    out = [[(Face.from_mask(s).vertices, degree) for s, degree in _obstructions(cx, GF2).items()]]
+    for t in range(0, cx.dim + 2):
+        out += [cm_t_witness(cx, t, GF2, crit) for crit in CRITERIA]
+        for k in (1, 2, 3):
+            try:
+                out.append(k_cm_t_witness(cx, k, t, GF2))
+            except ValueError as e:
+                out.append(str(e))
+    return [w.to_json(cx) if hasattr(w, "to_json") else w for w in out]
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+@given(gapped_embeddings())
+def test_gapped_ids_give_the_compact_results_lifted(warm, embedding):
+    """Labels follow the increasing map, so the witness JSON of the copy
+    equals the original's exactly when its faces and removal sets are the
+    original's mapped through it."""
+    cx, wide, ids = embedding
+    clear_caches()
+    want = _decisions(cx)
+    if not warm:
+        clear_caches()
+    got = _decisions(wide)
+    lift = dict(enumerate(ids))
+    assert got[0] == [(tuple(lift[v] for v in face), degree) for face, degree in want[0]]
+    assert got[1:] == want[1:]

@@ -4,7 +4,7 @@ import pytest
 
 import reference_deciders as ref
 from cmtkit import core
-from cmtkit.classify import CRITERIA, clear_caches, cm_t_witness, cm_witness, min_t
+from cmtkit.classify import CRITERIA, clear_caches, cm_t_witness, cm_witness, k_cm_t_witness, min_t
 from cmtkit.core import from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.generators import miyazaki_example, projective_plane_6
@@ -54,6 +54,21 @@ def test_witnesses_and_min_t_match_reference(field):
     # every witness kind a CM_t decider can return was compared
     assert kinds == {"impure", "link_not_cm", "link_homology", "local_homology",
                      "global_homology"}
+
+
+@pytest.mark.parametrize("field", (GF2, GF3), ids=lambda f: f.token)
+def test_k_cm_t_witnesses_match_reference(field):
+    clear_caches()
+    comparisons = [(name, k, t, _outcome(k_cm_t_witness, cx, k, t, field),
+                    _outcome(ref.k_cm_t_witness, cx, k, t, field))
+                   for name, cx in CASES for k in (1, 2, 3) for t in range(0, cx.dim + 2)]
+    mismatches = [c for c in comparisons if c[3] != c[4]]
+    assert not mismatches, mismatches[:5]
+    # both kinds of removal witness, and the inner CM_t witness, were compared
+    kinds = {(want["kind"], want.get("inner", {}).get("kind"))
+             for *_, want in comparisons if isinstance(want, dict)}
+    assert {("restriction_dimension", None), ("restriction", "link_not_cm")} <= kinds
+    assert {want for *_, want in comparisons if not isinstance(want, dict)} == {None}
 
 
 def test_small_memo_bound_changes_no_outcome(monkeypatch):

@@ -37,6 +37,15 @@ def test_small_memo_bound_changes_no_report(monkeypatch):
     assert len(core._MEMO) <= 8
 
 
+def test_verify_all_memo_shares_relabelled_entries():
+    # `verify --suite all --max-n 7 --seeds 20` at seed 101: 1,206 entries;
+    # keyed on uncompacted masks it stored 3,134
+    clear_caches()
+    reports = run_suites(["all"], build_corpus(max_n=7, seeds=20, seed_base=101), field=GF2)
+    assert all(r.ok for r in reports)
+    assert len(core._MEMO) <= 1300
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["bogus"], CORPUS)
