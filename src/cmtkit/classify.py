@@ -14,15 +14,24 @@ criteria are three readings of that map:
   a nonempty face is the link's homology shifted up by the face's size, and
   at the empty face is the global homology.
 
-Naive per-criterion deciders in ``tests/reference_deciders.py`` are the
-independent check on these.  All deciders produce concrete witnesses on
-failure so the CLI can report them.  The obstruction map and the k-CM_t
-removal layers are memoized in `core`'s memo, keyed on the compacted facet
-masks (the used vertex ids renamed 0..m-1 in order), since the deciders and
-the theorem suites revisit the same links and restrictions many times, often
-under other labels or on shifted vertex ids.  Both hold int masks, lifted
-back to the complex's own ids on the way out; a `Face` is built only for a
-witness that is returned.
+The map comes from the vertex links, not from a walk over the faces.  The
+link of a face sigma is the link of sigma - v in lk v for any vertex v of
+sigma, so the map of a complex holds the empty face when the complex's own
+homology is obstructed, and v | rho for each vertex v and each rho in the
+map of lk v whose vertices all lie above v (`_link_recursion`).  Links that
+differ by an order-preserving relabelling share one map, so a sphere needs
+one complex per dimension.  Links of dimension at most 0 end the recursion.
+
+Naive per-criterion deciders in ``tests/reference_deciders.py``, and the
+flat per-face scan ``reference_deciders.obstructions``, are the independent
+check on these.  All deciders produce concrete witnesses on failure so the
+CLI can report them.  The obstruction maps (of the complex and of every link
+the recursion visits) and the k-CM_t removal layers are memoized in `core`'s
+memo, keyed on the compacted facet masks (the used vertex ids renamed 0..m-1
+in order), since the deciders and the theorem suites revisit the same links
+and restrictions many times, often under other labels or on shifted vertex
+ids.  Both hold int masks, lifted back to the complex's own ids on the way
+out; a `Face` is built only for a witness that is returned.
 """
 
 from __future__ import annotations
@@ -30,10 +39,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 
 from . import homology
-from .core import EMPTY_FACE, Face, SimplicialComplex, _bits, _memoized_compact, _relabelled
+from .core import (
+    _MEMO,
+    EMPTY_FACE,
+    Face,
+    SimplicialComplex,
+    _bits,
+    _canonical,
+    _memoized,
+    _memoized_compact,
+    _relabelled,
+)
 from .core import clear_caches  # noqa: F401  (re-exported; the memo lives in core)
 from .fields import GF2, FieldSpec
 
@@ -122,39 +141,98 @@ def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     dimension, mapped to the lowest such degree, in canonical face order."""
     _require_nonvoid(cx)
     return _memoized_compact(
-        "obstructions", cx, (field,), lambda small: _scan_links(small, field),
+        "obstructions", cx, (field,), lambda small: _link_recursion(small, field),
         lambda found, support: dict(zip(_relabelled(found, support, inverse=True), found.values())))
 
 
-def _scan_links(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
-    """The obstruction map, one face mask at a time.
+def _vertex_links(masks: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(v, support, compact masks) for each vertex link of dimension at least
+    1 of the complex with facet masks `masks`, v ascending.
 
-    The scan derives each link's facet masks itself and skips links of
-    dimension at most 0 and cones (acyclic) before building anything; only
-    the other links become complexes and reach `reduced_betti`.  The facets
-    through a face are the AND of its vertices' facet bitsets.
+    One pass over the facets files each facet less v under every vertex v in
+    it, which keeps the facets' canonical order (see core.link).
     """
-    found = {}
-    masks, n, labels = cx.masks, cx.n_vertices, cx.labels
-    owners = [0] * n  # bit i of owners[v] set when facet i contains v
-    for i, f in enumerate(masks):
-        for v in _bits(f):
-            owners[v] |= 1 << i
-    every = (1 << len(masks)) - 1
-    for s in cx._face_masks():
-        through = every
-        for v in _bits(s):
-            through &= owners[v]
-        # the link's facets in index order, hence canonical (see core.link)
-        lk = tuple(masks[i] & ~s for i in _bits(through))
-        top = lk[-1].bit_count() - 1
-        if top <= 0 or reduce(and_, lk):
-            continue  # links of dimension -1 or 0, and cones, never obstruct
-        betti = homology.reduced_betti(SimplicialComplex._trusted(n, lk, labels), field)
-        low = next((i for i in range(-1, top) if betti[i]), None)
-        if low is not None:
-            found[s] = low
-    return found
+    big = 0  # the vertices of facets with more than 2 vertices: they have such links
+    for f in reversed(masks):
+        if f.bit_count() <= 2:
+            break
+        big |= f
+    links: dict[int, list[int]] = {1 << v: [] for v in _bits(big)}
+    for f in masks:
+        rest = f & big
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            links[low].append(f ^ low)
+    out = []
+    for low, lk in links.items():
+        support = reduce(or_, lk)
+        out.append((low.bit_length() - 1, support, tuple(_relabelled(lk, support))))
+    return out
+
+
+def _link_recursion(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
+    """The obstruction map of a compact complex, through its vertex links
+    (see the module docstring).
+
+    Each distinct link, up to an order-preserving relabelling, is computed
+    once.  The links are found level by level, by falling dimension, and
+    their maps are built back up from dimension 1, so the depth of the
+    recursion costs no stack.  A per-call table holds every map the call
+    needs, so emptying the bounded memo partway never recomputes a subtree;
+    each map also goes into the memo.  A cone skips only its own homology,
+    which is zero: its faces can still be obstructed.
+    """
+    top = cx.masks
+    if top[-1].bit_count() <= 1:
+        return {}  # dimension at most 0: no link can be obstructed
+    maps: dict[tuple[int, ...], dict[int, int] | None] = {}
+    # largest facet size -> complexes to compute; every link is smaller than its parent
+    levels = {top[-1].bit_count(): [top]}
+    children: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}  # one key object per link
+    frontier = [top]
+    while frontier:
+        new = []
+        for key in frontier:
+            kids = children[key] = []
+            for v, support, lk in _vertex_links(key):
+                small = interned.get(lk)
+                if small is None:
+                    small = interned[lk] = lk
+                    memo = _MEMO.get(("obstructions", lk, field))
+                    maps[lk] = memo
+                    if memo is None:
+                        new.append(lk)
+                kids.append((v, support, small))
+        frontier = new
+        for key in new:
+            levels.setdefault(key[-1].bit_count(), []).append(key)
+    for size in sorted(levels):
+        for key in levels[size]:
+            found = {}
+            if not reduce(and_, key):
+                n = reduce(or_, key).bit_length()
+                betti = homology.reduced_betti(
+                    SimplicialComplex._trusted(n, key, cx.labels[:n]), field)
+                low = next((i for i in range(-1, size - 1) if betti[i]), None)
+                if low is not None:
+                    found[0] = low
+            for v, support, lk in children.pop(key):
+                sub = maps[lk]
+                if not sub:
+                    continue
+                # in the ids of lk v, the ids above v are those from `below` up
+                below = (1 << (support & ((1 << v) - 1)).bit_count()) - 1
+                above = [r for r in sub if not r & below]
+                if above:
+                    bit = 1 << v
+                    found.update(zip((r | bit for r in _relabelled(above, support, inverse=True)),
+                                     map(sub.__getitem__, above)))
+            found = maps[key] = {s: found[s] for s in _canonical(found)}
+            if key is not top:
+                _memoized(("obstructions", key, field), lambda: found)
+    return maps[top]
 
 
 def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
@@ -186,14 +264,22 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
         return None
     if crit == DEFINITION_LINKS:
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
-        # with more than t vertices fails only if its t-subsets do.  The faces
-        # rho - sigma of lk(sigma) come in the same order as the faces rho.
-        for s in cx._face_masks(t):
-            for r, degree in obstructed.items():
-                if s & r == s:
-                    inner = Witness("link_homology", face=Face.from_mask(r & ~s), degree=degree)
-                    return Witness("link_not_cm", face=Face.from_mask(s), inner=inner)
-        return None
+        # with more than t vertices fails only if its t-subsets do.  The least
+        # t-face inside an obstructed face r is its t lowest vertices, and
+        # the faces rho - sigma of lk(sigma) come in the same order as rho.
+        lows = set()
+        for r in obstructed:
+            if r.bit_count() >= t:
+                rest = r
+                for _ in range(t):
+                    rest &= rest - 1
+                lows.add(r ^ rest)
+        if not lows:
+            return None
+        s = min(lows, key=_bits)
+        r, degree = next((r, degree) for r, degree in obstructed.items() if s & r == s)
+        inner = Witness("link_homology", face=Face.from_mask(r & ~s), degree=degree)
+        return Witness("link_not_cm", face=Face.from_mask(s), inner=inner)
     for s, degree in obstructed.items():
         size = s.bit_count()
         if size < t:

@@ -285,7 +285,12 @@ def suite_deletion_theorem(corpus: Iterable[CorpusItem],
             continue
         sigma_sets = [[f] for f in cx.facets]
         sigma_sets += [list(p) for p in combinations(cx.facets, 2)]
+        top = [f for f in cx.masks if f.bit_count() == cx.masks[-1].bit_count()]
         for sigmas in sigma_sets:
+            # the dimension drops exactly when every facet of the top size
+            # contains some sigma: build only those deletions
+            if not all(any(s.mask & f == s.mask for s in sigmas) for f in top):
+                continue
             survivor, rep = cx.delete_cofaces(sigmas)
             if not (rep.union_condition and rep.dim_dropped):
                 continue

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import cmtkit
-from cmtkit import core
+from cmtkit import core, homology
 from cmtkit.classify import (
     _obstructions,
     CRITERIA,
@@ -102,10 +102,12 @@ class TestMemo:
         wider = SimplicialComplex(a.n_vertices + 1, a.facets, b.labels + ("z",))
         clear_caches()
         found = _obstructions(a, GF2)
+        entries = [key for key in core._MEMO if key[0] == "obstructions"]
+        assert core._MEMO[("obstructions", a.masks, GF2)] is found
         assert _obstructions(b, GF2) is found
         assert _obstructions(wider, GF2) is found
-        assert [key for key in core._MEMO if key[0] == "obstructions"] == [
-            ("obstructions", a.masks, GF2)]
+        # the copies add no entry of their own (the vertex links have theirs)
+        assert [key for key in core._MEMO if key[0] == "obstructions"] == entries
         # the shared entry holds masks; each witness names its own labels
         assert cm_witness(a, GF2).to_json(a) == {
             "kind": "link_homology", "face": ["3"], "degree": 0}
@@ -117,13 +119,54 @@ class TestMemo:
         gapped = SimplicialComplex(2 * a.n_vertices, [Face(2 * v for v in f) for f in a.facets],
                                    [f"v{i}" for i in range(2 * a.n_vertices)])
         clear_caches()
-        _obstructions(a, GF2)
+        found = _obstructions(a, GF2)
+        entries = [key for key in core._MEMO if key[0] == "obstructions"]
         assert list(_obstructions(gapped, GF2).items()) == [(Face((4,)).mask, 0)]
-        assert [key for key in core._MEMO if key[0] == "obstructions"] == [
-            ("obstructions", a.masks, GF2)]
+        assert core._MEMO[("obstructions", a.masks, GF2)] is found
+        assert [key for key in core._MEMO if key[0] == "obstructions"] == entries
         # the shared vertex 2 of `a` is vertex 4 of the gapped copy
         assert cm_witness(gapped, GF2).to_json(gapped) == {
             "kind": "link_homology", "face": ["v4"], "degree": 0}
+
+    def test_sphere_needs_one_obstruction_map_per_dimension(self):
+        # every link of a sphere is a sphere on shifted ids: the recursion
+        # computes one map per dimension 1..dim, not one walk per face
+        sphere = boundary_simplex(10)
+        clear_caches()
+        assert _obstructions(sphere, GF2) == {}
+        entries = [key for key in core._MEMO if key[0] == "obstructions"]
+        assert sorted(len(key[1]) for key in entries) == list(range(3, 11))
+
+    def test_small_memo_limit_changes_no_result(self, monkeypatch):
+        # the memo is emptied many times inside one request; the per-request
+        # table still computes each link once, and every answer stays the same
+        cases = [boundary_simplex(10), TWO_TRI_VERTEX, PENTAGON, projective_plane_6(),
+                 miyazaki_example()[0], from_facets([(1, 2, 3), (3, 4, 5), (5, 6, 1), (2, 4, 6)])]
+
+        def answers(cx):
+            out = [list(_obstructions(cx, field).items()) for field in (GF2, GF3, RATIONALS)]
+            for t in range(cx.dim + 2):
+                for crit in CRITERIA:
+                    w = cm_t_witness(cx, t, GF2, crit)
+                    out.append(None if w is None else w.to_json(cx))
+                w = k_cm_t_witness(cx, 3, t, GF2)
+                out.append(None if w is None else w.to_json(cx))
+            return out
+
+        clear_caches()
+        want = [answers(cx) for cx in cases]
+        monkeypatch.setattr(core, "_MEMO_LIMIT", 3)
+        clear_caches()
+        assert [answers(cx) for cx in cases] == want
+
+        misses = []
+        relative_betti = homology._relative_betti
+        monkeypatch.setattr(homology, "_relative_betti",
+                            lambda *args: misses.append(1) or relative_betti(*args))
+        sphere = boundary_simplex(10)
+        clear_caches()
+        assert cm_t_witness(sphere, 0) is None
+        assert len(misses) <= sphere.dim + 2
 
     def test_sphere_links_share_betti_entries(self):
         # the links of a sphere's faces are spheres on shifted vertex ids:

@@ -372,9 +372,23 @@ class TestLargeInputs:
                               text=True, timeout=20)
         assert done.returncode == 0 and json.loads(done.stdout)["ok"] is True
 
+    def test_check_of_a_220_vertex_sphere_needs_no_deep_recursion(self, tmp_path):
+        # the vertex-link recursion is as deep as the dimension (218 here); it
+        # goes level by level, so no RecursionError reaches the CLI
+        path = tmp_path / "s220.cplx"
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "cmtkit.cli", "gen", "boundary", "-n", "220",
+                        "-o", str(path)], env=env, check=True, timeout=20)
+        done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "check", str(path), "--t", "0"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert "internal error" not in done.stderr and "Traceback" not in done.stderr
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ok"] is True
+
     def test_check_of_3000_disjoint_edges_is_fast(self, tmp_path):
-        # each face finds its link through its vertices' facet bitsets, not
-        # by a comparison with every facet
+        # a graph has no vertex link of dimension 1 or more: only its own
+        # homology is computed, with no walk over its faces
         path = tmp_path / "edges.cplx"
         path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(3000)))
         src = str(Path(cmtkit.__file__).resolve().parents[1])

@@ -138,6 +138,16 @@ def gapped_embeddings(draw):
     return cx, wide, ids
 
 
+@pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)
+@given(gapped_embeddings())
+def test_obstructions_match_on_gapped_ids(field, embedding):
+    cx, wide, _ = embedding
+    for complex_ in (cx, wide):
+        clear_caches()
+        assert list(_obstructions(complex_, field).items()) == list(
+            ref.obstructions(complex_, field).items())
+
+
 def _decisions(cx):
     """Obstruction items (as vertex tuples), then the JSON of every CM_t
     and k-CM_t witness, or the name of the error raised."""
