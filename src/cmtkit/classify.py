@@ -26,20 +26,21 @@ Naive per-criterion deciders in ``tests/reference_deciders.py``, and the
 flat per-face scan ``reference_deciders.obstructions``, are the independent
 check on these.  All deciders produce concrete witnesses on failure so the
 CLI can report them.  The obstruction maps (of the complex and of every link
-the recursion visits) and the k-CM_t removal layers are memoized in `core`'s
-memo, keyed on the compacted facet masks (the used vertex ids renamed 0..m-1
-in order), since the deciders and the theorem suites revisit the same links
-and restrictions many times, often under other labels or on shifted vertex
-ids.  Both hold int masks, lifted back to the complex's own ids on the way
-out; a `Face` is built only for a witness that is returned.
+the recursion visits) and the k-CM_t search's results (`_max_k_up_to`) are
+memoized in `core`'s memo, keyed on the compacted facet masks (the used
+vertex ids renamed 0..m-1 in order), since the deciders and the theorem
+suites revisit the same links and restrictions many times, often under
+other labels or on shifted vertex ids.  Obstruction maps are lifted back to
+the complex's own ids; a `Face` is built only for a witness returned.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from itertools import combinations
 from operator import and_, or_
+from typing import Iterator
 
 from . import homology
 from .core import (
@@ -95,13 +96,9 @@ class Witness:
 
     def to_json(self, cx: SimplicialComplex) -> dict:
         labels = cx.labels
-
-        def face_labels(f: Face | None):
-            return None if f is None else [labels[v] for v in f]
-
         out: dict = {"kind": self.kind}
         if self.face is not None:
-            out["face"] = face_labels(self.face)
+            out["face"] = [labels[v] for v in self.face]
         if self.degree is not None:
             out["degree"] = self.degree
         if self.removed is not None:
@@ -109,19 +106,6 @@ class Witness:
         if self.inner is not None:
             out["inner"] = self.inner.to_json(cx)
         return out
-
-    def lifted(self, support: int) -> "Witness":
-        """The witness with vertex i renamed the i-th lowest id of support
-        (undoes a compaction)."""
-        def up(mask: int) -> int:
-            return _relabelled((mask,), support, inverse=True)[0]
-
-        return Witness(
-            self.kind,
-            None if self.face is None else Face.from_mask(up(self.face.mask)),
-            self.degree,
-            None if self.removed is None else _bits(up(sum(1 << v for v in self.removed))),
-            None if self.inner is None else self.inner.lifted(support))
 
 
 def _require_nonvoid(cx: SimplicialComplex) -> None:
@@ -260,8 +244,6 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
     if not is_pure(cx):
         return Witness("impure")
     obstructed = _obstructions(cx, field)
-    if not obstructed:
-        return None
     if crit == DEFINITION_LINKS:
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
         # with more than t vertices fails only if its t-subsets do.  The least
@@ -303,51 +285,83 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
     return is_cm_t(cx, 1, field)
 
 
-def _k_layer_witness(cx: SimplicialComplex, size: int, t: int,
-                     field: FieldSpec) -> Witness | None:
-    """First failing removal set of exactly `size` vertices, or None."""
-    return _memoized_compact("k_layer", cx, (size, t, field),
-                             lambda small: _first_failing_removal(small, size, t, field),
-                             lambda w, support: None if w is None else w.lifted(support))
-
-
-def _first_failing_removal(cx: SimplicialComplex, size: int, t: int,
-                           field: FieldSpec) -> Witness | None:
-    support_mask = cx.support_mask
-    d = cx.dim
-    for removal in combinations(cx.vertex_ids(), size):
-        keep_mask = support_mask
-        for v in removal:
-            keep_mask &= ~(1 << v)
-        sub = cx.restrict(Face.from_mask(keep_mask))
-        if sub.dim != d:
-            return Witness("restriction_dimension", removed=removal)
-        inner = cm_t_witness(sub, t, field, DEFINITION_LINKS)
-        if inner is not None:
-            return Witness("restriction", removed=removal, inner=inner)
-    return None
-
-
-def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2,
-                   check_budget: bool = True) -> Witness | None:
-    """Witness against k-CM_t (a removal set breaking CM_t or the dimension).
-
-    Enumerates every removal set W with fewer than k vertices; with
-    check_budget, k larger than #V + 1 is rejected since the incremental
-    search could not terminate there.
-    """
+def _max_k_up_to(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> int:
+    """min(max_k(cx, t), limit), and 0 when cx is not CM_t.  Level s holds the
+    distinct compacted complexes cx - W with |W| = s; the search stops at one
+    that fails CM_t or has a vertex in every facet (it is pure, so deleting
+    that vertex drops the dimension).  The memo holds (value, limit): a value
+    below its limit is exact, and one at its limit answers any limit up to it."""
     _require_nonvoid(cx)
-    if k < 1:
+    if limit < 1:
         raise ValueError("k must be at least 1")
-    support = cx.vertex_ids()
-    if check_budget and k > len(support) + 1:
+    top = tuple(_relabelled(cx.masks, cx.support_mask))
+    key = ("max_k", top, t, field)
+
+    def fails(masks: tuple[int, ...]) -> bool:
+        n = reduce(or_, masks).bit_length()
+        return not is_cm_t(SimplicialComplex._trusted(n, masks, cx.labels[:n]), t, field)
+
+    def search() -> int:
+        if fails(top):
+            return 0
+        level = [top]
+        # every failing size is at most #V, and {<>} has no vertex to remove
+        for size in range(1, min(limit, reduce(or_, top).bit_length() + 1)):
+            if any(reduce(and_, masks) for masks in level):
+                return size
+            children = {}
+            for masks in level:
+                for v, facets in _vertex_deletions(masks):
+                    below = (1 << v) - 1  # ids above v move one lower
+                    child = tuple(f & below | f >> 1 & ~below for f in facets)
+                    if child not in children:
+                        children[child] = None
+                        if fails(child):
+                            return size
+            level = children
+        return limit
+
+    hit = _MEMO.get(key)
+    if hit is None or hit[0] == hit[1] < limit:  # unknown, or bounded below limit
+        _MEMO.pop(key, None)
+        hit = _memoized(key, lambda: (search(), limit))
+    return min(hit[0], limit)
+
+
+def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
+    """(v, the facet masks of K - v), v ascending, for a pure complex K: f - v
+    stays a facet unless another facet holds that ridge (order is kept)."""
+    ridges = Counter(f & ~(1 << u) for f in masks for u in _bits(f))
+    for v in _bits(reduce(or_, masks)):
+        bit = 1 << v
+        yield v, [f ^ bit for f in masks if f & bit and ridges[f ^ bit] == 1] + [
+            f for f in masks if not f & bit]
+
+
+def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
+                   field: FieldSpec = GF2) -> Witness | None:
+    """The first W with fewer than k vertices, smallest first, for which
+    cx - W drops the dimension or fails CM_t, or None; k above #V + 1 is
+    rejected.  The first failing W of s vertices starts at the least v for
+    which cx - v drops the dimension (s = 1) or fails at s - 1 vertices (a
+    set holding a smaller vertex would come first), and goes on in cx - v."""
+    _require_nonvoid(cx)
+    if k > len(cx.vertex_ids()) + 1:
         raise ValueError("k exceeds vertex budget")
-    t = max(int(t), 0)
-    for size in range(0, min(k - 1, len(support)) + 1):
-        w = _k_layer_witness(cx, size, t, field)
-        if w is not None:
-            return w
-    return None
+    size = _max_k_up_to(cx, t, field, k)
+    if size == k:
+        return None
+    removed, sub = [], cx
+    for s in range(size, 0, -1):
+        for v, facets in _vertex_deletions(sub.masks):  # sub is CM_t, hence pure
+            smaller = SimplicialComplex._trusted(cx.n_vertices, tuple(facets), cx.labels)
+            if smaller.dim < cx.dim:
+                return Witness("restriction_dimension", removed=(*removed, v))
+            if _max_k_up_to(smaller, t, field, s) < s:
+                break
+        removed.append(v)
+        sub = smaller
+    return Witness("restriction", removed=tuple(removed), inner=cm_t_witness(sub, t, field))
 
 
 def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> bool:
@@ -362,7 +376,7 @@ def is_k_cm_t_unbounded(cx: SimplicialComplex, k: int, t: int,
     removing all vertices drops the dimension, so the verdict stays total.
     The theorem suites need this form because links of facets are {<>}.
     """
-    return k_cm_t_witness(cx, k, t, field, check_budget=False) is None
+    return _max_k_up_to(cx, t, field, k) == k
 
 
 def is_k_buchsbaum(cx: SimplicialComplex, k: int, field: FieldSpec = GF2) -> bool:
@@ -373,31 +387,17 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
     """Least t with CM_t, for pure complexes: CM_t fails exactly when a face
     with at least t vertices is obstructed, so one more than the largest
     obstructed face, or 0 if there is none."""
-    _require_nonvoid(cx)
     if not is_pure(cx):
         raise ValueError("min_t undefined for impure complexes")
     return max((s.bit_count() + 1 for s in _obstructions(cx, field)), default=0)
 
 
-def _max_k_capped(cx: SimplicialComplex, t: int, field: FieldSpec,
-                  cap: int | None) -> int:
-    if cm_t_witness(cx, t, field) is not None:
-        raise ValueError("not CM_t")
-    support = cx.vertex_ids()
-    k = 1
-    for size in range(1, len(support) + 1):
-        if cap is not None and k >= cap:
-            break
-        if _k_layer_witness(cx, size, t, field) is not None:
-            break
-        k = size + 1
-    return k
-
-
 def max_k(cx: SimplicialComplex, t: int, field: FieldSpec = GF2) -> int:
-    """Largest k with k-CM_t, by incremental enlargement of the removal sets."""
-    _require_nonvoid(cx)
-    return _max_k_capped(cx, max(int(t), 0), field, cap=None)
+    """Largest k with k-CM_t: the least size of a failing removal set (1 on {<>})."""
+    k = _max_k_up_to(cx, t, field, len(cx.vertex_ids()) + 1)
+    if not k:
+        raise ValueError("not CM_t")
+    return k
 
 
 @dataclass(frozen=True)
@@ -463,7 +463,6 @@ def explore_join(pool: list[SimplicialComplex],
     question, so no expected relationship is asserted.
     """
     for cx in pool:
-        _require_nonvoid(cx)
         if not is_pure(cx):
             raise ValueError("explore_join expects pure complexes")
     out = []

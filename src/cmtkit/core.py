@@ -29,8 +29,8 @@ Derived complexes avoid per-element Python work where the structure allows:
   one, so ``_maximal_masks`` and the constructor's antichain check compare
   each facet only with larger ones, and pure input compares nothing.
 
-Values derived from a complex (Betti vectors, obstruction maps, k-CM_t
-removal layers) live in one module-level memo, ``_MEMO``, keyed on
+Values derived from a complex (Betti vectors, obstruction maps, capped
+max_k values) live in one module-level memo, ``_MEMO``, keyed on
 ``(kind, compact masks, parameters...)``: the facet masks with the used
 vertex ids renamed 0..m-1 in order (``_memoized_compact``).  The value is
 computed on that compact complex and lifted back through the used ids; an
@@ -204,7 +204,7 @@ def _memoized_compact(kind: str, cx: "SimplicialComplex", params: tuple,
 
 
 def clear_caches() -> None:
-    """Drop every memoized Betti vector, obstruction map and removal layer."""
+    """Drop every memoized Betti vector, obstruction map and max_k value."""
     _MEMO.clear()
 
 

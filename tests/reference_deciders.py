@@ -1,7 +1,7 @@
 """Naive reference deciders for CM, CM_t and k-CM_t, one loop per criterion.
 
 Production code (`cmtkit.classify`) derives every CM_t criterion from one
-obstruction map, and memoizes k-CM_t removal layers on compacted masks.
+obstruction map, and finds k-CM_t failures by single-vertex deletions.
 These deciders compute each criterion on its own, straight from the
 definitions: the link definition takes links of links, k-CM_t rebuilds every
 restriction through the validating constructor, and nothing but the Betti

@@ -90,7 +90,7 @@ class TestIsCm:
         assert "clear_caches" in cmtkit.__all__
         cmtkit.clear_caches()
         assert is_k_cm_t(boundary_simplex(4), 1, 0, GF2)
-        assert {"betti", "obstructions", "k_layer"} <= {key[0] for key in core._MEMO}
+        assert {"betti", "obstructions", "max_k"} <= {key[0] for key in core._MEMO}
         cmtkit.clear_caches()
         assert not core._MEMO
 
@@ -255,6 +255,9 @@ class TestIsKCmT:
     def test_unbounded_form_is_total(self):
         assert is_k_cm_t_unbounded(from_facets([()]), 7, 0)
         assert not is_k_cm_t_unbounded(simplex(2), 7, 0)
+        # {<>} has nothing to remove: the answer does not wait for k levels
+        assert is_k_cm_t_unbounded(from_facets([()]), 10**12, 0)
+        assert not is_k_cm_t_unbounded(simplex(2), 10**12, 0)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -294,6 +297,18 @@ class TestMaxK:
     def test_not_cm_t_rejected(self):
         with pytest.raises(ValueError, match="not CM_t"):
             max_k(TWO_TRI_VERTEX, 0)
+
+    def test_irrelevant_complex(self):
+        # {<>} has no vertex to remove, so no removal set fails; max_k
+        # reports the budget bound #V + 1
+        assert max_k(from_facets([()]), 0) == 1
+
+    def test_skeleton_of_the_14_vertex_sphere(self):
+        # the skeleton theorem gives at least 2 + 3; removing 4 of the 14
+        # vertices leaves a 9-simplex and removing 5 drops the dimension
+        rep = classify(boundary_simplex(14).skeleton(9), GF2)
+        assert rep.min_t == 0
+        assert rep.max_k_per_t == {t: 5 for t in range(10)}
 
 
 class TestClassify:

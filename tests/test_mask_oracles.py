@@ -154,7 +154,7 @@ def _decisions(cx):
     out = [[(Face.from_mask(s).vertices, degree) for s, degree in _obstructions(cx, GF2).items()]]
     for t in range(0, cx.dim + 2):
         out += [cm_t_witness(cx, t, GF2, crit) for crit in CRITERIA]
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             try:
                 out.append(k_cm_t_witness(cx, k, t, GF2))
             except ValueError as e:

@@ -56,19 +56,23 @@ def test_witnesses_and_min_t_match_reference(field):
                      "global_homology"}
 
 
-@pytest.mark.parametrize("field", (GF2, GF3), ids=lambda f: f.token)
+@pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)
 def test_k_cm_t_witnesses_match_reference(field):
     clear_caches()
     comparisons = [(name, k, t, _outcome(k_cm_t_witness, cx, k, t, field),
                     _outcome(ref.k_cm_t_witness, cx, k, t, field))
-                   for name, cx in CASES for k in (1, 2, 3) for t in range(0, cx.dim + 2)]
+                   for name, cx in CASES for k in (1, 2, 3, 4) for t in range(0, cx.dim + 2)]
     mismatches = [c for c in comparisons if c[3] != c[4]]
     assert not mismatches, mismatches[:5]
     # both kinds of removal witness, and the inner CM_t witness, were compared
     kinds = {(want["kind"], want.get("inner", {}).get("kind"))
              for *_, want in comparisons if isinstance(want, dict)}
     assert {("restriction_dimension", None), ("restriction", "link_not_cm")} <= kinds
-    assert {want for *_, want in comparisons if not isinstance(want, dict)} == {None}
+    # the only errors are the vertex budget, k > #V + 1 (boundary-2 at k = 4)
+    errors = {(name, k) for name, k, _, _, want in comparisons if want == "ValueError"}
+    assert errors == {(name, k) for name, cx in CASES for k in (1, 2, 3, 4)
+                      if k > len(cx.vertex_ids()) + 1} == {("boundary-2", 4)}
+    assert {want for *_, want in comparisons if not isinstance(want, dict)} == {None, "ValueError"}
 
 
 def test_small_memo_bound_changes_no_outcome(monkeypatch):
