@@ -18,13 +18,14 @@ Derived complexes avoid per-element Python work where the structure allows:
   mask in one module-level table (replaced when it would outgrow ``_KEY_LIMIT``)
   and sorts with the table's ``__getitem__``: no Python frame per element.
 * One normalization step, ``_canonical(_maximal_masks(...))``, builds every
-  complex whose facets may collide or nest: ``from_facets``, a restriction
-  that shrinks a facet, and coface deletion.  The rest take their masks as
-  they come, since their construction keeps an antichain in canonical
-  order: a link (the facets through a face differ only outside it, so
-  removing the face keeps their order), a skeleton, a compaction (an
-  order-preserving relabelling, ``_relabelled``, which ``from_facets`` uses
-  too), and a join, which only sorts.
+  complex whose facets may collide or nest: ``_from_masks`` (the entry that
+  ``from_facets`` and the file loader share), a restriction that shrinks a
+  facet, and coface deletion.  The rest take their masks as they come,
+  since their construction keeps an antichain in canonical order: a link
+  (the facets through a face differ only outside it, so removing the face
+  keeps their order), a skeleton, a compaction (an order-preserving
+  relabelling, ``_relabelled``, which ``from_facets`` uses too), and a
+  join, which only sorts.
 * Maximality goes by size class: a mask can lie only in a strictly larger
   one, so ``_maximal_masks`` and the constructor's antichain check compare
   each facet only with larger ones, and pure input compares nothing.
@@ -52,8 +53,22 @@ from itertools import combinations, groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
+def _byte_bits(offset: int) -> list[tuple[int, ...]]:
+    """Entry b: the set bit positions of the byte value b, plus offset."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(offset, offset + 8):
+        table += [t + (i,) for t in table]
+    return table
+
+
+# A mask below 2**16 (a face on ids 0..15) takes two lookups in _bits.
+_LOW_BITS, _HIGH_BITS = _byte_bits(0), _byte_bits(8)
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The set bit positions of mask, ascending."""
+    if mask < 0x10000:
+        return _LOW_BITS[mask & 0xFF] + _HIGH_BITS[mask >> 8]
     out = []
     while mask:
         low = mask & -mask
@@ -369,10 +384,17 @@ class SimplicialComplex:
                     stacklevel=2,
                 )
 
-        if len(used_ids) < used.bit_length():  # ids 0..n-1 (a parsed file) map to themselves
+        if len(used_ids) < used.bit_length():  # ids 0..n-1 map to themselves
             masks = _relabelled(masks, used)
-        return cls._trusted(len(used_ids), _canonical(_maximal_masks(masks)),
-                            tuple(map(label_of, used_ids)))
+        return cls._from_masks(masks, tuple(map(label_of, used_ids)))
+
+    @classmethod
+    def _from_masks(cls, masks: Iterable[int],
+                    labels: tuple[str, ...]) -> "SimplicialComplex":
+        """The complex on ids 0..len(labels)-1 whose facets are the maximal
+        masks among `masks` (repeats and nested masks allowed); every id
+        must lie in some mask."""
+        return cls._trusted(len(labels), _canonical(_maximal_masks(masks)), labels)
 
     # -- basic queries -----------------------------------------------------
 

@@ -7,11 +7,26 @@ a file whose only content is the line '@empty-face' is {<>}.  A JSON
 alternative {"facets": [["1", "2"], ...]} is accepted on input (detected by
 a leading '{').  Emission always uses the canonical text form, so
 parse(emit(cx)) reproduces cx for compact complexes.
+
+Text without any '#' or '@' is split into rows with no per-token check.
+That is exact: a token of str.split() is never empty and holds no
+whitespace, so `_writable` can only reject it for a '#' or '@' prefix, and
+without either character there is no comment line and no marker line
+either.  Any other text goes through the line-by-line loop, which reports
+the first offending line.
+
+Both formats build the complex straight from facet masks: the labels are
+sorted (`_label_key`) and numbered 0..n-1 in that order, each row becomes
+the OR of its labels' bits, and `SimplicialComplex._from_masks` normalizes
+the masks once.  Every label of a file lies in some facet, so nothing is
+relabelled afterwards.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 from .core import SimplicialComplex, from_facets
@@ -33,21 +48,32 @@ def _writable(label: str) -> bool:
 
 
 def _label_key(label: str):
-    # numeric labels sort numerically, everything else lexicographically after
+    # Decimal labels sort by value, ties (leading zeros) by text, and every
+    # other label lexicographically after them.  The value is compared as
+    # (significant-digit count, significant digits), never through int() of
+    # the whole label, so a label of any length sorts; non-ASCII decimal
+    # digits are read one by one.
     if label.isdecimal():
-        return (0, int(label), label)
-    return (1, 0, label)
+        digits = label if label.isascii() else "".join(str(int(c)) for c in label)
+        digits = digits.lstrip("0")
+        return (0, len(digits), digits, label)
+    return (1, label)
 
 
-def _build(facet_tokens: list[list[str]]) -> SimplicialComplex:
-    labels = sorted({tok for row in facet_tokens for tok in row}, key=_label_key)
-    index = {lb: i for i, lb in enumerate(labels)}
-    return from_facets([[index[tok] for tok in row] for row in facet_tokens],
-                       labels=labels)
+def _build(rows: list[list[str]]) -> SimplicialComplex:
+    """The complex whose facets are the given rows of labels (a row may
+    repeat a label, lie in another row or equal one)."""
+    labels = sorted(set().union(*rows), key=_label_key)
+    index = dict(zip(labels, range(len(labels)))).__getitem__
+    masks = [reduce(or_, map((1).__lshift__, map(index, row)), 0) for row in rows]
+    return SimplicialComplex._from_masks(masks, tuple(labels))
 
 
 def _parse_text(text: str) -> SimplicialComplex:
-    rows: list[list[str]] = []
+    if "#" not in text and "@" not in text:  # no comment, marker or bad token
+        rows = [row for row in map(str.split, text.splitlines()) if row]
+        return _build(rows) if rows else from_facets([])
+    rows = []
     marker_line = None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

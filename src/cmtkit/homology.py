@@ -194,6 +194,8 @@ def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -
     ordered = [sorted(level) for level in cells]
     ranks = [0] * (top + 2)  # ranks[s]: rank of the boundary from size s to size s - 1
     for size in range(1, top + 1):
+        if not ordered[size - 1]:  # no rows: the boundary has rank 0
+            continue
         index = {m: i for i, m in enumerate(ordered[size - 1])}
         columns = _columns(ordered[size], index)
         if any(columns):

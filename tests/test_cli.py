@@ -132,6 +132,13 @@ class TestHomology:
         assert code == 0, err
         assert json.loads(out)["betti"] == {"-1": 0, "0": 0, "1": 0}
 
+    def test_label_longer_than_int_conversion_allows(self, tmp_path, capsys):
+        path = tmp_path / "long.cplx"
+        path.write_text("1" * 5000 + " 2\n")
+        code, out, err = run(capsys, ["homology", str(path)])
+        assert code == 0, err
+        assert json.loads(out)["betti"] == {"-1": 0, "0": 0, "1": 0}
+
 
 class TestClassifyCommand:
     def test_report(self, two_tri, capsys):

@@ -4,9 +4,11 @@ import json
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmtkit.core import from_facets
-from cmtkit.files import ParseError, dump, emit, load, parse
+from cmtkit.files import ParseError, _label_key, dump, emit, load, parse
 from cmtkit.generators import boundary_simplex, miyazaki_example
 
 
@@ -50,6 +52,112 @@ class TestParseText:
     def test_numeric_labels_sort_numerically(self):
         cx = parse("10 2\n")
         assert cx.labels == ("2", "10")
+
+    def test_long_decimal_labels(self, tmp_path):
+        # int() refuses strings past 4300 digits; the sort key never calls it
+        path = tmp_path / "long.cplx"
+        path.write_text("1" * 5000 + " 2\n" + "0" * 6000 + "3 2\n")
+        cx = load(path)
+        assert cx.labels == ("2", "0" * 6000 + "3", "1" * 5000)
+        assert len(cx.masks) == 2
+
+
+def _int_label_key(label):
+    """The decimal label order through int(), for labels int() can read."""
+    return (0, int(label), label) if label.isdecimal() else (1, 0, label)
+
+
+# ASCII digits, Arabic-Indic and fullwidth digits, and the superscript two,
+# which is a digit but not decimal
+_LABEL_CHARS = "0123456789\u0660\u0663\uff11\uff19\u00b2ab"
+
+
+class TestLabelOrder:
+    @given(st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=30), max_size=30))
+    def test_matches_the_integer_order(self, labels):
+        assert sorted(labels, key=_label_key) == sorted(labels, key=_int_label_key)
+
+    def test_leading_zeros_and_non_ascii_digits(self):
+        labels = ["10", "010", "\u00b2", "9", "\u0663", "3", "0", "00", "a"]
+        assert sorted(labels, key=_label_key) == [
+            "0", "00", "3", "\u0663", "9", "010", "10", "a", "\u00b2"]
+
+
+def _rows(text):
+    """The token rows of a text file without a marker line, line by line."""
+    return [line.split() for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")]
+
+
+def _reference_parse(text):
+    """The text parsed the old way: labels sorted and numbered, then the
+    public from_facets."""
+    rows = _rows(text)
+    if not rows:
+        return from_facets([])
+    labels = sorted({tok for row in rows for tok in row}, key=_label_key)
+    index = {lb: i for i, lb in enumerate(labels)}
+    return from_facets([[index[tok] for tok in row] for row in rows], labels=labels)
+
+
+_LABELS = st.one_of(
+    st.integers(0, 30).map(str),
+    st.integers(0, 30).map("{:03d}".format),
+    st.sampled_from(["a", "b", "x1", "v_2", "\u00e9", "Z"]),
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def _facet_texts(draw):
+    """Lines of labels with duplicate rows, nested rows, repeated tokens,
+    blank and whitespace-only lines, tabs, CRLF and (maybe) comments."""
+    rows = draw(st.lists(st.lists(_LABELS, min_size=1, max_size=5), max_size=8))
+    for row in list(rows):
+        extra = draw(st.sampled_from(["none", "duplicate", "nested", "repeat"]))
+        if extra == "duplicate":
+            rows.append(list(row))
+        elif extra == "nested":
+            rows.append(row[:draw(st.integers(1, len(row)))])
+        elif extra == "repeat":
+            rows.append(row + row[:1])
+    rows = draw(st.permutations(rows)) if rows else rows
+    lines = []
+    for row in rows:
+        sep = draw(_SEPARATORS)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(row)
+                     + draw(st.sampled_from(["", " ", "\t"])))
+    fillers = st.sampled_from(["", "   ", "\t", "# a comment", "  # indented comment"])
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(fillers))
+    if draw(st.booleans()):
+        lines.insert(0, "# header")
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + ending for line in lines)
+
+
+class TestParseOracle:
+    """parse builds facet masks straight from the tokens; the reference goes
+    through ids and from_facets, as the loader did before."""
+
+    @given(_facet_texts())
+    def test_matches_reference(self, text):
+        cx, ref = parse(text), _reference_parse(text)
+        assert (cx.masks, cx.labels, cx.n_vertices) == (ref.masks, ref.labels, ref.n_vertices)
+
+    @given(_facet_texts())
+    def test_json_matches_text(self, text):
+        assert parse(json.dumps({"facets": _rows(text)})) == parse(text)
+
+    @given(_facet_texts(), st.integers(0, 20),
+           st.sampled_from(["a #x", "b #x@", "@x", "1 @x 2", "@empty-face 1"]))
+    def test_bad_token_reports_its_line(self, text, k, bad):
+        lines = text.splitlines()
+        k = min(k, len(lines))
+        lines.insert(k, bad)
+        with pytest.raises(ParseError, match="cannot be written") as exc:
+            parse("\n".join(lines) + "\n")
+        assert exc.value.line == k + 1
 
 
 class TestParseJson:

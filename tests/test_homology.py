@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmtkit import homology
-from cmtkit.core import EMPTY_FACE, Face, from_facets
+from cmtkit.core import EMPTY_FACE, Face, clear_caches, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS, FieldSpec
 from cmtkit.generators import boundary_simplex, projective_plane_6, simplex
 from cmtkit.homology import (
@@ -153,6 +153,22 @@ class TestExcision:
         cone = projective_plane_6().join(simplex(1))
         for f in all_fields:
             assert reduced_betti(cone, f).items() == tuple((d, 0) for d in range(-1, 4))
+
+    @pytest.mark.parametrize("n, j", [(13, 4), (12, 3)])
+    def test_skeleton_ranks_nothing(self, n, j, monkeypatch):
+        # every face below the top level lies in the apex's star, so each
+        # boundary has no rows: no column is built and nothing is ranked
+        calls = {"rank": 0, "_columns": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(homology, name)):
+                calls[_name] += 1
+                return _orig(*args)
+            monkeypatch.setattr(homology, name, counted)
+        skeleton = boundary_simplex(n).skeleton(j)
+        for f in (GF2, GF3, RATIONALS):
+            clear_caches()
+            assert reduced_betti(skeleton, f).nonzero() == {j: comb(n - 1, j + 1)}
+        assert calls == {"rank": 0, "_columns": 0}
 
 
 class TestBoundaryMatrices:

@@ -36,6 +36,22 @@ mask_lists = st.integers(0, 10).flatmap(
     lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=24))
 
 
+def bit_scan(mask):
+    """The set bit positions of mask, one position at a time."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+class TestBits:
+    def test_every_mask_of_the_lookup_path(self):
+        # masks below 2**16 take the byte tables; the rest the loop
+        for mask in range(1 << 17):
+            assert _bits(mask) == bit_scan(mask)
+
+    @given(st.integers(0, (1 << 300) - 1))
+    def test_wide_masks(self, mask):
+        assert _bits(mask) == bit_scan(mask)
+
+
 class TestCanonical:
     def test_matches_sorted_vertex_tuples(self, monkeypatch):
         # a small bound makes most calls start a new memo table
