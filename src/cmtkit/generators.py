@@ -15,6 +15,15 @@ _MASK64 = (1 << 64) - 1
 # 64 attempts at a density that keeps none.
 _MAX_SUBSETS = 1 << 16
 
+# Every family refuses more facet-vertex incidences than this before it
+# builds a facet: boundary_simplex(2000), with 4 million, peaked at 207 MB.
+_MAX_INCIDENCES = 1 << 20
+
+
+def _bounded(count: int, what: str = "facet-vertex incidences") -> None:
+    if count > _MAX_INCIDENCES:
+        raise ValueError(f"{count} {what} exceed the limit of {_MAX_INCIDENCES}")
+
 
 class SplitMix64:
     """Deterministic 64-bit generator (splitmix64), identical on every platform."""
@@ -36,6 +45,7 @@ def simplex(n: int) -> SimplicialComplex:
     """The full simplex on n vertices; n = 0 gives {<>}."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    _bounded(n)
     if n == 0:
         return from_facets([()])
     return from_facets([range(n)])
@@ -45,6 +55,7 @@ def boundary_simplex(n: int) -> SimplicialComplex:
     """The boundary of the (n-1)-simplex: all (n-1)-subsets of n vertices."""
     if n < 2:
         raise ValueError("boundary_simplex needs at least 2 vertices")
+    _bounded(n * (n - 1))
     return from_facets(combinations(range(n), n - 1))
 
 
@@ -89,6 +100,7 @@ class GluedFamilySpec:
 
     @classmethod
     def uniform(cls, d: int, m: int, overlap: int) -> "GluedFamilySpec":
+        _bounded(m * m, "overlap table entries")
         row = [[overlap] * m for _ in range(m)]
         for i in range(m):
             row[i][i] = -1
@@ -97,6 +109,7 @@ class GluedFamilySpec:
 
 def glued_simplices(spec: GluedFamilySpec) -> SimplicialComplex:
     """Union of simplices realizing the pairwise intersections of `spec`."""
+    _bounded(spec.m * spec.d)
     next_id = 0
     blocks: dict[tuple[int, int], list[int]] = {}
     for i in range(spec.m):
@@ -153,8 +166,8 @@ def random_pure(n: int, d: int, density: float, seed: int,
 
     The splitmix64 stream makes the output a pure function of the seed.
     Unused vertices are compacted away, so the result may have fewer than
-    n vertices but always has dimension d - 1.  More than _MAX_SUBSETS
-    d-subsets is a ValueError.
+    n vertices but always has dimension d - 1.  Above _MAX_SUBSETS d-subsets,
+    or _MAX_INCIDENCES incidences among them, it raises ValueError.
     """
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
@@ -163,6 +176,7 @@ def random_pure(n: int, d: int, density: float, seed: int,
     if comb(n, d) > _MAX_SUBSETS:
         raise ValueError(f"C({n}, {d}) = {comb(n, d)} candidate facets exceed "
                          f"the limit of {_MAX_SUBSETS}")
+    _bounded(comb(n, d) * d, "candidate facet-vertex incidences")
     rng = SplitMix64(seed)
     threshold = int(density * 2 ** 64)
     for _ in range(max_attempts):

@@ -17,7 +17,7 @@ from .classify import (
     DEFINITION_LINKS,
     LOCAL_HOMOLOGY,
     REISNER_HOMOLOGY,
-    _max_k_up_to,
+    _max_k_at,
     is_cm,
     is_cm_t,
     is_k_cm_t_unbounded,
@@ -319,7 +319,7 @@ def suite_skeleton_theorem(corpus: Iterable[CorpusItem],
         if not is_pure(cx) or cx.dim < 1:
             continue
         t = min_t(cx, field)
-        k = _max_k_up_to(cx, t, field, 3)
+        k = _max_k_at(cx, t, field, 3)
         for s in (1, 2):
             if s > cx.dim:
                 continue

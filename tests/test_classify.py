@@ -7,6 +7,7 @@ import pytest
 import cmtkit
 from cmtkit import core, homology
 from cmtkit.classify import (
+    _max_k_at,
     _obstructions,
     CRITERIA,
     classify,
@@ -167,6 +168,31 @@ class TestMemo:
         clear_caches()
         assert cm_t_witness(sphere, 0) is None
         assert len(misses) <= sphere.dim + 2
+
+    def test_classify_runs_one_k_search_for_every_t(self):
+        # the removal levels do not depend on t: one search, one entry
+        clear_caches()
+        rep = classify(boundary_simplex(8), GF2)
+        assert rep.max_k_per_t == {t: 2 for t in range(7)}
+        assert [key for key in core._MEMO if key[0] == "max_k"] == [
+            ("max_k", boundary_simplex(8).masks, GF2)]
+        assert {key[0] for key in core._MEMO} == {"betti", "obstructions", "max_k"}
+
+    def test_larger_limit_searches_again_only_where_the_value_is_bounded(self):
+        # max_k per t is 1, 1, 2 on the Miyazaki deletion survivor
+        cx, sigma = miyazaki_example()
+        survivor = cx.delete_cofaces([sigma])[0].compact()
+        key = ("max_k", survivor.masks, GF2)
+        clear_caches()
+        assert [_max_k_at(survivor, t, GF2, 2) for t in range(3)] == [1, 1, 2]
+        entry = core._MEMO[key]
+        assert entry == ((1, 1, 2), 2)
+        assert _max_k_at(survivor, 1, GF2, 9) == 1  # exact below the stored limit
+        assert core._MEMO[key] is entry
+        assert _max_k_at(survivor, 2, GF2, 9) == 2  # 2 only meant "at least 2"
+        assert core._MEMO[key] == ((1, 1, 2), 9)
+        # t below 0 reads as 0, and above dim as dim
+        assert _max_k_at(survivor, -3, GF2, 9) == 1 and _max_k_at(survivor, 7, GF2, 9) == 2
 
     def test_sphere_links_share_betti_entries(self):
         # the links of a sphere's faces are spheres on shifted vertex ids:

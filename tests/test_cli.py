@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cmtkit
+from cmtkit import cli
 from cmtkit.cli import main
 from cmtkit.files import parse
 from cmtkit.generators import boundary_simplex
@@ -218,6 +219,7 @@ class TestImports:
     def test_cli_runs_without_numpy(self, two_tri, tmp_path):
         script = f"""
 import sys
+from cmtkit import cli
 from cmtkit.cli import main
 assert "numpy" not in sys.modules, "import"
 f, out = {two_tri!r}, {str(tmp_path / "out.json")!r}
@@ -258,6 +260,37 @@ class TestGen:
     def test_gen_bad_params(self, capsys):
         code, _, err = run(capsys, ["gen", "boundary", "-n", "1"])
         assert code == 2
+
+    def test_gen_refuses_a_family_over_the_incidence_limit(self, capsys):
+        for argv in (["gen", "simplex", "-n", "2000000"],
+                     ["gen", "glued", "-d", "2000000", "-m", "2"],
+                     ["gen", "glued", "-d", "3", "-m", "5000"],
+                     ["gen", "random", "-n", "362", "-d", "360"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and not out
+            assert err.startswith("cmtkit: ") and "exceed the limit of 1048576" in err
+
+    def test_gen_boundary_of_100000_vertices_exits_2_at_once(self):
+        # 100000 * 99999 incidences: refused before any facet is built
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "gen", "boundary", "-n", "100000"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=10)
+        assert done.returncode == 2 and not done.stdout
+        assert done.stderr == ("cmtkit: 9999900000 facet-vertex incidences exceed "
+                               "the limit of 1048576\n")
+
+
+class TestParser:
+    def test_built_once_across_calls(self, capsys, two_tri):
+        cli.build_parser.cache_clear()
+        codes = [run(capsys, ["check", two_tri, "--t", "2"])[0],
+                 run(capsys, ["check", two_tri, "--t", "1"])[0],
+                 run(capsys, ["check", two_tri, "--t", "not-a-number"])[0],
+                 run(capsys, ["homology", two_tri])[0]]
+        assert codes == [0, 1, 2, 0]
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().hits == 3
 
 
 class TestParseErrors:

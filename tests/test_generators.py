@@ -54,6 +54,12 @@ class TestBoundarySimplex:
         with pytest.raises(ValueError):
             boundary_simplex(1)
 
+    def test_incidence_limit(self):
+        # n(n - 1) incidences: 1024 vertices fit under 2**20, 1025 do not
+        with pytest.raises(ValueError, match="1049600 facet-vertex incidences exceed "
+                                             "the limit of 1048576"):
+            boundary_simplex(1025)
+
     def test_tetra_is_doubly_cm(self):
         from cmtkit.classify import max_k
         assert max_k(boundary_simplex(4), 0) == 2

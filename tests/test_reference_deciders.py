@@ -4,7 +4,8 @@ import pytest
 
 import reference_deciders as ref
 from cmtkit import core
-from cmtkit.classify import CRITERIA, clear_caches, cm_t_witness, cm_witness, k_cm_t_witness, min_t
+from cmtkit.classify import (CRITERIA, classify, clear_caches, cm_t_witness, cm_witness,
+                             k_cm_t_witness, min_t)
 from cmtkit.core import from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.generators import miyazaki_example, projective_plane_6
@@ -73,6 +74,26 @@ def test_k_cm_t_witnesses_match_reference(field):
     assert errors == {(name, k) for name, cx in CASES for k in (1, 2, 3, 4)
                       if k > len(cx.vertex_ids()) + 1} == {("boundary-2", 4)}
     assert {want for *_, want in comparisons if not isinstance(want, dict)} == {None, "ValueError"}
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)
+def test_classify_max_k_per_t_matches_reference(field):
+    # max_k(t) is one less than the least k at which the naive search finds
+    # a failing W; with none up to k = #V + 1 (only on {<>}), it is #V + 1
+    clear_caches()
+    varied = False  # some case has a max_k that changes with t
+    for name, cx in CASES:
+        rep = classify(cx, field)
+        budget = len(cx.vertex_ids()) + 1
+        want = {}
+        for t in range(max(cx.dim, 0) + 1):
+            least = next((k for k in range(1, budget + 1)
+                          if ref.k_cm_t_witness(cx, k, t, field) is not None), budget + 1)
+            if least > 1:
+                want[t] = least - 1
+        assert rep.max_k_per_t == (want if rep.pure else {}), name
+        varied |= len(set(want.values())) > 1
+    assert varied
 
 
 def test_small_memo_bound_changes_no_outcome(monkeypatch):
