@@ -27,12 +27,12 @@ flat per-face scan ``reference_deciders.obstructions``, are the independent
 check on these.  All deciders produce concrete witnesses on failure so the
 CLI can report them.  One k-CM_t search (`_max_k_up_to`) serves every t: its
 levels, the complexes left by deleting vertices, do not depend on t, and
-each fails CM_t exactly below its own min_t.  Obstruction maps (of the
-complex and of every link the recursion visits) and that search's results
-are memoized in `core`'s memo on the compacted facet masks, since the
-deciders and the theorem suites revisit the same links and restrictions,
-often on shifted ids.  Obstruction maps are lifted back to the complex's
-own ids; a `Face` is built only for a witness returned.
+each fails CM_t exactly below its own min_t.  The recursion, `_min_t` and
+the search take compact facet masks (ids renamed 0..m-1 in order), not a
+complex, and memoize on them in `core`'s memo, since the deciders and the
+theorem suites revisit the same links and restrictions, often on shifted
+ids.  The public deciders compact once; `_obstructions` lifts its map back
+to the complex's own ids, and a `Face` is built only for a witness returned.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .core import (
     _bits,
     _canonical,
     _memoized,
-    _memoized_compact,
     _relabelled,
 )
 from .core import clear_caches  # noqa: F401  (re-exported; the memo lives in core)
@@ -125,9 +124,11 @@ def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """Each face mask whose link has reduced homology below the link's
     dimension, mapped to the lowest such degree, in canonical face order."""
     _require_nonvoid(cx)
-    return _memoized_compact(
-        "obstructions", cx, (field,), lambda small: _link_recursion(small, field),
-        lambda found, support: dict(zip(_relabelled(found, support, inverse=True), found.values())))
+    found = _link_recursion(cx.compact().masks, field)
+    support = cx.support_mask
+    if support & (support + 1) == 0:  # cx uses the ids 0..m-1: the memo value is its own
+        return found
+    return dict(zip(_relabelled(found, support, inverse=True), found.values()))
 
 
 def _vertex_links(masks: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -156,21 +157,22 @@ def _vertex_links(masks: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...
     return out
 
 
-def _link_recursion(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
-    """The obstruction map of a compact complex, through its vertex links
-    (see the module docstring).
+def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
+    """The obstruction map of the compact complex with facet masks `top`,
+    through its vertex links (see the module docstring).
 
     Each distinct link, up to an order-preserving relabelling, is computed
     once.  The links are found level by level, by falling dimension, and
     their maps are built back up from dimension 1, so the depth of the
     recursion costs no stack.  A per-call table holds every map the call
     needs, so emptying the bounded memo partway never recomputes a subtree;
-    each map also goes into the memo.  A cone skips only its own homology,
-    which is zero: its faces can still be obstructed.
+    each map also goes into the memo.
     """
-    top = cx.masks
     if top[-1].bit_count() <= 1:
         return {}  # dimension at most 0: no link can be obstructed
+    hit = _MEMO.get(("obstructions", top, field))
+    if hit is not None:
+        return hit
     maps: dict[tuple[int, ...], dict[int, int] | None] = {}
     # largest facet size -> complexes to compute; every link is smaller than its parent
     levels = {top[-1].bit_count(): [top]}
@@ -196,13 +198,10 @@ def _link_recursion(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     for size in sorted(levels):
         for key in levels[size]:
             found = {}
-            if not reduce(and_, key):
-                n = reduce(or_, key).bit_length()
-                betti = homology.reduced_betti(
-                    SimplicialComplex._trusted(n, key, cx.labels[:n]), field)
-                low = next((i for i in range(-1, size - 1) if betti[i]), None)
-                if low is not None:
-                    found[0] = low
+            betti = homology._betti(key, field)
+            low = next((i for i in range(-1, size - 1) if betti[i]), None)
+            if low is not None:
+                found[0] = low
             for v, support, lk in children.pop(key):
                 sub = maps[lk]
                 if not sub:
@@ -215,8 +214,7 @@ def _link_recursion(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
                     found.update(zip((r | bit for r in _relabelled(above, support, inverse=True)),
                                      map(sub.__getitem__, above)))
             found = maps[key] = {s: found[s] for s in _canonical(found)}
-            if key is not top:
-                _memoized(("obstructions", key, field), lambda: found)
+            _memoized(("obstructions", key, field), lambda: found)
     return maps[top]
 
 
@@ -286,22 +284,19 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
     return is_cm_t(cx, 1, field)
 
 
-def _max_k_up_to(cx: SimplicialComplex, field: FieldSpec, limit: int,
-                 t: int = -1) -> tuple[int, ...]:
-    """min(max_k(cx, t), limit) for t = 0..max(dim, 0), 0 where not CM_t.
-    Level s holds the distinct compacted cx - W with |W| = s, each scoring its
-    min_t (every t if impure, or if a cone on the level before); t first fails
-    where the running maximum score exceeds t.  The memo holds (values, limit):
-    a larger limit searches again only if the value at index t sits at it."""
-    _require_nonvoid(cx)
+def _max_k_up_to(top: tuple[int, ...], field: FieldSpec, limit: int) -> tuple[int, ...]:
+    """min(max_k(K, t), limit) for t = 0..max(dim K, 0), 0 where K is not CM_t,
+    for the compact complex K with facet masks `top`.  Level s holds the
+    distinct compacted K - W with |W| = s, each scoring its min_t (every t if
+    impure, or if a cone on the level before); t first fails where the
+    running maximum score exceeds t."""
     if limit < 1:
         raise ValueError("k must be at least 1")
-    top = tuple(_relabelled(cx.masks, cx.support_mask))
-    every = max(cx.dim, 0) + 1  # the score that fails every t
+    every = max(top[-1].bit_count(), 1)  # max(dim, 0) + 1: the score that fails every t
 
     def score(masks: tuple[int, ...]) -> int:
-        small = SimplicialComplex._trusted(cx.n_vertices, masks, cx.labels)
-        return min_t(small, field) if is_pure(small) else every
+        pure = masks[0].bit_count() == masks[-1].bit_count()
+        return _min_t(masks, field) if pure else every
 
     def search() -> tuple[int, ...]:
         failed = score(top)  # every t below it has failed
@@ -326,19 +321,14 @@ def _max_k_up_to(cx: SimplicialComplex, field: FieldSpec, limit: int,
                 break
         return tuple(values)
 
-    key = ("max_k", top, field)
-    hit = _MEMO.get(key)
-    if hit is None or hit[0][t] == hit[1] < limit:  # unknown, or bounded below limit
-        _MEMO.pop(key, None)
-        hit = _memoized(key, lambda: (search(), limit))
-    return tuple(min(k, limit) for k in hit[0])
+    return _memoized(("max_k", top, field, limit), search)
 
 
 def _max_k_at(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> int:
     """_max_k_up_to at t, read as 0..max(dim, 0): above dim CM_t is purity."""
     _require_nonvoid(cx)
     t = min(max(t, 0), max(cx.dim, 0))
-    return _max_k_up_to(cx, field, limit, t)[t]
+    return _max_k_up_to(cx.compact().masks, field, limit)[t]
 
 
 def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
@@ -364,17 +354,18 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
     size = _max_k_at(cx, t, field, k)
     if size == k:
         return None
-    removed, sub = [], cx
+    at = min(max(t, 0), cx.dim)  # the t that _max_k_at read; every sub keeps cx.dim
+    removed, sub = [], cx.masks
     for s in range(size, 0, -1):
-        for v, facets in _vertex_deletions(sub.masks):  # sub is CM_t, hence pure
-            smaller = SimplicialComplex._trusted(cx.n_vertices, tuple(facets), cx.labels)
-            if smaller.dim < cx.dim:
+        for v, facets in _vertex_deletions(sub):  # sub is CM_t, hence pure
+            if facets[-1].bit_count() < sub[-1].bit_count():
                 return Witness("restriction_dimension", removed=(*removed, v))
-            if _max_k_at(smaller, t, field, s) < s:
+            if _max_k_up_to(tuple(_relabelled(facets, reduce(or_, facets))), field, s)[at] < s:
                 break
         removed.append(v)
-        sub = smaller
-    return Witness("restriction", removed=tuple(removed), inner=cm_t_witness(sub, t, field))
+        sub = tuple(facets)
+    inner = cm_t_witness(SimplicialComplex._trusted(cx.n_vertices, sub, cx.labels), t, field)
+    return Witness("restriction", removed=tuple(removed), inner=inner)
 
 
 def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> bool:
@@ -398,7 +389,12 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
     obstructed face, or 0 if there is none."""
     if not is_pure(cx):
         raise ValueError("min_t undefined for impure complexes")
-    return max((s.bit_count() + 1 for s in _obstructions(cx, field)), default=0)
+    return _min_t(cx.compact().masks, field)
+
+
+def _min_t(masks: tuple[int, ...], field: FieldSpec) -> int:
+    """min_t of the pure compact complex with facet masks `masks`."""
+    return max((s.bit_count() + 1 for s in _link_recursion(masks, field)), default=0)
 
 
 def max_k(cx: SimplicialComplex, t: int, field: FieldSpec = GF2) -> int:
@@ -438,8 +434,9 @@ def classify(cx: SimplicialComplex, field: FieldSpec = GF2) -> ClassificationRep
                 for t in range(max(dim, 0) + 1))
     if not pure:
         return ClassificationReport(dim, False, field, None, {}, agree)
-    mt = min_t(cx, field)
-    ks = _max_k_up_to(cx, field, len(cx.vertex_ids()) + 1)  # one search for every t
+    masks = cx.compact().masks
+    mt = _min_t(masks, field)
+    ks = _max_k_up_to(masks, field, len(cx.vertex_ids()) + 1)  # one search for every t
     per_t = {t: k for t, k in enumerate(ks) if t >= mt}
     return ClassificationReport(dim, True, field, mt, per_t, agree)
 

@@ -30,15 +30,15 @@ Derived complexes avoid per-element Python work where the structure allows:
   one, so ``_maximal_masks`` and the constructor's antichain check compare
   each facet only with larger ones, and pure input compares nothing.
 
-Values derived from a complex (Betti vectors, obstruction maps, capped
-max_k values) live in one module-level memo, ``_MEMO``, keyed on
-``(kind, compact masks, parameters...)``: the facet masks with the used
-vertex ids renamed 0..m-1 in order (``_memoized_compact``).  The value is
-computed on that compact complex and lifted back through the used ids; an
-order-preserving relabelling keeps the canonical face order, so a lifted
-obstruction map keeps its order and its first witness.  So complexes that
-differ by an order-preserving relabelling share one entry (the links of a
-sphere at its faces are a handful of complexes on shifted ids), not only
+Values derived from a complex (Betti vectors, obstruction maps, the k-CM_t
+search's least failing sizes) live in one module-level memo, ``_MEMO``,
+keyed on ``(kind, compact masks, parameters...)``: the facet masks of
+``compact()``, the used vertex ids renamed 0..m-1 in order, which is what
+the functions computing them take.  An order-preserving relabelling keeps
+the canonical face order, so an obstruction map lifted back through the
+used ids keeps its order and its first witness.  So complexes that differ
+by an order-preserving relabelling share one entry (the links of a sphere
+at its faces are a handful of complexes on shifted ids), not only
 complexes that differ in their labels or ambient size, and no key keeps a
 complex (or its face enumeration) alive.  The memo is emptied when it
 reaches ``_MEMO_LIMIT`` entries.
@@ -66,9 +66,15 @@ _LOW_BITS, _HIGH_BITS = _byte_bits(0), _byte_bits(8)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
-    """The set bit positions of mask, ascending."""
+    """The set bit positions of mask, ascending.
+
+    A wide mask with a set bit per byte on average is read a byte at a time;
+    a sparser one bit by bit, which copies the mask once per set bit."""
     if mask < 0x10000:
         return _LOW_BITS[mask & 0xFF] + _HIGH_BITS[mask >> 8]
+    if mask.bit_count() * 8 >= mask.bit_length():
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return tuple(8 * i + b for i, byte in enumerate(data) for b in _LOW_BITS[byte])
     out = []
     while mask:
         low = mask & -mask
@@ -191,24 +197,6 @@ def _memoized(key: tuple, compute: Callable[[], object]):
         _MEMO.clear()
     _MEMO[key] = value
     return value
-
-
-def _memoized_compact(kind: str, cx: "SimplicialComplex", params: tuple,
-                      compute: Callable[["SimplicialComplex"], object],
-                      lift: Callable[[object, int], object]):
-    """compute(cx), memoized on cx relabelled to the ids 0..m-1.
-
-    The key is (kind, the masks of cx.compact(), *params), and a miss
-    computes the value on that compact complex.  It comes back through
-    lift(value, cx.support_mask), except when cx already uses the ids
-    0..m-1: then the memo value itself is returned.
-    """
-    support = cx.support_mask
-    if support & (support + 1) == 0:
-        return _memoized((kind, cx.masks, *params), lambda: compute(cx))
-    masks = tuple(_relabelled(cx.masks, support))  # those of cx.compact()
-    value = _memoized((kind, masks, *params), lambda: compute(cx.compact()))
-    return lift(value, support)
 
 
 def clear_caches() -> None:

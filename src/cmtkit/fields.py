@@ -23,8 +23,10 @@ def _is_prime(p: int) -> bool:
 class FieldSpec:
     """A coefficient field: GF(p) when p is set, the rationals when None.
 
-    Primes are capped below 2**31 so modular products stay inside int64
-    during elimination.
+    Primes are capped below 2**31, which bounds the trial division that
+    checks primality (at most about 23,000 odd divisors) and keeps the
+    accepted field tokens as they were; the rank kernels work on Python
+    ints and need no cap of their own.
     """
 
     p: int | None = 2

@@ -48,7 +48,7 @@ def simplex(n: int) -> SimplicialComplex:
     _bounded(n)
     if n == 0:
         return from_facets([()])
-    return from_facets([range(n)])
+    return from_facets([Face.from_mask((1 << n) - 1)])
 
 
 def boundary_simplex(n: int) -> SimplicialComplex:

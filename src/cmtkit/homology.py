@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, or_
 from typing import Iterable
 
-from .core import Face, SimplicialComplex, _bits, _memoized_compact, as_face
+from .core import Face, SimplicialComplex, _bits, _memoized, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
 
@@ -136,10 +136,10 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     return mats
 
 
-def _apex(cx: SimplicialComplex) -> int | None:
+def _apex(masks: tuple[int, ...]) -> int | None:
     """The vertex lying in the most facets, lowest id on ties; None for {<>}."""
-    counts = [0] * cx.n_vertices
-    for f in cx.masks:
+    counts = [0] * reduce(or_, masks).bit_length()
+    for f in masks:
         while f:
             low = f & -f
             counts[low.bit_length() - 1] += 1
@@ -148,15 +148,15 @@ def _apex(cx: SimplicialComplex) -> int | None:
     return counts.index(most) if most else None
 
 
-def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -> BettiVector:
-    """Betti numbers of the pair (cx, st apex), degrees -1..dim.
+def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) -> BettiVector:
+    """Betti numbers of the pair (K, st apex), degrees -1..dim, for the
+    complex K with facet masks `masks`.
 
-    They equal the reduced Betti numbers of cx when apex is a vertex of cx
+    They equal the reduced Betti numbers of K when apex is a vertex of K
     (excision onto a contractible star), and also when apex is None: the
     star is then empty and the pair's chain complex is the augmented one.
     """
-    masks = cx.masks
-    top = cx.dim + 1
+    top = masks[-1].bit_count()
     vbit = 0 if apex is None else 1 << apex
     cells: list[set[int]] = [set() for _ in range(top + 1)]
     for f in masks:
@@ -165,7 +165,7 @@ def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -
     # A face lies in st apex when some facet through the apex, less the apex,
     # contains it: when the AND of its vertices' owner sets is nonzero.
     star = [f ^ vbit for f in masks if f & vbit]
-    owners = [0] * cx.n_vertices
+    owners = [0] * reduce(or_, masks).bit_length()
     for i, f in enumerate(star):
         for u in _bits(f):
             owners[u] |= 1 << i
@@ -204,21 +204,27 @@ def _relative_betti(cx: SimplicialComplex, field: FieldSpec, apex: int | None) -
                         for size in range(top + 1)})
 
 
+def _betti(masks: tuple[int, ...], field: FieldSpec) -> BettiVector:
+    """Reduced Betti numbers of the compact complex with facet masks `masks`,
+    memoized in `core`'s memo on the masks and the field.  Cones (a vertex
+    in every facet) are acyclic: their zeros are returned without memoizing.
+    """
+    if reduce(and_, masks):
+        return BettiVector(dict.fromkeys(range(-1, masks[-1].bit_count()), 0))
+    return _memoized(("betti", masks, field),
+                     lambda: _relative_betti(masks, field, _apex(masks)))
+
+
 def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> BettiVector:
     """Reduced Betti numbers beta[-1..dim] over the given field.
 
-    Memoized in `core`'s memo on the compacted facet masks and the field, so
-    complexes that differ by an order-preserving relabelling share one entry;
-    a Betti vector needs no lift.  Cones (a vertex in every facet) are
-    acyclic: their zeros are returned without memoizing.
+    Computed on the compacted facet masks, so complexes that differ by an
+    order-preserving relabelling share one memo entry; a Betti vector
+    needs no lift back to the complex's own ids.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
-    if reduce(and_, cx.masks):
-        return BettiVector(dict.fromkeys(range(-1, cx.dim + 1), 0))
-    return _memoized_compact("betti", cx, (field,),
-                             lambda small: _relative_betti(small, field, _apex(small)),
-                             lambda betti, support: betti)
+    return _betti(cx.compact().masks, field)
 
 
 def local_betti(cx: SimplicialComplex, face, field: FieldSpec) -> BettiVector:

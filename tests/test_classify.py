@@ -1,8 +1,11 @@
 """The CM/CM_t/k-CM_t deciders on pinned fixtures."""
 
 import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cmtkit
 from cmtkit import core, homology
@@ -175,24 +178,42 @@ class TestMemo:
         rep = classify(boundary_simplex(8), GF2)
         assert rep.max_k_per_t == {t: 2 for t in range(7)}
         assert [key for key in core._MEMO if key[0] == "max_k"] == [
-            ("max_k", boundary_simplex(8).masks, GF2)]
+            ("max_k", boundary_simplex(8).masks, GF2, 9)]
         assert {key[0] for key in core._MEMO} == {"betti", "obstructions", "max_k"}
 
-    def test_larger_limit_searches_again_only_where_the_value_is_bounded(self):
+    def test_one_k_search_entry_per_limit_asked(self):
         # max_k per t is 1, 1, 2 on the Miyazaki deletion survivor
         cx, sigma = miyazaki_example()
         survivor = cx.delete_cofaces([sigma])[0].compact()
-        key = ("max_k", survivor.masks, GF2)
         clear_caches()
         assert [_max_k_at(survivor, t, GF2, 2) for t in range(3)] == [1, 1, 2]
-        entry = core._MEMO[key]
-        assert entry == ((1, 1, 2), 2)
-        assert _max_k_at(survivor, 1, GF2, 9) == 1  # exact below the stored limit
-        assert core._MEMO[key] is entry
-        assert _max_k_at(survivor, 2, GF2, 9) == 2  # 2 only meant "at least 2"
-        assert core._MEMO[key] == ((1, 1, 2), 9)
+        assert [_max_k_at(survivor, t, GF2, 9) for t in range(3)] == [1, 1, 2]
+        assert _max_k_at(survivor, 2, GF2, 1) == 1
+        assert core._MEMO[("max_k", survivor.masks, GF2, 2)] == (1, 1, 2)
+        assert core._MEMO[("max_k", survivor.masks, GF2, 1)] == (1, 1, 1)
+        assert [key[3] for key in core._MEMO
+                if key[:3] == ("max_k", survivor.masks, GF2)] == [2, 9, 1]
         # t below 0 reads as 0, and above dim as dim
         assert _max_k_at(survivor, -3, GF2, 9) == 1 and _max_k_at(survivor, 7, GF2, 9) == 2
+
+    @given(st.data())
+    def test_warm_memo_k_search_matches_a_cold_one(self, data):
+        # every t and every limit, asked in shuffled order with the memo
+        # warm, reads as the same value computed from an empty memo
+        n = data.draw(st.integers(1, 6))
+        d = data.draw(st.integers(1, n))
+        facets = data.draw(st.lists(st.sampled_from(list(combinations(range(n), d))),
+                                    min_size=1, unique=True))
+        cx = from_facets(facets)
+        asks = [(t, limit) for t in range(cx.dim + 1)
+                for limit in range(1, len(cx.vertex_ids()) + 3)]
+        asks = data.draw(st.permutations(asks))
+        warm = [_max_k_at(cx, t, GF2, limit) for t, limit in asks]
+        cold = []
+        for t, limit in asks:
+            clear_caches()
+            cold.append(_max_k_at(cx, t, GF2, limit))
+        assert warm == cold
 
     def test_sphere_links_share_betti_entries(self):
         # the links of a sphere's faces are spheres on shifted vertex ids:

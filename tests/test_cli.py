@@ -280,6 +280,15 @@ class TestGen:
         assert done.stderr == ("cmtkit: 9999900000 facet-vertex incidences exceed "
                                "the limit of 1048576\n")
 
+    def test_gen_simplex_of_262144_vertices_is_fast(self):
+        # one facet mask of 262,144 bits: its vertex ids are read byte by byte
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "gen", "simplex", "-n", "262144"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=10)
+        assert done.returncode == 0 and not done.stderr
+        assert done.stdout == " ".join(map(str, range(262144))) + "\n"
+
 
 class TestParser:
     def test_built_once_across_calls(self, capsys, two_tri):

@@ -51,6 +51,12 @@ class TestBits:
     def test_wide_masks(self, mask):
         assert _bits(mask) == bit_scan(mask)
 
+    def test_dense_and_sparse_masks_of_many_bytes(self):
+        # a set bit per byte on average takes the byte path; fewer, the loop
+        for mask in ((1 << 5000) - 1, (1 << 5000) - 1 ^ 1 << 4000, int("1" + "0" * 9 + "1" * 600, 2),
+                     1 << 5000 | 1 << 17 | 1, int("10000000" * 700, 2)):
+            assert _bits(mask) == bit_scan(mask)
+
 
 class TestCanonical:
     def test_matches_sorted_vertex_tuples(self, monkeypatch):

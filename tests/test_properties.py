@@ -168,7 +168,7 @@ class TestHomologyLaws:
                 assert reduced_betti(lk, field).items() == full
                 assert betti_via_snf(lk, field).items() == full
                 for v in lk.vertex_ids():
-                    assert _relative_betti(lk, field, v).items() == full
+                    assert _relative_betti(lk.masks, field, v).items() == full
 
     @given(complexes(max_n=5))
     def test_euler_consistency(self, cx):
