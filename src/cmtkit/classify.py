@@ -18,9 +18,13 @@ The map comes from the vertex links, not from a walk over the faces.  The
 link of a face sigma is the link of sigma - v in lk v for any vertex v of
 sigma, so the map of a complex holds the empty face when the complex's own
 homology is obstructed, and v | rho for each vertex v and each rho in the
-map of lk v whose vertices all lie above v (`_link_recursion`).  Links that
-differ by an order-preserving relabelling share one map, so a sphere needs
-one complex per dimension.  Links of dimension at most 0 end the recursion.
+map of lk v whose vertices all lie above v (`_link_recursion`).  A cone
+S * L, whose facets all contain the face S, takes one child instead: the
+link of a face missing a vertex of S is a cone, hence acyclic, and
+lk(S | rho) = lk_L(rho), so its map is S | rho for each rho in the map of
+L = lk S, and a simplex has no child at all.  Links that differ by an
+order-preserving relabelling share one map, so a sphere needs one complex
+per dimension.  Links of dimension at most 0 end the recursion.
 
 Naive per-criterion deciders in ``tests/reference_deciders.py``, and the
 flat per-face scan ``reference_deciders.obstructions``, are the independent
@@ -131,29 +135,40 @@ def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     return dict(zip(_relabelled(found, support, inverse=True), found.values()))
 
 
-def _vertex_links(masks: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(v, support, compact masks) for each vertex link of dimension at least
-    1 of the complex with facet masks `masks`, v ascending.
+def _vertex_links(masks: tuple[int, ...]) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """(face, excluded, support, compact masks) for each link of dimension at
+    least 1 whose map makes up the map of the complex with facet masks
+    `masks`: its obstructed faces are face | rho for each rho in the link's
+    map that misses `excluded` (in the link's compact ids), lifted through
+    `support`.
 
-    One pass over the facets files each facet less v under every vertex v in
-    it, which keeps the facets' canonical order (see core.link).
+    A cone, whose facets share the face S, gives lk S alone, excluding
+    nothing: a face missing a vertex of S has a cone for its link, and
+    lk(S | rho) = lk_{lk S}(rho).  Any other complex gives lk v for each
+    vertex v, ascending, excluding the ids below v.  One pass over the
+    facets files each facet less v under every vertex v in it, which keeps
+    the facets' canonical order (see core.link).
     """
-    big = 0  # the vertices of facets with more than 2 vertices: they have such links
-    for f in reversed(masks):
-        if f.bit_count() <= 2:
-            break
-        big |= f
-    links: dict[int, list[int]] = {1 << v: [] for v in _bits(big)}
-    for f in masks:
-        rest = f & big
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            links[low].append(f ^ low)
+    common = reduce(and_, masks)
+    if common:  # lk S alone, unless its dimension is at most 0 ({<>} for a simplex)
+        lk = [f ^ common for f in masks]
+        links = {common: lk} if lk[-1].bit_count() > 1 else {}
+    else:
+        big = 0  # the vertices of facets with more than 2 vertices: they have such links
+        for f in reversed(masks):
+            if f.bit_count() <= 2:
+                break
+            big |= f
+        links = {1 << v: [] for v in _bits(big)}
+        for f in masks:
+            for v in _bits(f & big):
+                links[1 << v].append(f ^ 1 << v)
     out = []
-    for low, lk in links.items():
+    for face, lk in links.items():
         support = reduce(or_, lk)
-        out.append((low.bit_length() - 1, support, tuple(_relabelled(lk, support))))
+        # a vertex link excludes the ids of lk v below v; lk S excludes none
+        excluded = 0 if common else (1 << (support & (face - 1)).bit_count()) - 1
+        out.append((face, excluded, support, tuple(_relabelled(lk, support))))
     return out
 
 
@@ -176,14 +191,14 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
     maps: dict[tuple[int, ...], dict[int, int] | None] = {}
     # largest facet size -> complexes to compute; every link is smaller than its parent
     levels = {top[-1].bit_count(): [top]}
-    children: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    children: dict[tuple[int, ...], list[tuple[int, int, int, tuple[int, ...]]]] = {}
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}  # one key object per link
     frontier = [top]
     while frontier:
         new = []
         for key in frontier:
             kids = children[key] = []
-            for v, support, lk in _vertex_links(key):
+            for face, excluded, support, lk in _vertex_links(key):
                 small = interned.get(lk)
                 if small is None:
                     small = interned[lk] = lk
@@ -191,7 +206,7 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
                     maps[lk] = memo
                     if memo is None:
                         new.append(lk)
-                kids.append((v, support, small))
+                kids.append((face, excluded, support, small))
         frontier = new
         for key in new:
             levels.setdefault(key[-1].bit_count(), []).append(key)
@@ -202,17 +217,12 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
             low = next((i for i in range(-1, size - 1) if betti[i]), None)
             if low is not None:
                 found[0] = low
-            for v, support, lk in children.pop(key):
+            for face, excluded, support, lk in children.pop(key):
                 sub = maps[lk]
-                if not sub:
-                    continue
-                # in the ids of lk v, the ids above v are those from `below` up
-                below = (1 << (support & ((1 << v) - 1)).bit_count()) - 1
-                above = [r for r in sub if not r & below]
-                if above:
-                    bit = 1 << v
-                    found.update(zip((r | bit for r in _relabelled(above, support, inverse=True)),
-                                     map(sub.__getitem__, above)))
+                kept = [r for r in sub if not r & excluded]
+                if kept:
+                    found.update(zip((r | face for r in _relabelled(kept, support, inverse=True)),
+                                     map(sub.__getitem__, kept)))
             found = maps[key] = {s: found[s] for s in _canonical(found)}
             _memoized(("obstructions", key, field), lambda: found)
     return maps[top]
@@ -248,13 +258,8 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
         # with more than t vertices fails only if its t-subsets do.  The least
         # t-face inside an obstructed face r is its t lowest vertices, and
         # the faces rho - sigma of lk(sigma) come in the same order as rho.
-        lows = set()
-        for r in obstructed:
-            if r.bit_count() >= t:
-                rest = r
-                for _ in range(t):
-                    rest &= rest - 1
-                lows.add(r ^ rest)
+        lows = {r & (2 << _bits(r)[t - 1]) - 1 if t else 0
+                for r in obstructed if r.bit_count() >= t}
         if not lows:
             return None
         s = min(lows, key=_bits)

@@ -66,21 +66,29 @@ _LOW_BITS, _HIGH_BITS = _byte_bits(0), _byte_bits(8)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
-    """The set bit positions of mask, ascending.
+    """The set bit positions of mask, ascending; the one reader of a mask's
+    vertices.
 
-    A wide mask with a set bit per byte on average is read a byte at a time;
-    a sparser one bit by bit, which copies the mask once per set bit."""
+    A mask below 2**16 takes two table lookups.  A wider one is read bit by
+    bit from the top, each step copying what is left of it, for at most 64
+    set bits; what is left after those is read a byte at a time.  So the
+    time is linear in the width: at most 64 copies, plus one Python step per
+    byte only for a mask with more than 64 set bits.  A sparse wide mask,
+    such as an edge among 20,000 vertices, stays in the bit loop, which
+    costs far less than a step per byte.  The loop counts the 64 itself,
+    since `int.bit_count` walks the whole mask on every call."""
     if mask < 0x10000:
         return _LOW_BITS[mask & 0xFF] + _HIGH_BITS[mask >> 8]
-    if mask.bit_count() * 8 >= mask.bit_length():
-        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-        return tuple(8 * i + b for i, byte in enumerate(data) for b in _LOW_BITS[byte])
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    top = []
+    while mask and len(top) < 64:
+        v = mask.bit_length() - 1
+        top.append(v)
+        mask ^= 1 << v
+    top.reverse()
+    if not mask:
+        return tuple(top)
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return tuple(8 * i + b for i, byte in enumerate(data) for b in _LOW_BITS[byte]) + tuple(top)
 
 
 class Face:

@@ -28,8 +28,10 @@ A dense numpy view (`BoundaryMatrix.matrix`) is built only when asked for.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from operator import and_, or_
 from typing import Iterable
 
@@ -109,14 +111,10 @@ def _columns(cells: Iterable[int], index: dict[int, int]) -> list[dict[int, int]
     columns = []
     for m in cells:
         col: dict[int, int] = {}
-        rest, sign = m, 1
-        while rest:
-            low = rest & -rest
-            r = index.get(m ^ low)
+        for j, u in enumerate(_bits(m)):
+            r = index.get(m ^ 1 << u)
             if r is not None:
-                col[r] = sign
-            rest ^= low
-            sign = -sign
+                col[r] = -1 if j & 1 else 1
         columns.append(col)
     return columns
 
@@ -138,14 +136,9 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
 
 def _apex(masks: tuple[int, ...]) -> int | None:
     """The vertex lying in the most facets, lowest id on ties; None for {<>}."""
-    counts = [0] * reduce(or_, masks).bit_length()
-    for f in masks:
-        while f:
-            low = f & -f
-            counts[low.bit_length() - 1] += 1
-            f ^= low
-    most = max(counts, default=0)
-    return counts.index(most) if most else None
+    counts = Counter(chain.from_iterable(map(_bits, masks)))
+    most = max(counts.values(), default=0)
+    return min(v for v, c in counts.items() if c == most) if most else None
 
 
 def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) -> BettiVector:
@@ -176,20 +169,12 @@ def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) 
     for size in range(top, 0, -1):
         below = cells[size - 1]
         for m in cells[size]:
-            rest = m
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                t = m ^ low
+            for u in _bits(m):
+                t = m ^ 1 << u
                 if t in seen:
                     continue
                 seen.add(t)
-                hit, w = every, t
-                while w and hit:
-                    lw = w & -w
-                    hit &= owners[lw.bit_length() - 1]
-                    w ^= lw
-                if not hit:
+                if not reduce(and_, map(owners.__getitem__, _bits(t)), every):
                     below.add(t)
     ordered = [sorted(level) for level in cells]
     ranks = [0] * (top + 2)  # ranks[s]: rank of the boundary from size s to size s - 1

@@ -421,6 +421,19 @@ class TestLargeInputs:
                               text=True, timeout=20)
         assert done.returncode == 0 and json.loads(done.stdout)["ok"] is True
 
+    def test_check_of_a_2048_vertex_simplex_takes_no_vertex_links(self, tmp_path):
+        # a cone recurses into the link of its common face alone, and a
+        # simplex has none; a link per vertex per level took cubic memory
+        path = tmp_path / "s2048.cplx"
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "cmtkit.cli", "gen", "simplex", "-n", "2048",
+                        "-o", str(path)], env=env, check=True, timeout=10)
+        done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "check", str(path), "--t", "0"],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ok"] is True
+
     def test_check_of_a_220_vertex_sphere_needs_no_deep_recursion(self, tmp_path):
         # the vertex-link recursion is as deep as the dimension (218 here); it
         # goes level by level, so no RecursionError reaches the CLI

@@ -1,6 +1,7 @@
 """The mask-level fast paths of core and classify against plain oracles."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -52,10 +53,24 @@ class TestBits:
         assert _bits(mask) == bit_scan(mask)
 
     def test_dense_and_sparse_masks_of_many_bytes(self):
-        # a set bit per byte on average takes the byte path; fewer, the loop
+        # from 2**16 up, the top 64 set bits are read one at a time and the rest,
+        # if any, a byte at a time: exactly 64 and 65 set bits, packed and spread
+        spread = [sum(1 << 300 * i for i in range(1, count + 1)) for count in (64, 65)]
         for mask in ((1 << 5000) - 1, (1 << 5000) - 1 ^ 1 << 4000, int("1" + "0" * 9 + "1" * 600, 2),
-                     1 << 5000 | 1 << 17 | 1, int("10000000" * 700, 2)):
+                     1 << 5000 | 1 << 17 | 1, int("10000000" * 700, 2), (1 << 65) - 1 << 16,
+                     (1 << 64) - 1 << 16, *spread):
             assert _bits(mask) == bit_scan(mask)
+
+    def test_sparse_wide_mask_is_linear(self):
+        # every 9th of 2**20 bits (116,509 set): a loop copying the mask once
+        # per set bit took seconds; bit_scan, the oracle, is itself quadratic
+        # at this width, so the expected tuple is written out
+        block = sum(1 << v for v in range(0, 72, 9)).to_bytes(9, "little")
+        mask = int.from_bytes(block * ((1 << 20) // 72 + 1), "little") & (1 << (1 << 20)) - 1
+        start = time.perf_counter()
+        got = _bits(mask)
+        assert time.perf_counter() - start < 1
+        assert got == tuple(range(0, 1 << 20, 9))
 
 
 class TestCanonical:
@@ -142,7 +157,12 @@ def test_obstructions_match_link_by_link_scan(field):
 
 @given(mixed_complexes())
 def test_obstructions_match_on_random_complexes(cx):
-    assert list(_obstructions(cx, GF2).items()) == list(ref.obstructions(cx, GF2).items())
+    # a join with a point or an edge is a cone: the recursion takes only the
+    # link of the common face (apex below the other ids, then above them)
+    for complex_ in (cx, from_facets([(0,)]).join(cx), cx.join(from_facets([(0, 1)]))):
+        clear_caches()
+        assert list(_obstructions(complex_, GF2).items()) == list(
+            ref.obstructions(complex_, GF2).items())
 
 
 @st.composite
