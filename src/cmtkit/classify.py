@@ -42,12 +42,12 @@ to the complex's own ids, and a `Face` is built only for a witness returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from operator import and_, or_
 from typing import Iterator
 
 from . import homology
+from ._record import FrozenRecord
 from .core import (
     _MEMO,
     EMPTY_FACE,
@@ -84,19 +84,18 @@ def normalize_criterion(name: str) -> str:
         raise ValueError(f"unknown criterion: {name!r} (expected def, reisner or local)") from None
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(FrozenRecord):
     """Concrete evidence that a property fails.
 
     kind is one of: impure, link_not_cm, link_homology, local_homology,
     global_homology, restriction_dimension, restriction.
     """
 
-    kind: str
-    face: Face | None = None
-    degree: int | None = None
-    removed: tuple[int, ...] | None = None
-    inner: "Witness | None" = None
+    __slots__ = _fields = ("kind", "face", "degree", "removed", "inner")
+
+    def __init__(self, kind: str, face: Face | None = None, degree: int | None = None,
+                 removed: tuple[int, ...] | None = None, inner: Witness | None = None):
+        self._assign(kind, face, degree, removed, inner)
 
     def to_json(self, cx: SimplicialComplex) -> dict:
         labels = cx.labels
@@ -213,10 +212,11 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
     for size in sorted(levels):
         for key in levels[size]:
             found = {}
-            betti = homology._betti(key, field)
-            low = next((i for i in range(-1, size - 1) if betti[i]), None)
-            if low is not None:
-                found[0] = low
+            if not reduce(and_, key):  # a cone is acyclic: no Betti vector to read
+                betti = homology._betti(key, field)
+                low = next((i for i in range(-1, size - 1) if betti[i]), None)
+                if low is not None:
+                    found[0] = low
             for face, excluded, support, lk in children.pop(key):
                 sub = maps[lk]
                 kept = [r for r in sub if not r & excluded]
@@ -410,14 +410,14 @@ def max_k(cx: SimplicialComplex, t: int, field: FieldSpec = GF2) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    dimension: int
-    pure: bool
-    field: FieldSpec
-    min_t: int | None
-    max_k_per_t: dict[int, int] = dc_field(default_factory=dict)
-    criteria_agree: bool = True
+class ClassificationReport(FrozenRecord):
+    __slots__ = _fields = ("dimension", "pure", "field", "min_t", "max_k_per_t",
+                           "criteria_agree")
+
+    def __init__(self, dimension: int, pure: bool, field: FieldSpec, min_t: int | None,
+                 max_k_per_t: dict[int, int] | None = None, criteria_agree: bool = True):
+        self._assign(dimension, pure, field, min_t,
+                     {} if max_k_per_t is None else max_k_per_t, criteria_agree)
 
     def to_json(self) -> dict:
         return {
@@ -446,13 +446,13 @@ def classify(cx: SimplicialComplex, field: FieldSpec = GF2) -> ClassificationRep
     return ClassificationReport(dim, True, field, mt, per_t, agree)
 
 
-@dataclass(frozen=True)
-class JoinObservation:
-    left_index: int
-    right_index: int
-    left_min_t: int
-    right_min_t: int
-    join_min_t: int
+class JoinObservation(FrozenRecord):
+    __slots__ = _fields = ("left_index", "right_index", "left_min_t", "right_min_t",
+                           "join_min_t")
+
+    def __init__(self, left_index: int, right_index: int, left_min_t: int,
+                 right_min_t: int, join_min_t: int):
+        self._assign(left_index, right_index, left_min_t, right_min_t, join_min_t)
 
     def to_json(self) -> dict:
         return {

@@ -48,9 +48,10 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from ._record import FrozenRecord
 
 
 def _byte_bits(offset: int) -> list[tuple[int, ...]]:
@@ -91,19 +92,34 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(8 * i + b for i, byte in enumerate(data) for b in _LOW_BITS[byte]) + tuple(top)
 
 
+def _mask(ids: list[int]) -> int:
+    """The mask with bit v set for each v in ids (non-negative, repeats
+    allowed), in time linear in the largest id.  Up to 64 ids are ORed
+    into an int one at a time; more are set in a byte buffer read as one
+    int, since each OR copies the int built so far.  A short list keeps
+    the OR: a buffer as wide as an edge among 20,000 vertices costs more."""
+    if len(ids) <= 64:
+        mask = 0
+        for v in ids:
+            mask |= 1 << v
+        return mask
+    buf = bytearray(max(ids) // 8 + 1)
+    for v in ids:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
 class Face:
     """Immutable set of vertex ids stored as a single bitmask."""
 
     __slots__ = ("mask",)
 
     def __init__(self, vertices: Iterable[int] = ()):
-        mask = 0
-        for v in vertices:
-            v = int(v)
-            if v < 0:
-                raise ValueError(f"vertex ids must be non-negative, got {v}")
-            mask |= 1 << v
-        self.mask = mask
+        ids = [*map(int, vertices)]
+        if ids and min(ids) < 0:
+            bad = next(v for v in ids if v < 0)
+            raise ValueError(f"vertex ids must be non-negative, got {bad}")
+        self.mask = _mask(ids)
 
     @classmethod
     def from_mask(cls, mask: int) -> "Face":
@@ -264,8 +280,7 @@ def _relabelled(masks: Iterable[int], support: int, inverse: bool = False) -> li
     return masks
 
 
-@dataclass(frozen=True)
-class DeletionReport:
+class DeletionReport(FrozenRecord):
     """Hypothesis bookkeeping attached to a coface deletion.
 
     union_condition is True when no pairwise union of the removed faces is
@@ -273,9 +288,11 @@ class DeletionReport:
     dimension of the complex.
     """
 
-    union_condition: bool
-    violating_pair: tuple[Face, Face] | None
-    dim_dropped: bool
+    __slots__ = _fields = ("union_condition", "violating_pair", "dim_dropped")
+
+    def __init__(self, union_condition: bool, violating_pair: tuple[Face, Face] | None,
+                 dim_dropped: bool):
+        self._assign(union_condition, violating_pair, dim_dropped)
 
 
 class SimplicialComplex:

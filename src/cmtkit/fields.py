@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import FrozenRecord
 
 
 def _is_prime(p: int) -> bool:
@@ -19,8 +20,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(FrozenRecord):
     """A coefficient field: GF(p) when p is set, the rationals when None.
 
     Primes are capped below 2**31, which bounds the trial division that
@@ -29,14 +29,22 @@ class FieldSpec:
     ints and need no cap of their own.
     """
 
-    p: int | None = 2
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, int) or not (2 <= self.p < 2 ** 31):
-                raise ValueError(f"field characteristic out of range: {self.p!r}")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int | None = 2):
+        if p is not None:
+            if not isinstance(p, int) or not (2 <= p < 2 ** 31):
+                raise ValueError(f"field characteristic out of range: {p!r}")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        self._assign(p)
+
+    # Direct, not through the field tuple: a field sits in every memo key.
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FieldSpec and other.p == self.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     @classmethod
     def gf(cls, p: int) -> "FieldSpec":

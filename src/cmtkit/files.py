@@ -25,11 +25,9 @@ relabelled afterwards.
 from __future__ import annotations
 
 import json
-from functools import reduce
-from operator import or_
 from pathlib import Path
 
-from .core import SimplicialComplex, from_facets
+from .core import SimplicialComplex, _mask, from_facets
 
 EMPTY_FACE_LINE = "@empty-face"
 
@@ -65,7 +63,7 @@ def _build(rows: list[list[str]]) -> SimplicialComplex:
     repeat a label, lie in another row or equal one)."""
     labels = sorted(set().union(*rows), key=_label_key)
     index = dict(zip(labels, range(len(labels)))).__getitem__
-    masks = [reduce(or_, map((1).__lshift__, map(index, row)), 0) for row in rows]
+    masks = [_mask(list(map(index, row))) for row in rows]
     return SimplicialComplex._from_masks(masks, tuple(labels))
 
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._record import FrozenRecord
 from .core import Face, SimplicialComplex, from_facets
 
 _MASK64 = (1 << 64) - 1
@@ -67,8 +67,7 @@ class GluedRealizabilityError(ValueError):
         self.witness_pair = witness_pair
 
 
-@dataclass(frozen=True)
-class GluedFamilySpec:
+class GluedFamilySpec(FrozenRecord):
     """m facets of size d whose pairwise intersections have prescribed dimensions.
 
     overlap_dims is a symmetric m x m table with entries in -1..d-2
@@ -77,26 +76,24 @@ class GluedFamilySpec:
     by construction rather than prescribed.
     """
 
-    d: int
-    m: int
-    overlap_dims: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("d", "m", "overlap_dims")
 
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1:
+    def __init__(self, d: int, m: int, overlap_dims: tuple[tuple[int, ...], ...]):
+        if d < 1 or m < 1:
             raise ValueError("need d >= 1 and m >= 1")
-        table = tuple(tuple(int(x) for x in row) for row in self.overlap_dims)
-        if len(table) != self.m or any(len(row) != self.m for row in table):
-            raise ValueError(f"overlap table must be {self.m}x{self.m}")
-        for i in range(self.m):
-            for j in range(self.m):
+        table = tuple(tuple(int(x) for x in row) for row in overlap_dims)
+        if len(table) != m or any(len(row) != m for row in table):
+            raise ValueError(f"overlap table must be {m}x{m}")
+        for i in range(m):
+            for j in range(m):
                 if i == j:
                     continue
                 if table[i][j] != table[j][i]:
                     raise ValueError(f"overlap table must be symmetric at ({i},{j})")
-                if not -1 <= table[i][j] <= self.d - 2:
+                if not -1 <= table[i][j] <= d - 2:
                     raise ValueError(
-                        f"overlap dimension {table[i][j]} at ({i},{j}) outside -1..{self.d - 2}")
-        object.__setattr__(self, "overlap_dims", table)
+                        f"overlap dimension {table[i][j]} at ({i},{j}) outside -1..{d - 2}")
+        self._assign(d, m, table)
 
     @classmethod
     def uniform(cls, d: int, m: int, overlap: int) -> "GluedFamilySpec":

@@ -29,12 +29,12 @@ A dense numpy view (`BoundaryMatrix.matrix`) is built only when asked for.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import and_, or_
 from typing import Iterable
 
+from ._record import FrozenRecord
 from .core import Face, SimplicialComplex, _bits, _memoized, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
@@ -79,14 +79,15 @@ class BettiVector:
         return f"BettiVector({{{inside}}})"
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(FrozenRecord):
     """Integer boundary matrix from degree-`degree` faces to one dimension down."""
 
-    degree: int
-    rows: tuple[Face, ...]
-    cols: tuple[Face, ...]
-    sparse: Sparse
+    _fields = ("degree", "rows", "cols", "sparse")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached `matrix`
+
+    def __init__(self, degree: int, rows: tuple[Face, ...], cols: tuple[Face, ...],
+                 sparse: Sparse):
+        self._assign(degree, rows, cols, sparse)
 
     @cached_property
     def matrix(self):

@@ -9,10 +9,10 @@ deciders implement the intended theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Callable, Iterable
 
+from ._record import FrozenRecord, Record
 from .classify import (
     DEFINITION_LINKS,
     LOCAL_HOMOLOGY,
@@ -39,21 +39,23 @@ DEFAULT_SEED_BASE = 101
 CorpusItem = tuple[str, SimplicialComplex]
 
 
-@dataclass(frozen=True)
-class CaseFailure:
-    suite: str
-    case: str
-    complex: SimplicialComplex | None = None
+class CaseFailure(FrozenRecord):
+    __slots__ = _fields = ("suite", "case", "complex")
+
+    def __init__(self, suite: str, case: str, complex: SimplicialComplex | None = None):
+        self._assign(suite, case, complex)
 
     def to_json(self) -> dict:
         return {"suite": self.suite, "case": self.case}
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    cases: int = 0
-    failures: list[CaseFailure] = dc_field(default_factory=list)
+class SuiteReport(Record):
+    __slots__ = _fields = ("suite", "cases", "failures")
+
+    def __init__(self, suite: str, cases: int = 0, failures: list[CaseFailure] | None = None):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

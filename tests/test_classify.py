@@ -1,7 +1,9 @@
 """The CM/CM_t/k-CM_t deciders on pinned fixtures."""
 
 import sys
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 from hypothesis import given
@@ -131,6 +133,19 @@ class TestMemo:
         # the shared vertex 2 of `a` is vertex 4 of the gapped copy
         assert cm_witness(gapped, GF2).to_json(gapped) == {
             "kind": "link_homology", "face": ["v4"], "degree": 0}
+
+    def test_cones_skip_the_betti_vector(self, monkeypatch):
+        # a cone is acyclic, so the recursion reads no Betti vector of one;
+        # reduced_betti still answers a cone with its zeros
+        calls = []
+        betti = homology._betti
+        monkeypatch.setattr(homology, "_betti", lambda *a: calls.append(a[0]) or betti(*a))
+        clear_caches()
+        assert _obstructions(simplex(1 << 18), GF2) == {}
+        assert _obstructions(TWO_TRI_VERTEX.join(boundary_simplex(3)), GF2)
+        assert calls and all(not reduce(and_, masks) for masks in calls)
+        assert homology.reduced_betti(simplex(4), GF2).items() == tuple(
+            (d, 0) for d in range(-1, 4))
 
     def test_sphere_needs_one_obstruction_map_per_dimension(self):
         # every link of a sphere is a sphere on shifted ids: the recursion

@@ -45,6 +45,21 @@ class TestFace:
     def test_duplicates_collapse(self):
         assert Face((1, 1, 2)) == Face((1, 2))
 
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 1000, 1 << 18])
+    def test_wide_face_mask(self, n):
+        assert Face(range(n)).mask == (1 << n) - 1
+        assert Face(reversed(range(0, n, 3))).mask == sum(1 << v for v in range(0, n, 3))
+
+    def test_wide_face_is_built_in_linear_time(self):
+        # ORing one bit at a time into the mask took 0.6 s for 2**18 ids
+        start = time.perf_counter()
+        Face(range(1 << 20))
+        assert time.perf_counter() - start < 1.0
+
+    def test_negative_vertex_in_wide_face_rejected(self):
+        with pytest.raises(ValueError, match="got -2"):
+            Face([*range(100), -2, 5, -7])
+
 
 class TestFromFacets:
     def test_maximality_forced(self):

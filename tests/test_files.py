@@ -1,6 +1,7 @@
 """Facet file parsing, emission and round trips."""
 
 import json
+import random
 import time
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from cmtkit.core import from_facets
 from cmtkit.files import ParseError, _label_key, dump, emit, load, parse
-from cmtkit.generators import boundary_simplex, miyazaki_example
+from cmtkit.generators import boundary_simplex, miyazaki_example, simplex
 
 
 class TestParseText:
@@ -247,6 +248,15 @@ class TestLoadDump:
         cx = load(path)
         assert time.perf_counter() - start < 2.0
         assert cx.n_vertices == 20000 and len(cx.masks) == 10000
+
+    def test_wide_row_loads_as_the_simplex(self):
+        # a row of 2**18 ids, unsorted and with repeats, is one facet mask
+        n = 1 << 18
+        ids = [*range(n), *range(0, n, 7)]
+        random.Random(5).shuffle(ids)
+        cx = parse(" ".join(map(str, ids)) + "\n")
+        assert cx.masks == simplex(n).masks
+        assert cx.labels == tuple(map(str, range(n)))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
