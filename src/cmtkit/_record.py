@@ -6,7 +6,8 @@ A subclass lists its fields, in constructor order, in ``_fields``, keeps
 them in ``__slots__`` and sets them in its own ``__init__``.  ``Record``
 gives value equality within one class and the repr ``Name(field=value,
 ...)``, and no hash.  ``FrozenRecord`` hashes the fields and refuses
-assignment; its ``__init__`` sets the fields through ``_assign``.
+assignment; its ``__init__`` sets the fields through ``_assign``.  A frozen
+record that holds a dict or a list sets ``__hash__ = None``.
 """
 
 from __future__ import annotations

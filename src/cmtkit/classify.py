@@ -413,6 +413,7 @@ def max_k(cx: SimplicialComplex, t: int, field: FieldSpec = GF2) -> int:
 class ClassificationReport(FrozenRecord):
     __slots__ = _fields = ("dimension", "pure", "field", "min_t", "max_k_per_t",
                            "criteria_agree")
+    __hash__ = None  # max_k_per_t is a dict
 
     def __init__(self, dimension: int, pure: bool, field: FieldSpec, min_t: int | None,
                  max_k_per_t: dict[int, int] | None = None, criteria_agree: bool = True):

@@ -5,18 +5,16 @@ vertex id space 0..n-1, as ``masks``: one int per facet, bit v set when
 vertex v is in it, in canonical order (by size, then by sorted vertex
 tuple).  Equality, hashing and every derived complex work on these ints;
 ``Face`` objects are built only where the API hands faces out (``facets``,
-``faces()``).  Every other face is enumerated on demand as a mask and
-memoized per complex, grouped by size (``_face_masks``).  Two degenerate
+``faces()``), and ``facets`` and ``support_mask`` are computed on each
+call.  The one per-complex value kept is the face enumeration: every face
+is enumerated on demand as a mask, once per complex, and grouped by size
+(``_face_masks``, held in the ``_faces`` slot).  Two degenerate
 values are representable and distinct: the void complex (no faces at all)
 and the irrelevant complex {<>} whose single face is the empty face.
 Dimension queries on the void complex raise.
 
 Derived complexes avoid per-element Python work where the structure allows:
 
-* The canonical key of a mask, (size, vertex ids ascending), does not
-  depend on the ambient vertex space, so ``_canonical`` memoizes it per
-  mask in one module-level table (emptied when it would outgrow ``_KEY_LIMIT``)
-  and sorts with the table's ``__getitem__``: no Python frame per element.
 * One normalization step, ``_canonical(_maximal_masks(...))``, builds every
   complex whose facets may collide or nest: ``_from_masks`` (the entry that
   ``from_facets`` and the file loader share), a restriction that shrinks a
@@ -31,7 +29,7 @@ Derived complexes avoid per-element Python work where the structure allows:
   each facet only with larger ones, and pure input compares nothing.
 
 Values derived from a complex (Betti vectors, obstruction maps, the k-CM_t
-search's least failing sizes) live in one module-level memo, ``_MEMO``,
+search's least failing sizes) live in ``_MEMO``, the module's one cache,
 keyed on ``(kind, compact masks, parameters...)``: the facet masks of
 ``compact()``, the used vertex ids renamed 0..m-1 in order, which is what
 the functions computing them take.  An order-preserving relabelling keeps
@@ -186,22 +184,10 @@ def _vertex_mask(obj, n_vertices: int) -> int:
     return mask
 
 
-# Canonical sort keys, one per mask (see the module docstring); a call that
-# would take the table past _KEY_LIMIT entries empties it first.
-_KEYS: dict[int, tuple[int, ...]] = {}
-_KEY_LIMIT = 1 << 16
-
-
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     """Masks sorted by size, then by sorted vertex tuple."""
-    masks = list(masks)
-    new = set(masks).difference(_KEYS)
-    if len(_KEYS) + len(new) > _KEY_LIMIT:
-        _KEYS.clear()
-        new = set(masks)
-    for m in new:
-        _KEYS[m] = (m.bit_count(),) + _bits(m)
-    return tuple(sorted(masks, key=_KEYS.__getitem__))
+    # one flat tuple per mask compares faster than (size, vertex tuple)
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(),) + _bits(m)))
 
 
 # Derived values (see the module docstring).  Emptied, not evicted, when
@@ -303,7 +289,7 @@ class SimplicialComplex:
     parent so they compare structurally.
     """
 
-    __slots__ = ("n_vertices", "masks", "labels", "_cache")
+    __slots__ = ("n_vertices", "masks", "labels", "_faces")
 
     def __init__(self, n_vertices: int, facets: Iterable[Face] = (),
                  labels: Sequence[str] | None = None):
@@ -335,7 +321,7 @@ class SimplicialComplex:
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_faces", None)
 
     @classmethod
     def _trusted(cls, n_vertices: int, masks: tuple[int, ...],
@@ -407,10 +393,7 @@ class SimplicialComplex:
     @property
     def facets(self) -> tuple[Face, ...]:
         """The facets as Face objects, in the canonical order of `masks`."""
-        fs = self._cache.get("facets")
-        if fs is None:
-            fs = self._cache["facets"] = tuple(Face.from_mask(m) for m in self.masks)
-        return fs
+        return tuple(map(Face.from_mask, self.masks))
 
     @property
     def is_void(self) -> bool:
@@ -424,12 +407,9 @@ class SimplicialComplex:
 
     @property
     def support_mask(self) -> int:
-        m = self._cache.get("support")
-        if m is None:
-            m = 0
-            for f in self.masks:
-                m |= f
-            self._cache["support"] = m
+        m = 0
+        for f in self.masks:
+            m |= f
         return m
 
     def vertex_ids(self) -> tuple[int, ...]:
@@ -448,7 +428,7 @@ class SimplicialComplex:
         in canonical order, memoized per complex and grouped by size."""
         if self.is_void:
             raise ValueError("void complex has no faces")
-        cached = self._cache.get("faces")
+        cached = self._faces
         if cached is None:
             seen: set[int] = set()
             for f in self.masks:
@@ -459,8 +439,8 @@ class SimplicialComplex:
                         break
                     sub = (sub - 1) & f
             flat = _canonical(seen)
-            cached = self._cache["faces"] = (
-                flat, {s: tuple(group) for s, group in groupby(flat, int.bit_count)})
+            cached = (flat, {s: tuple(group) for s, group in groupby(flat, int.bit_count)})
+            object.__setattr__(self, "_faces", cached)
         flat, by_size = cached
         if size is None:
             return flat
@@ -561,11 +541,12 @@ class SimplicialComplex:
 
     def compact(self) -> "SimplicialComplex":
         """Drop unused ambient vertex slots, keeping labels and id order."""
-        used = self.vertex_ids()
+        support = self.support_mask
+        used = _bits(support)
         if len(used) == self.n_vertices:
             return self
         # an order-preserving relabelling keeps the canonical order
-        masks = tuple(_relabelled(self.masks, self.support_mask))
+        masks = tuple(_relabelled(self.masks, support))
         return SimplicialComplex._trusted(len(used), masks, tuple(self.labels[v] for v in used))
 
     # -- value semantics ----------------------------------------------------
@@ -584,7 +565,7 @@ class SimplicialComplex:
             return "SimplicialComplex(void)"
         shown = ", ".join("{" + ",".join(self.labels[v] for v in f) + "}"
                           for f in self.facets[:6])
-        more = "" if len(self.facets) <= 6 else f", ... {len(self.facets)} facets"
+        more = "" if len(self.masks) <= 6 else f", ... {len(self.masks)} facets"
         return f"SimplicialComplex(n={self.n_vertices}, <{shown}{more}>)"
 
 

@@ -84,6 +84,7 @@ class BoundaryMatrix(FrozenRecord):
 
     _fields = ("degree", "rows", "cols", "sparse")
     __slots__ = (*_fields, "__dict__")  # the dict holds the cached `matrix`
+    __hash__ = None  # sparse.columns is a list
 
     def __init__(self, degree: int, rows: tuple[Face, ...], cols: tuple[Face, ...],
                  sparse: Sparse):

@@ -142,7 +142,17 @@ def _ts(cx: SimplicialComplex) -> range:
 # -- structural laws -----------------------------------------------------------
 
 def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
-    """Link/restriction/skeleton/join identities and constructor idempotence."""
+    """The two link laws the paper's proofs use, and the join laws.
+
+    For each item and sampled face sigma: lk_{lk sigma}(tau) = lk(sigma u tau)
+    for sampled tau, and restricting to V minus W commutes with the link at
+    sigma for a few small W outside sigma (how k-CM_t reduces to CM_t of the
+    deletions and of the links).  Then, over eight consecutive triples: the
+    join's dimension formula, {<>} as its identity, and associativity.
+    The skeleton, ``from_facets`` and ``delete_cofaces`` identities are
+    checked by the Hypothesis tests of ``tests/test_properties.py``
+    (``TestSkeletonLaws``, ``TestConstructors``).
+    """
     items = list(corpus)
     fails: list[CaseFailure] = []
 
@@ -150,37 +160,20 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
         fails.append(CaseFailure("link_laws", f"{name}: {what}", cx))
 
     for name, cx in items:
+        support = cx.support_mask
         for sigma in _sampled(cx.faces(), 24):
             lk = cx.link(sigma)
             for tau in _sampled(lk.faces(), 8):
                 if lk.link(tau) != cx.link(sigma | tau):
                     bad(f"link-of-link fails at {sigma}, {tau}")
-            outside = Face.from_mask(cx.support_mask & ~sigma.mask).vertices[:4]
+            outside = Face.from_mask(support & ~sigma.mask).vertices[:4]
             removals = [(v,) for v in outside] + list(combinations(outside, 2))[:2]
             for removed in removals:
-                keep = Face.from_mask(cx.support_mask & ~Face(removed).mask)
-                if cx.restrict(keep).link(sigma) != cx.link(sigma).restrict(keep):
+                keep = Face.from_mask(support & ~Face(removed).mask)
+                # sigma lies in keep, so it must be a face of the restriction
+                restricted = cx.restrict(keep)
+                if not restricted.contains(sigma) or restricted.link(sigma) != lk.restrict(keep):
                     bad(f"restriction/link commutation fails at {sigma}, W={removed}")
-        prev_faces: set[int] = set()
-        for j in range(-1, cx.dim + 1):
-            sk = cx.skeleton(j)
-            if sk.skeleton(j) != sk:
-                bad(f"skeleton({j}) not idempotent")
-            cur = set(sk._face_masks())
-            if not prev_faces <= cur:
-                bad(f"skeleton not monotone at {j}")
-            prev_faces = cur
-        compacted = cx.compact()
-        rebuilt = SimplicialComplex.from_facets(
-            [f.vertices for f in compacted.facets], labels=compacted.labels)
-        if rebuilt != compacted:
-            bad("from_facets not idempotent on its own output")
-        for sigma in (cx.facets[0],) + ((cx.faces(size=1)[0],) if cx.dim >= 0 else ()):
-            deleted, _ = cx.delete_cofaces([sigma])
-            expected = {m for m in cx._face_masks() if m & sigma.mask != sigma.mask}
-            got = set() if deleted.is_void else set(deleted._face_masks())
-            if got != expected:
-                bad(f"delete_cofaces face filter fails at {sigma}")
 
     joins = min(len(items), 8)
     for i in range(joins):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_deciders as ref
-from cmtkit import core
 from cmtkit.classify import CRITERIA, _obstructions, clear_caches, cm_t_witness, k_cm_t_witness
 from cmtkit.core import (
     Face,
@@ -73,18 +72,25 @@ class TestBits:
         assert got == tuple(range(0, 1 << 20, 9))
 
 
+def binary_digits(mask):
+    """The set bit positions of mask, read off its binary string: linear in
+    the width, where bit_scan is quadratic."""
+    return tuple(i for i, digit in enumerate(reversed(bin(mask))) if digit == "1")
+
+
 class TestCanonical:
-    def test_matches_sorted_vertex_tuples(self, monkeypatch):
-        # a small bound makes most calls start a new memo table
-        monkeypatch.setattr(core, "_KEY_LIMIT", 8)
-        monkeypatch.setattr(core, "_KEYS", {})
+    def test_matches_sorted_vertex_tuples(self):
+        # the oracle does not call _bits; from 2**16 bits up _bits reads a mask bit
+        # by bit and then byte by byte, so the wide masks are dense and sparse
         rng = random.Random(5)
-        for n in range(25):
-            for count in (0, 1, 3, 7, 30):
+        for n in [*range(25), 1 << 16, (1 << 16) + 7, 1 << 17]:
+            for count in (0, 1, 3, 7, 30) if n < 25 else (1, 3, 7):
                 masks = list({rng.getrandbits(n) for _ in range(count)})
+                if n > 24:
+                    masks += list({sum(1 << rng.randrange(n) for _ in range(rng.randrange(1, 80)))
+                                   for _ in range(count)})
                 assert _canonical(masks) == tuple(
-                    sorted(masks, key=lambda m: (m.bit_count(), _bits(m))))
-                assert len(core._KEYS) <= max(8, len(masks))
+                    sorted(masks, key=lambda m: (m.bit_count(), binary_digits(m))))
 
 
 class TestMaximalMasks:

@@ -100,6 +100,13 @@ class TestReports:
         b, c = ClassificationReport(1, False, GF2, None), ClassificationReport(1, False, GF2, None)
         assert b.max_k_per_t == {} and b.max_k_per_t is not c.max_k_per_t
 
+    def test_classification_report_is_unhashable(self):
+        # it holds a dict, so it declares no hash rather than failing inside one
+        a = ClassificationReport(2, True, GF2, 1, {1: 2})
+        with pytest.raises(TypeError, match="unhashable type: 'ClassificationReport'"):
+            hash(a)
+        assert ClassificationReport.__hash__ is None
+
     def test_join_observation(self):
         j = JoinObservation(0, 1, 2, 3, 4)
         assert j == JoinObservation(left_index=0, right_index=1, left_min_t=2, right_min_t=3,
@@ -172,3 +179,12 @@ def test_boundary_matrix():
     assert repr(a).startswith("BoundaryMatrix(degree=1, rows=(Face(0), Face(1), Face(2)), ")
     with pytest.raises(AttributeError):
         a.degree = 0
+
+
+def test_boundary_matrix_is_unhashable():
+    # it holds a list of columns, so it declares no hash rather than failing inside one
+    a = boundary_matrices(boundary_simplex(3))[1]
+    with pytest.raises(TypeError, match="unhashable type: 'BoundaryMatrix'"):
+        hash(a)
+    assert a == boundary_matrices(boundary_simplex(3))[1]
+    assert a != boundary_matrices(boundary_simplex(3))[0]

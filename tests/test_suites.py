@@ -4,6 +4,7 @@ import pytest
 
 from cmtkit import core
 from cmtkit.classify import clear_caches
+from cmtkit.core import SimplicialComplex
 from cmtkit.fields import GF2
 from cmtkit.suites import (
     SUITES,
@@ -11,6 +12,7 @@ from cmtkit.suites import (
     glued_fixture_grid,
     random_corpus,
     run_suites,
+    suite_link_laws,
 )
 
 CORPUS = build_corpus(max_n=5, seeds=4)
@@ -44,6 +46,38 @@ def test_verify_all_memo_shares_relabelled_entries():
     reports = run_suites(["all"], build_corpus(max_n=7, seeds=20, seed_base=101), field=GF2)
     assert all(r.ok for r in reports)
     assert len(core._MEMO) <= 1300
+
+
+def test_verify_all_case_counts():
+    # the counts `verify --suite all --max-n 7 --seeds 20` reports: 36 corpus items,
+    # link_laws one join case more for each of the first 8, paper_fixtures 38 checks
+    reports = run_suites(["all"], build_corpus(max_n=7, seeds=20, seed_base=101), field=GF2)
+    cases = {r.suite: r.cases for r in reports}
+    assert cases == {**dict.fromkeys(SUITES, 36), "link_laws": 44, "paper_fixtures": 38}
+
+
+def _without_first_facet(cx):
+    if len(cx.masks) < 2:
+        return cx
+    return SimplicialComplex._trusted(cx.n_vertices, cx.masks[1:], cx.labels)
+
+
+def test_link_laws_catch_a_restriction_that_drops_a_facet(monkeypatch):
+    restrict = SimplicialComplex.restrict
+    monkeypatch.setattr(SimplicialComplex, "restrict",
+                        lambda self, keep: _without_first_facet(restrict(self, keep)))
+    report = suite_link_laws(CORPUS)
+    assert report.failures
+    assert all("restriction/link commutation fails" in f.case for f in report.failures)
+
+
+def test_link_laws_catch_a_link_that_drops_a_facet(monkeypatch):
+    link = SimplicialComplex.link
+    monkeypatch.setattr(SimplicialComplex, "link",
+                        lambda self, face: _without_first_facet(link(self, face)))
+    cases = [f.case for f in suite_link_laws(CORPUS).failures]
+    assert any("link-of-link fails" in case for case in cases)
+    assert any("restriction/link commutation fails" in case for case in cases)
 
 
 def test_unknown_suite_rejected():
