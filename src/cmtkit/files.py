@@ -16,10 +16,11 @@ either.  Any other text goes through the line-by-line loop, which reports
 the first offending line.
 
 Both formats build the complex straight from facet masks: the labels are
-sorted (`_label_key`) and numbered 0..n-1 in that order, each row becomes
-the OR of its labels' bits, and `SimplicialComplex._from_masks` normalizes
-the masks once.  Every label of a file lies in some facet, so nothing is
-relabelled afterwards.
+sorted (`_label_key`, or by length and text when every label is a plain
+decimal, which gives the same order) and numbered 0..n-1 in that order,
+each row becomes the OR of its labels' bits, and
+`SimplicialComplex._from_masks` normalizes the masks once.  Every label of
+a file lies in some facet, so nothing is relabelled afterwards.
 """
 
 from __future__ import annotations
@@ -58,10 +59,24 @@ def _label_key(label: str):
     return (1, label)
 
 
+def _sorted_labels(labels: set[str]) -> list[str]:
+    """The labels (each `_writable`) in `_label_key` order.  When all are
+    ASCII decimals and none but "0" starts with a zero, that order is by
+    length, then by text: two stable sorts with no per-label key tuple."""
+    joined = "".join(labels)
+    if joined.isascii() and joined.isdecimal():
+        out = sorted(labels)
+        # text order puts the labels that start with a zero first
+        if [lb for lb in out[:2] if lb.startswith("0")] in ([], ["0"]):
+            out.sort(key=len)
+            return out
+    return sorted(labels, key=_label_key)
+
+
 def _build(rows: list[list[str]]) -> SimplicialComplex:
     """The complex whose facets are the given rows of labels (a row may
     repeat a label, lie in another row or equal one)."""
-    labels = sorted(set().union(*rows), key=_label_key)
+    labels = _sorted_labels(set().union(*rows))
     index = dict(zip(labels, range(len(labels)))).__getitem__
     masks = [_mask(list(map(index, row))) for row in rows]
     return SimplicialComplex._from_masks(masks, tuple(labels))

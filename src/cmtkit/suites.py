@@ -5,6 +5,12 @@ spheres, seeded random pure complexes) and returns a report listing every
 counterexample with the complex that produced it, so the CLI can serialize
 failures for replay.  A clean run of `all` is the strongest evidence the
 deciders implement the intended theory.
+
+A suite builds each derived complex of a corpus item once, in a table that
+lives for that item's loop: `link_laws` its restrictions and links, the
+recursion suites the links of its vertices or faces (compacted once, as the
+deciders' memo keys are).  What a law checks is still built per check:
+the link of a link, the link of a restriction and the restriction of a link.
 """
 
 from __future__ import annotations
@@ -139,6 +145,15 @@ def _ts(cx: SimplicialComplex) -> range:
     return range(0, cx.dim + 1)
 
 
+def _built(table: dict[int, SimplicialComplex],
+           build: Callable[[Face], SimplicialComplex], face: Face) -> SimplicialComplex:
+    """build(face), made once per table: a table lives for one corpus item."""
+    got = table.get(face.mask)
+    if got is None:
+        got = table[face.mask] = build(face)
+    return got
+
+
 # -- structural laws -----------------------------------------------------------
 
 def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
@@ -161,18 +176,22 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
 
     for name, cx in items:
         support = cx.support_mask
+        links: dict[int, SimplicialComplex] = {}  # face mask -> its link in cx
+        restrictions: dict[int, SimplicialComplex] = {}  # kept mask -> cx restricted to it
         for sigma in _sampled(cx.faces(), 24):
-            lk = cx.link(sigma)
+            lk = _built(links, cx.link, sigma)
             for tau in _sampled(lk.faces(), 8):
-                if lk.link(tau) != cx.link(sigma | tau):
+                if lk.link(tau) != _built(links, cx.link, sigma | tau):
                     bad(f"link-of-link fails at {sigma}, {tau}")
             outside = Face.from_mask(support & ~sigma.mask).vertices[:4]
             removals = [(v,) for v in outside] + list(combinations(outside, 2))[:2]
             for removed in removals:
                 keep = Face.from_mask(support & ~Face(removed).mask)
                 # sigma lies in keep, so it must be a face of the restriction
-                restricted = cx.restrict(keep)
-                if not restricted.contains(sigma) or restricted.link(sigma) != lk.restrict(keep):
+                restricted = _built(restrictions, cx.restrict, keep)
+                # lk of the empty face is cx itself, whose restriction is built
+                expected = restricted if lk is cx else lk.restrict(keep)
+                if not restricted.contains(sigma) or restricted.link(sigma) != expected:
                     bad(f"restriction/link commutation fails at {sigma}, W={removed}")
 
     joins = min(len(items), 8)
@@ -216,11 +235,12 @@ def suite_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -
     items = list(corpus)
     fails = []
     for name, cx in items:
-        vertices = cx.faces(size=1) if cx.dim >= 0 else ()
+        pure = is_pure(cx)
+        # the vertex links for every t, compact as the deciders' memo keys are
+        links = [cx.link(v).compact() for v in cx.faces(size=1)] if pure else []
         for t in range(1, cx.dim + 1):
             lhs = is_cm_t(cx, t, field)
-            rhs = is_pure(cx) and all(
-                is_cm_t(cx.link(v), t - 1, field) for v in vertices)
+            rhs = pure and all(is_cm_t(lk, t - 1, field) for lk in links)
             if lhs != rhs:
                 fails.append(CaseFailure(
                     "link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
@@ -242,25 +262,25 @@ def suite_k_link_recursion(corpus: Iterable[CorpusItem],
     for name, cx in items:
         if not is_pure(cx):
             continue
-        faces = cx.faces()
-        nonempty = [f for f in faces if len(f) > 0]
+        # every face with its link, built and compacted once for every t
+        links = [(s, cx.link(s).compact()) for s in cx.faces()]
+        nonempty = links[1:]  # the empty face comes first
         for t in range(1, cx.dim + 1):
             lhs = is_k_cm_t_unbounded(cx, k, t, field)
-            rhs = all(is_k_cm_t_unbounded(cx.link(s), k, t - 1, field)
-                      for s in nonempty)
+            rhs = all(is_k_cm_t_unbounded(lk, k, t - 1, field) for _, lk in nonempty)
             if lhs != rhs:
                 fails.append(CaseFailure(
                     "k_link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
             if lhs:
-                for s in _sampled([f for f in nonempty if len(f) <= 2], 6):
-                    if not is_k_cm_t_unbounded(cx.link(s), k, max(t - len(s), 0), field):
+                for s, lk in _sampled([(s, lk) for s, lk in nonempty if len(s) <= 2], 6):
+                    if not is_k_cm_t_unbounded(lk, k, max(t - len(s), 0), field):
                         fails.append(CaseFailure(
                             "k_link_recursion",
                             f"{name}: t={t} link drop fails at {s}", cx))
         for t in _ts(cx):
             lhs = is_k_cm_t_unbounded(cx, k, t, field)
-            rhs = all(is_k_cm_t_unbounded(cx.link(s), k, 0, field)
-                      for s in faces if len(s) >= t)
+            rhs = all(is_k_cm_t_unbounded(lk, k, 0, field)
+                      for s, lk in links if len(s) >= t)
             if lhs != rhs:
                 fails.append(CaseFailure(
                     "k_link_recursion",

@@ -327,3 +327,11 @@ class TestValueSemantics:
         cx = from_facets([(1, 2)])
         with pytest.raises(AttributeError):
             cx.n_vertices = 5
+
+    @pytest.mark.parametrize("name", ["n_vertices", "masks", "labels", "_faces"])
+    def test_derived_complexes_are_immutable(self, name):
+        # links and restrictions skip the constructor and set their slots directly
+        cx = from_facets([(1, 2, 3), (3, 4)])
+        for derived in (cx.link(Face((3,))), cx.restrict(Face((0, 1, 2)))):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(derived, name, None)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmtkit.core import from_facets
-from cmtkit.files import ParseError, _label_key, dump, emit, load, parse
+from cmtkit.files import ParseError, _label_key, _sorted_labels, dump, emit, load, parse
 from cmtkit.generators import boundary_simplex, miyazaki_example, simplex
 
 
@@ -82,6 +82,23 @@ class TestLabelOrder:
         labels = ["10", "010", "\u00b2", "9", "\u0663", "3", "0", "00", "a"]
         assert sorted(labels, key=_label_key) == [
             "0", "00", "3", "\u0663", "9", "010", "10", "a", "\u00b2"]
+
+    # plain decimals (ASCII, no leading zero), mixed with a few labels that
+    # must leave the fast path: leading zeros, non-ASCII digits, non-decimals
+    @given(st.sets(st.integers(0, 999).map(str) | st.integers(0, 10**25).map(str),
+                   max_size=30),
+           st.sets(st.sampled_from(["0", "00", "007", "\u0663", "\uff11\uff19", "\u00b2",
+                                    "a", "1a"])
+                   | st.integers(0, 999).map("0{}".format)
+                   | st.text(_LABEL_CHARS, min_size=1, max_size=12), max_size=3))
+    def test_sorted_labels_matches_the_key_order(self, plain, odd):
+        labels = plain | odd
+        assert _sorted_labels(labels) == sorted(labels, key=_label_key)
+
+    def test_sorted_labels_examples(self):
+        assert _sorted_labels({"100", "9", "0", "10", "99"}) == ["0", "9", "10", "99", "100"]
+        assert _sorted_labels({"10", "5", "\u0663"}) == ["\u0663", "5", "10"]
+        assert _sorted_labels({"10", "5", "05"}) == ["05", "5", "10"]
 
 
 def _rows(text):

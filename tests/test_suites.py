@@ -12,7 +12,9 @@ from cmtkit.suites import (
     glued_fixture_grid,
     random_corpus,
     run_suites,
+    suite_k_link_recursion,
     suite_link_laws,
+    suite_link_recursion,
 )
 
 CORPUS = build_corpus(max_n=5, seeds=4)
@@ -78,6 +80,36 @@ def test_link_laws_catch_a_link_that_drops_a_facet(monkeypatch):
     cases = [f.case for f in suite_link_laws(CORPUS).failures]
     assert any("link-of-link fails" in case for case in cases)
     assert any("restriction/link commutation fails" in case for case in cases)
+
+
+@pytest.mark.parametrize("suite, failures", [(suite_link_recursion, 12),
+                                              (suite_k_link_recursion, 47)])
+def test_recursions_catch_a_link_that_drops_a_facet(monkeypatch, suite, failures):
+    # the counts of the suites that built a link at every use: a link built
+    # once per item is as broken at each of its uses
+    link = SimplicialComplex.link
+    monkeypatch.setattr(SimplicialComplex, "link",
+                        lambda self, face: _without_first_facet(link(self, face)))
+    assert len(suite(CORPUS).failures) == failures
+
+
+@pytest.mark.parametrize("suite, method", [(suite_link_laws, "restrict"),
+                                           (suite_link_recursion, "link"),
+                                           (suite_k_link_recursion, "link")])
+def test_suites_build_each_derived_complex_of_an_item_once(monkeypatch, suite, method):
+    items = [cx for _, cx in CORPUS]
+    built = []
+    derive = getattr(SimplicialComplex, method)
+
+    def recording(self, vertices):
+        if any(self is cx for cx in items):
+            built.append((id(self), vertices.mask))
+        return derive(self, vertices)
+
+    monkeypatch.setattr(SimplicialComplex, method, recording)
+    assert suite(CORPUS).ok
+    assert built
+    assert len(built) == len(set(built))
 
 
 def test_unknown_suite_rejected():
