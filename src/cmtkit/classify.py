@@ -369,7 +369,7 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
                 break
         removed.append(v)
         sub = tuple(facets)
-    inner = cm_t_witness(SimplicialComplex._trusted(cx.n_vertices, sub, cx.labels), t, field)
+    inner = cm_t_witness(SimplicialComplex._trusted(sub, cx.labels), t, field)
     return Witness("restriction", removed=tuple(removed), inner=inner)
 
 

@@ -5,13 +5,16 @@ vertex id space 0..n-1, as ``masks``: one int per facet, bit v set when
 vertex v is in it, in canonical order (by size, then by sorted vertex
 tuple).  Equality, hashing and every derived complex work on these ints;
 ``Face`` objects are built only where the API hands faces out (``facets``,
-``faces()``), and ``facets`` and ``support_mask`` are computed on each
-call.  The one per-complex value kept is the face enumeration: every face
-is enumerated on demand as a mask, once per complex, and grouped by size
-(``_face_masks``, held in the ``_faces`` slot).  Two degenerate
-values are representable and distinct: the void complex (no faces at all)
-and the irrelevant complex {<>} whose single face is the empty face.
-Dimension queries on the void complex raise.
+``faces()``).  A complex is its masks and its labels, one label per
+ambient id, so ``n_vertices`` is ``len(labels)``; ``facets``,
+``support_mask`` and the faces are computed on each call.  Faces are
+enumerated on demand as masks from the facets (``_face_masks``): all of
+them as every subset of every facet, or those of one size as that size's
+subsets of the facets at least as large, so a skeleton never looks above
+the sizes it keeps.  Two degenerate values are representable and
+distinct: the void complex (no faces at all) and the irrelevant complex
+{<>} whose single face is the empty face.  Dimension queries on the void
+complex raise.
 
 Derived complexes avoid per-element Python work where the structure allows:
 
@@ -25,8 +28,9 @@ Derived complexes avoid per-element Python work where the structure allows:
   relabelling, ``_relabelled``, which ``from_facets`` uses too), and a
   join, which only sorts.
 * Maximality goes by size class: a mask can lie only in a strictly larger
-  one, so ``_maximal_masks`` and the constructor's antichain check compare
-  each facet only with larger ones, and pure input compares nothing.
+  one, so ``_maximal_masks``, which also checks the constructor's input for
+  an antichain, compares each facet only with larger ones, and pure input
+  compares nothing.
 
 Values derived from a complex (Betti vectors, obstruction maps, the k-CM_t
 search's least failing sizes) live in ``_MEMO``, the module's one cache,
@@ -38,15 +42,14 @@ used ids keeps its order and its first witness.  So complexes that differ
 by an order-preserving relabelling share one entry (the links of a sphere
 at its faces are a handful of complexes on shifted ids), not only
 complexes that differ in their labels or ambient size, and no key keeps a
-complex (or its face enumeration) alive.  The memo is emptied when it
-reaches ``_MEMO_LIMIT`` entries.
+complex alive.  The memo is emptied when it reaches ``_MEMO_LIMIT``
+entries.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import FrozenRecord
@@ -289,7 +292,7 @@ class SimplicialComplex:
     parent so they compare structurally.
     """
 
-    __slots__ = ("n_vertices", "masks", "labels", "_faces")
+    __slots__ = ("masks", "labels")
 
     def __init__(self, n_vertices: int, facets: Iterable[Face] = (),
                  labels: Sequence[str] | None = None):
@@ -301,30 +304,28 @@ class SimplicialComplex:
             if m >> n_vertices:
                 raise ValueError(f"facet {Face.from_mask(m)} uses ids beyond ambient size {n_vertices}")
         masks = _canonical(set(masks))
-        # masks ascend by size and a facet lies only in a strictly larger one,
-        # so each scan starts at the first larger facet
-        sizes = [m.bit_count() for m in masks]
-        for a, size in zip(masks, sizes):
-            for b in masks[bisect_right(sizes, size):]:
-                if a & b == a:
-                    raise ValueError("facets must form an antichain: "
-                                     f"{Face.from_mask(a)} is contained in {Face.from_mask(b)}")
+        if len(_maximal_masks(masks)) < len(masks):
+            # a facet lies only in one after it in canonical order
+            a, b = next((a, b) for i, a in enumerate(masks) for b in masks[i + 1:] if a & b == a)
+            raise ValueError("facets must form an antichain: "
+                             f"{Face.from_mask(a)} is contained in {Face.from_mask(b)}")
         if labels is None:
             labels = tuple(str(i) for i in range(n_vertices))
         else:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n_vertices:
                 raise ValueError("label table must have one entry per ambient vertex")
-        _fill(self, n_vertices, masks, labels)
+        _set_masks(self, masks)
+        _set_labels(self, labels)
 
     @classmethod
-    def _trusted(cls, n_vertices: int, masks: tuple[int, ...],
-                 labels: tuple[str, ...]) -> "SimplicialComplex":
+    def _trusted(cls, masks: tuple[int, ...], labels: tuple[str, ...]) -> "SimplicialComplex":
         """Complex whose facet masks are known to be distinct, an antichain,
-        below 2**n_vertices and in canonical order, with one label per
-        ambient vertex."""
+        below 2**len(labels) and in canonical order; labels has one entry
+        per ambient vertex."""
         cx = _new(cls)
-        _fill(cx, n_vertices, masks, labels)
+        _set_masks(cx, masks)
+        _set_labels(cx, labels)
         return cx
 
     def __setattr__(self, name, value):
@@ -380,9 +381,14 @@ class SimplicialComplex:
         """The complex on ids 0..len(labels)-1 whose facets are the maximal
         masks among `masks` (repeats and nested masks allowed); every id
         must lie in some mask."""
-        return cls._trusted(len(labels), _canonical(_maximal_masks(masks)), labels)
+        return cls._trusted(_canonical(_maximal_masks(masks)), labels)
 
     # -- basic queries -----------------------------------------------------
+
+    @property
+    def n_vertices(self) -> int:
+        """Size of the ambient id space 0..n-1, used or not."""
+        return len(self.labels)
 
     @property
     def facets(self) -> tuple[Face, ...]:
@@ -418,13 +424,13 @@ class SimplicialComplex:
         return False
 
     def _face_masks(self, size: int | None = None) -> tuple[int, ...]:
-        """Masks of all faces, or of the faces with exactly `size` vertices,
-        in canonical order, memoized per complex and grouped by size."""
+        """Masks of all faces (every subset of every facet), or of the faces
+        with exactly `size` vertices (the `size`-subsets of the facets with
+        at least that many), in canonical order, enumerated on each call."""
         if self.is_void:
             raise ValueError("void complex has no faces")
-        cached = self._faces
-        if cached is None:
-            seen: set[int] = set()
+        seen: set[int] = set()
+        if size is None:
             for f in self.masks:
                 sub = f
                 while True:
@@ -432,21 +438,19 @@ class SimplicialComplex:
                     if sub == 0:
                         break
                     sub = (sub - 1) & f
-            flat = _canonical(seen)
-            cached = (flat, {s: tuple(group) for s, group in groupby(flat, int.bit_count)})
-            _set_faces(self, cached)
-        flat, by_size = cached
-        if size is None:
-            return flat
-        if size < 0:
+        elif size < 0:
             raise ValueError("face size must be non-negative")
-        return by_size.get(size, ())
+        else:
+            for f in self.masks:
+                if f.bit_count() >= size:
+                    seen.update(map(sum, combinations([1 << v for v in _bits(f)], size)))
+        return _canonical(seen)
 
     def faces(self, size: int | None = None) -> tuple[Face, ...]:
         """All faces, or all faces with exactly `size` vertices.
 
-        Deterministic order: by (size, vertex tuple).  The Face objects are
-        built on each call from the memoized masks.
+        Deterministic order: by (size, vertex tuple).  The faces are
+        enumerated from the facets on each call.
         """
         return tuple(map(Face.from_mask, self._face_masks(size)))
 
@@ -466,7 +470,7 @@ class SimplicialComplex:
             raise ValueError(f"not a face of the complex: {sigma}")
         if s == 0:
             return self
-        return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
+        return SimplicialComplex._trusted(masks, self.labels)
 
     def restrict(self, keep) -> "SimplicialComplex":
         """Faces contained in the vertex set `keep`; {<>} if nothing survives."""
@@ -474,8 +478,7 @@ class SimplicialComplex:
         masks = tuple(f & keep_mask for f in self.masks)
         if masks == self.masks:
             return self
-        return SimplicialComplex._trusted(self.n_vertices, _canonical(_maximal_masks(masks)),
-                                          self.labels)
+        return SimplicialComplex._trusted(_canonical(_maximal_masks(masks)), self.labels)
 
     def skeleton(self, j: int) -> "SimplicialComplex":
         """All faces of dimension at most j (j = -1 gives {<>})."""
@@ -489,7 +492,7 @@ class SimplicialComplex:
         # face, and both runs are already in canonical order
         masks = tuple(f for f in self.masks if f.bit_count() <= j)
         masks += self._face_masks(j + 1)
-        return SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
+        return SimplicialComplex._trusted(masks, self.labels)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Simplicial join; the second operand's ids are shifted past ours."""
@@ -504,8 +507,7 @@ class SimplicialComplex:
             taken.add(lb)
             relabeled.append(lb)
         masks = _canonical(a | (b << offset) for a in self.masks for b in other.masks)
-        return SimplicialComplex._trusted(offset + other.n_vertices, masks,
-                                          self.labels + tuple(relabeled))
+        return SimplicialComplex._trusted(masks, self.labels + tuple(relabeled))
 
     def delete_cofaces(self, faces_to_remove: Iterable) -> tuple["SimplicialComplex", DeletionReport]:
         """Remove every face containing one of the given faces.
@@ -529,7 +531,7 @@ class SimplicialComplex:
                 else:
                     cands.append(f)
             masks = _canonical(_maximal_masks(cands))
-        result = SimplicialComplex._trusted(self.n_vertices, masks, self.labels)
+        result = SimplicialComplex._trusted(masks, self.labels)
         dropped = not self.is_void and (result.is_void or result.dim < self.dim)
         return result, DeletionReport(violating is None, violating, dropped)
 
@@ -541,18 +543,17 @@ class SimplicialComplex:
             return self
         # an order-preserving relabelling keeps the canonical order
         masks = tuple(_relabelled(self.masks, support))
-        return SimplicialComplex._trusted(len(used), masks, tuple(self.labels[v] for v in used))
+        return SimplicialComplex._trusted(masks, tuple(self.labels[v] for v in used))
 
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SimplicialComplex)
-                and self.n_vertices == other.n_vertices
                 and self.masks == other.masks
                 and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash((self.n_vertices, self.masks, self.labels))
+        return hash((self.masks, self.labels))
 
     def __repr__(self) -> str:
         if self.is_void:
@@ -563,21 +564,10 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n_vertices}, <{shown}{more}>)"
 
 
-# The slots' own setters get past the immutable __setattr__; four calls to
-# them build a complex in half the time of four object.__setattr__ calls.
+# The slots' own setters get past the immutable __setattr__.
 _new = object.__new__
-_set_n_vertices = SimplicialComplex.n_vertices.__set__
 _set_masks = SimplicialComplex.masks.__set__
 _set_labels = SimplicialComplex.labels.__set__
-_set_faces = SimplicialComplex._faces.__set__
-
-
-def _fill(cx: SimplicialComplex, n_vertices: int, masks: tuple[int, ...],
-          labels: tuple[str, ...]) -> None:
-    _set_n_vertices(cx, n_vertices)
-    _set_masks(cx, masks)
-    _set_labels(cx, labels)
-    _set_faces(cx, None)
 
 
 def from_facets(faces, labels=None, n_hint=None) -> SimplicialComplex:

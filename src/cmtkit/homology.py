@@ -125,7 +125,10 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     """Boundary matrices of the full augmented chain complex, degrees 0..dim."""
     if cx.is_void:
         raise ValueError("the void complex has no chain complex")
-    masks = [cx._face_masks(size) for size in range(cx.dim + 2)]
+    # one enumeration, split by size: canonical order keeps each size in order
+    masks: list[list[int]] = [[] for _ in range(cx.dim + 2)]
+    for m in cx._face_masks():
+        masks[m.bit_count()].append(m)
     faces = [tuple(map(Face.from_mask, level)) for level in masks]
     mats: list[BoundaryMatrix] = []
     for size in range(1, cx.dim + 2):
@@ -233,5 +236,4 @@ def reduced_euler_from_faces(cx: SimplicialComplex) -> int:
     """Alternating face-count sum, empty face included with sign -1."""
     if cx.is_void:
         raise ValueError("the void complex has no Euler characteristic")
-    return sum(((-1) ** (size - 1)) * cx.face_count(size=size)
-               for size in range(0, cx.dim + 2))
+    return sum(1 if m.bit_count() & 1 else -1 for m in cx._face_masks())

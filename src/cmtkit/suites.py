@@ -178,7 +178,8 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
         support = cx.support_mask
         links: dict[int, SimplicialComplex] = {}  # face mask -> its link in cx
         restrictions: dict[int, SimplicialComplex] = {}  # kept mask -> cx restricted to it
-        for sigma in _sampled(cx.faces(), 24):
+        # the link of the empty face is cx itself: nothing to check there
+        for sigma in _sampled(cx.faces()[1:], 24):
             lk = _built(links, cx.link, sigma)
             for tau in _sampled(lk.faces(), 8):
                 if lk.link(tau) != _built(links, cx.link, sigma | tau):
@@ -189,9 +190,7 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
                 keep = Face.from_mask(support & ~Face(removed).mask)
                 # sigma lies in keep, so it must be a face of the restriction
                 restricted = _built(restrictions, cx.restrict, keep)
-                # lk of the empty face is cx itself, whose restriction is built
-                expected = restricted if lk is cx else lk.restrict(keep)
-                if not restricted.contains(sigma) or restricted.link(sigma) != expected:
+                if not restricted.contains(sigma) or restricted.link(sigma) != lk.restrict(keep):
                     bad(f"restriction/link commutation fails at {sigma}, W={removed}")
 
     joins = min(len(items), 8)
@@ -309,11 +308,11 @@ def suite_deletion_theorem(corpus: Iterable[CorpusItem],
             survivor, rep = cx.delete_cofaces(sigmas)
             if not (rep.union_condition and rep.dim_dropped):
                 continue
+            links = [cx.link(s) for s in sigmas]
             for t in _ts(cx):
                 if not is_cm_t(cx, t, field):
                     continue
-                if not all(is_k_cm_t_unbounded(cx.link(s), 2, t - 1, field)
-                           for s in sigmas):
+                if not all(is_k_cm_t_unbounded(lk, 2, t - 1, field) for lk in links):
                     continue
                 ok = (not survivor.is_void
                       and survivor.dim == cx.dim - 1

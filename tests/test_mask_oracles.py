@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given
@@ -184,6 +185,18 @@ def gapped_embeddings(draw):
         labels[i] = cx.labels[v]
     wide = SimplicialComplex(21, [Face(ids[v] for v in f) for f in cx.facets], labels)
     return cx, wide, ids
+
+
+@given(st.one_of(st.just(from_facets([()])), mixed_complexes(),
+                gapped_embeddings().map(lambda embedding: embedding[1])))
+def test_face_masks_per_size_are_the_facets_subsets(cx):
+    # brute force: every size-s subset of every facet, sorted by vertex tuple
+    per_size = []
+    for s in range(cx.dim + 3):
+        subsets = {sum(1 << v for v in c) for f in cx.masks for c in combinations(_bits(f), s)}
+        per_size.append(tuple(sorted(subsets, key=_bits)))
+        assert cx._face_masks(s) == per_size[-1]
+    assert cx._face_masks() == tuple(chain.from_iterable(per_size))
 
 
 @pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)

@@ -130,6 +130,7 @@ class TestTrustedConstruction:
         derived += [cx.restrict(Face.from_mask(keep)) for keep in range(1 << cx.n_vertices)]
         derived += [out.compact() for out in derived]
         for out in derived:
+            assert out.n_vertices == len(out.labels)
             assert SimplicialComplex(out.n_vertices, out.facets, out.labels) == out
             assert list(out.facets) == _canonical_order(out.facets)
             if not out.is_void:

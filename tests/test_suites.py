@@ -61,7 +61,7 @@ def test_verify_all_case_counts():
 def _without_first_facet(cx):
     if len(cx.masks) < 2:
         return cx
-    return SimplicialComplex._trusted(cx.n_vertices, cx.masks[1:], cx.labels)
+    return SimplicialComplex._trusted(cx.masks[1:], cx.labels)
 
 
 def test_link_laws_catch_a_restriction_that_drops_a_facet(monkeypatch):
