@@ -24,7 +24,8 @@ link of a face missing a vertex of S is a cone, hence acyclic, and
 lk(S | rho) = lk_L(rho), so its map is S | rho for each rho in the map of
 L = lk S, and a simplex has no child at all.  Links that differ by an
 order-preserving relabelling share one map, so a sphere needs one complex
-per dimension.  Links of dimension at most 0 end the recursion.
+per dimension.  Links of dimension at most 0 end the recursion, which runs
+depth first on an explicit stack with the memo as its only table.
 
 Naive per-criterion deciders in ``tests/reference_deciders.py``, and the
 flat per-face scan ``reference_deciders.obstructions``, are the independent
@@ -176,56 +177,44 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
     through its vertex links (see the module docstring).
 
     Each distinct link, up to an order-preserving relabelling, is computed
-    once.  The links are found level by level, by falling dimension, and
-    their maps are built back up from dimension 1, so the depth of the
-    recursion costs no stack.  A per-call table holds every map the call
-    needs, so emptying the bounded memo partway never recomputes a subtree;
-    each map also goes into the memo.
+    once, depth first on one explicit stack, so the depth of the recursion
+    costs no Python frames.  The memo is the only table: a link waits on
+    the stack under its first child with no map in the memo, and once every
+    child has one, builds its own from theirs and stores it.  Nothing run
+    while the stack is non-empty empties the memo (see core._memoized).
     """
     if top[-1].bit_count() <= 1:
         return {}  # dimension at most 0: no link can be obstructed
-    hit = _MEMO.get(("obstructions", top, field))
-    if hit is not None:
-        return hit
-    maps: dict[tuple[int, ...], dict[int, int] | None] = {}
-    # largest facet size -> complexes to compute; every link is smaller than its parent
-    levels = {top[-1].bit_count(): [top]}
-    children: dict[tuple[int, ...], list[tuple[int, int, int, tuple[int, ...]]]] = {}
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}  # one key object per link
-    frontier = [top]
-    while frontier:
-        new = []
-        for key in frontier:
-            kids = children[key] = []
-            for face, excluded, support, lk in _vertex_links(key):
-                small = interned.get(lk)
-                if small is None:
-                    small = interned[lk] = lk
-                    memo = _MEMO.get(("obstructions", lk, field))
-                    maps[lk] = memo
-                    if memo is None:
-                        new.append(lk)
-                kids.append((face, excluded, support, small))
-        frontier = new
-        for key in new:
-            levels.setdefault(key[-1].bit_count(), []).append(key)
-    for size in sorted(levels):
-        for key in levels[size]:
+
+    def expand(key):  # the link, its children, and those of them with no map yet
+        kids = _vertex_links(key)
+        return key, kids, (lk for *_, lk in kids if ("obstructions", lk, field) not in _MEMO)
+
+    def descend() -> dict[int, int]:
+        stack = [expand(top)]
+        while stack:
+            key, kids, missing = stack[-1]
+            lk = next(missing, None)
+            if lk is not None:
+                stack.append(expand(lk))
+                continue
+            stack.pop()
             found = {}
             if not reduce(and_, key):  # a cone is acyclic: no Betti vector to read
                 betti = homology._betti(key, field)
-                low = next((i for i in range(-1, size - 1) if betti[i]), None)
+                low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
                 if low is not None:
                     found[0] = low
-            for face, excluded, support, lk in children.pop(key):
-                sub = maps[lk]
+            for face, excluded, support, lk in kids:
+                sub = _MEMO[("obstructions", lk, field)]
                 kept = [r for r in sub if not r & excluded]
                 if kept:
                     found.update(zip((r | face for r in _relabelled(kept, support, inverse=True)),
                                      map(sub.__getitem__, kept)))
-            found = maps[key] = {s: found[s] for s in _canonical(found)}
-            _memoized(("obstructions", key, field), lambda: found)
-    return maps[top]
+            found = _MEMO[("obstructions", key, field)] = {s: found[s] for s in _canonical(found)}
+        return found
+
+    return _memoized(("obstructions", top, field), descend)
 
 
 def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:

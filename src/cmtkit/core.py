@@ -32,8 +32,8 @@ Derived complexes avoid per-element Python work where the structure allows:
   an antichain, compares each facet only with larger ones, and pure input
   compares nothing.
 
-Values derived from a complex (Betti vectors, obstruction maps, the k-CM_t
-search's least failing sizes) live in ``_MEMO``, the module's one cache,
+Values derived from a complex (obstruction maps and the k-CM_t search's
+least failing sizes) live in ``_MEMO``, the module's one cache,
 keyed on ``(kind, compact masks, parameters...)``: the facet masks of
 ``compact()``, the used vertex ids renamed 0..m-1 in order, which is what
 the functions computing them take.  An order-preserving relabelling keeps
@@ -42,8 +42,9 @@ used ids keeps its order and its first witness.  So complexes that differ
 by an order-preserving relabelling share one entry (the links of a sphere
 at its faces are a handful of complexes on shifted ids), not only
 complexes that differ in their labels or ambient size, and no key keeps a
-complex alive.  The memo is emptied when it reaches ``_MEMO_LIMIT``
-entries.
+complex alive.  The memo is emptied when a finished computation leaves
+more than ``_MEMO_LIMIT`` entries in it, never partway through one: the
+link recursion keeps the maps it still needs there and nowhere else.
 """
 
 from __future__ import annotations
@@ -200,20 +201,21 @@ _MEMO_LIMIT = 1 << 16
 
 
 def _memoized(key: tuple, compute: Callable[[], object]):
-    """The memoized value under key, computed (and stored) on a miss."""
+    """The memoized value under key, computed (and stored) on a miss.  The
+    memo is emptied only here, once a computation has finished, so one that
+    stores entries of its own as it goes never sees them dropped."""
     try:
         return _MEMO[key]
     except KeyError:
         pass
-    value = compute()
-    if len(_MEMO) >= _MEMO_LIMIT:
+    value = _MEMO[key] = compute()
+    if len(_MEMO) > _MEMO_LIMIT:
         _MEMO.clear()
-    _MEMO[key] = value
     return value
 
 
 def clear_caches() -> None:
-    """Drop every memoized Betti vector, obstruction map and max_k value."""
+    """Drop every memoized obstruction map and k-CM_t search result."""
     _MEMO.clear()
 
 
@@ -363,6 +365,9 @@ class SimplicialComplex:
             return str(labels[old])
 
         if labels is not None:
+            if not isinstance(labels, Mapping) and used.bit_length() > len(labels):
+                first = next(v for v in used_ids if v >= len(labels))
+                raise ValueError(f"vertex id {first} has no label: {len(labels)} label(s) given")
             ids = labels if isinstance(labels, Mapping) else range(len(labels))
             ghost = sorted(set(ids).difference(used_ids))
             if ghost:

@@ -19,7 +19,8 @@ cone and every Betti number is 0, with no enumeration at all.  The identity
 is exact over every field and the ranks come from the same exact kernels,
 so the result equals the full complex's Betti numbers, zero degrees
 included; `boundary_matrices` builds that full complex for the API and as
-the tests' oracle.
+the tests' oracle.  Betti vectors are not memoized: the deciders rank each
+distinct link once, for its obstruction map, and `core`'s memo holds that.
 
 Boundary maps stay sparse from the face masks to the rank kernels: each
 column is built as row index -> +-1 and ranked as a `linalg.Sparse` value.
@@ -35,7 +36,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from ._record import FrozenRecord
-from .core import Face, SimplicialComplex, _bits, _memoized, as_face
+from .core import Face, SimplicialComplex, _bits, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
 
@@ -195,26 +196,19 @@ def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) 
 
 
 def _betti(masks: tuple[int, ...], field: FieldSpec) -> BettiVector:
-    """Reduced Betti numbers of the compact complex with facet masks `masks`,
-    memoized in `core`'s memo on the masks and the field.  Cones (a vertex
-    in every facet) are acyclic: their zeros are returned without memoizing.
-    """
+    """Reduced Betti numbers of the complex with facet masks `masks` (vertex
+    ids need not be compact).  Cones (a vertex in every facet) are acyclic:
+    their zeros need no rank."""
     if reduce(and_, masks):
         return BettiVector(dict.fromkeys(range(-1, masks[-1].bit_count()), 0))
-    return _memoized(("betti", masks, field),
-                     lambda: _relative_betti(masks, field, _apex(masks)))
+    return _relative_betti(masks, field, _apex(masks))
 
 
 def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> BettiVector:
-    """Reduced Betti numbers beta[-1..dim] over the given field.
-
-    Computed on the compacted facet masks, so complexes that differ by an
-    order-preserving relabelling share one memo entry; a Betti vector
-    needs no lift back to the complex's own ids.
-    """
+    """Reduced Betti numbers beta[-1..dim] over the given field."""
     if cx.is_void:
         raise ValueError("the void complex has no homology")
-    return _betti(cx.compact().masks, field)
+    return _betti(cx.masks, field)
 
 
 def local_betti(cx: SimplicialComplex, face, field: FieldSpec) -> BettiVector:

@@ -1,15 +1,19 @@
 """The CM/CM_t/k-CM_t deciders on pinned fixtures."""
 
+import os
+import subprocess
 import sys
 from functools import reduce
 from itertools import combinations
 from operator import and_
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cmtkit
+from cmtkit import classify as classify_module
 from cmtkit import core, homology
 from cmtkit.classify import (
     _max_k_at,
@@ -34,7 +38,13 @@ from cmtkit.classify import (
 )
 from cmtkit.core import Face, SimplicialComplex, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
-from cmtkit.generators import boundary_simplex, miyazaki_example, projective_plane_6, simplex
+from cmtkit.generators import (
+    boundary_simplex,
+    miyazaki_example,
+    projective_plane_6,
+    random_pure,
+    simplex,
+)
 
 TWO_TRI_VERTEX = from_facets([(1, 2, 3), (3, 4, 5)])
 TWO_TRI_EDGE = from_facets([(1, 2, 3), (2, 3, 4)])
@@ -78,10 +88,10 @@ class TestIsCm:
         assert is_cm(rp2, GF3)
         assert is_cm(rp2, RATIONALS)
 
-    def test_clear_caches_drops_betti_memo(self):
+    def test_clear_caches_drops_the_memo(self):
         clear_caches()
         is_cm(boundary_simplex(4), GF2)
-        assert {"betti", "obstructions"} <= {key[0] for key in core._MEMO}
+        assert {key[0] for key in core._MEMO} == {"obstructions"}
         clear_caches()
         assert not core._MEMO
 
@@ -96,7 +106,7 @@ class TestIsCm:
         assert "clear_caches" in cmtkit.__all__
         cmtkit.clear_caches()
         assert is_k_cm_t(boundary_simplex(4), 1, 0, GF2)
-        assert {"betti", "obstructions", "max_k"} <= {key[0] for key in core._MEMO}
+        assert {key[0] for key in core._MEMO} == {"obstructions", "max_k"}
         cmtkit.clear_caches()
         assert not core._MEMO
 
@@ -156,9 +166,48 @@ class TestMemo:
         entries = [key for key in core._MEMO if key[0] == "obstructions"]
         assert sorted(len(key[1]) for key in entries) == list(range(3, 11))
 
+    def test_each_distinct_link_is_expanded_once(self, monkeypatch):
+        # a cold request expands each link it stores once, and ranks each
+        # stored link once unless it is a cone
+        expanded, ranked = [], []
+        vertex_links, relative_betti = classify_module._vertex_links, homology._relative_betti
+        monkeypatch.setattr(classify_module, "_vertex_links",
+                            lambda masks: expanded.append(masks) or vertex_links(masks))
+        monkeypatch.setattr(homology, "_relative_betti",
+                            lambda *args: ranked.append(args[0]) or relative_betti(*args))
+        cx = random_pure(10, 5, 0.4, 3)
+        gapped = SimplicialComplex(2 * cx.n_vertices, [Face(2 * v for v in f) for f in cx.facets])
+        cone = cx.join(from_facets([(0,)]))
+        for case, face in ((cx, []), (gapped, []), (cone, ["0'"])):
+            clear_caches()
+            expanded.clear()
+            ranked.clear()
+            assert cm_t_witness(case, 0).to_json(case) == {
+                "kind": "link_not_cm", "face": [],
+                "inner": {"kind": "link_homology", "face": face, "degree": 3}}
+            stored = [key[1] for key in core._MEMO if key[0] == "obstructions"]
+            assert len(stored) > 10
+            assert sorted(expanded) == sorted(stored)
+            assert sorted(ranked) == sorted(
+                key for key in stored if not reduce(and_, key) and key[-1].bit_count() > 1)
+
+    def test_link_recursion_takes_no_python_frame_per_level(self):
+        # the links of the 90-vertex sphere go 88 levels deep: a recursive
+        # walk overflows a limit of 60 frames, the explicit stack does not
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from cmtkit.classify import cm_t_witness\n"
+                "from cmtkit.generators import boundary_simplex\n"
+                "sys.setrecursionlimit(60)\n"
+                "sys.exit(cm_t_witness(boundary_simplex(90), 0) is not None)\n")
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
     def test_small_memo_limit_changes_no_result(self, monkeypatch):
-        # the memo is emptied many times inside one request; the per-request
-        # table still computes each link once, and every answer stays the same
+        # the memo is emptied whenever a finished computation leaves more
+        # than 3 entries, never while the link recursion runs: each link is
+        # still computed once per request, and every answer stays the same
         cases = [boundary_simplex(10), TWO_TRI_VERTEX, PENTAGON, projective_plane_6(),
                  miyazaki_example()[0], from_facets([(1, 2, 3), (3, 4, 5), (5, 6, 1), (2, 4, 6)])]
 
@@ -194,7 +243,7 @@ class TestMemo:
         assert rep.max_k_per_t == {t: 2 for t in range(7)}
         assert [key for key in core._MEMO if key[0] == "max_k"] == [
             ("max_k", boundary_simplex(8).masks, GF2, 9)]
-        assert {key[0] for key in core._MEMO} == {"betti", "obstructions", "max_k"}
+        assert {key[0] for key in core._MEMO} == {"obstructions", "max_k"}
 
     def test_one_k_search_entry_per_limit_asked(self):
         # max_k per t is 1, 1, 2 on the Miyazaki deletion survivor
@@ -230,14 +279,17 @@ class TestMemo:
             cold.append(_max_k_at(cx, t, GF2, limit))
         assert warm == cold
 
-    def test_sphere_links_share_betti_entries(self):
+    def test_sphere_needs_one_betti_computation_per_dimension(self, monkeypatch):
         # the links of a sphere's faces are spheres on shifted vertex ids:
-        # one Betti entry per dimension, not one per face
+        # one Betti computation per dimension, not one per face
+        calls = []
+        relative_betti = homology._relative_betti
+        monkeypatch.setattr(homology, "_relative_betti",
+                            lambda *args: calls.append(1) or relative_betti(*args))
         sphere = boundary_simplex(10)
         clear_caches()
         assert cm_t_witness(sphere, 0) is None
-        betti = [key for key in core._MEMO if key[0] == "betti"]
-        assert len(betti) <= sphere.dim + 2
+        assert len(calls) <= sphere.dim + 2
 
 
 class TestIsCmT:

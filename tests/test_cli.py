@@ -436,7 +436,7 @@ class TestLargeInputs:
 
     def test_check_of_a_220_vertex_sphere_needs_no_deep_recursion(self, tmp_path):
         # the vertex-link recursion is as deep as the dimension (218 here); it
-        # goes level by level, so no RecursionError reaches the CLI
+        # runs on an explicit stack, so no RecursionError reaches the CLI
         path = tmp_path / "s220.cplx"
         src = str(Path(cmtkit.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -110,6 +111,15 @@ class TestFromFacets:
         with pytest.warns(UserWarning, match=r"not used by any face: \[2\]$"):
             cx = from_facets([(0, 1)], labels=labels)
         assert cx.labels == ("a", "b")
+
+    def test_short_label_sequence_names_the_first_unlabelled_id(self):
+        # id 1 is a ghost too, but the missing label is reported before any warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^vertex id 5 has no label: 2 label"):
+                from_facets([(0, 5)], labels=("a", "b"))
+            with pytest.raises(ValueError, match=r"^vertex id 0 has no label: 0 label"):
+                from_facets([(0,)], labels=())
 
     def test_many_sparse_ids_relabel_in_one_pass(self):
         start = time.perf_counter()

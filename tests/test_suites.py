@@ -42,12 +42,13 @@ def test_small_memo_bound_changes_no_report(monkeypatch):
 
 
 def test_verify_all_memo_shares_relabelled_entries():
-    # `verify --suite all --max-n 7 --seeds 20` at seed 101: 1,206 entries;
-    # keyed on uncompacted masks it stored 3,134
+    # `verify --suite all --max-n 7 --seeds 20` at seed 101: 565 entries
+    # (398 obstruction maps, 167 k-CM_t searches); keyed on uncompacted
+    # masks, with Betti vectors memoized too, it stored 3,134
     clear_caches()
     reports = run_suites(["all"], build_corpus(max_n=7, seeds=20, seed_base=101), field=GF2)
     assert all(r.ok for r in reports)
-    assert len(core._MEMO) <= 1300
+    assert len(core._MEMO) <= 565
 
 
 def test_verify_all_case_counts():
