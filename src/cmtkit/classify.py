@@ -212,7 +212,7 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
                     found.update(zip((r | face for r in _relabelled(kept, support, inverse=True)),
                                      map(sub.__getitem__, kept)))
             found = _MEMO[("obstructions", key, field)] = {s: found[s] for s in _canonical(found)}
-        return found
+        return found  # the map of top, the last link popped
 
     return _memoized(("obstructions", top, field), descend)
 
