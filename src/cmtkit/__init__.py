@@ -5,6 +5,7 @@ from .classify import (
     ClassificationReport,
     JoinObservation,
     Witness,
+    clear_caches,
     cm_t_witness,
     cm_witness,
     explore_join,
@@ -19,7 +20,7 @@ from .classify import (
     max_k,
     min_t,
 )
-from .core import EMPTY_FACE, DeletionReport, Face, SimplicialComplex, clear_caches, from_facets
+from .core import EMPTY_FACE, DeletionReport, Face, SimplicialComplex, from_facets
 from .fields import GF2, GF3, GF5, RATIONALS, FieldSpec
 from .files import ParseError, dump, emit, load, parse
 from .generators import (

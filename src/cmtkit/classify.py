@@ -34,10 +34,22 @@ CLI can report them.  One k-CM_t search (`_max_k_up_to`) serves every t: its
 levels, the complexes left by deleting vertices, do not depend on t, and
 each fails CM_t exactly below its own min_t.  The recursion, `_min_t` and
 the search take compact facet masks (ids renamed 0..m-1 in order), not a
-complex, and memoize on them in `core`'s memo, since the deciders and the
-theorem suites revisit the same links and restrictions, often on shifted
-ids.  The public deciders compact once; `_obstructions` lifts its map back
-to the complex's own ids, and a `Face` is built only for a witness returned.
+complex, and memoize on them, since the deciders and the theorem suites
+revisit the same links and restrictions, often on shifted ids.  The public
+deciders compact once; `_obstructions` lifts its map back to the complex's
+own ids, and a `Face` is built only for a witness returned.
+
+Their values (obstruction maps and the k-CM_t search's least failing
+sizes) live in ``_MEMO``, the package's one cache, keyed on ``(kind,
+compact masks, parameters...)``.  An order-preserving relabelling keeps the
+canonical face order, so an obstruction map lifted back through the used
+ids keeps its order and its first witness.  So complexes that differ by an
+order-preserving relabelling share one entry (the links of a sphere at its
+faces are a handful of complexes on shifted ids), not only complexes that
+differ in their labels or ambient size, and no key keeps a complex alive.
+The memo is emptied when a finished computation leaves more than
+``_MEMO_LIMIT`` entries in it, never partway through one: the link
+recursion keeps the maps it still needs there and nowhere else.
 """
 
 from __future__ import annotations
@@ -45,21 +57,18 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import and_, or_
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import homology
 from ._record import FrozenRecord
 from .core import (
-    _MEMO,
     EMPTY_FACE,
     Face,
     SimplicialComplex,
     _bits,
     _canonical,
-    _memoized,
     _relabelled,
 )
-from .core import clear_caches  # noqa: F401  (re-exported; the memo lives in core)
 from .fields import GF2, FieldSpec
 
 DEFINITION_LINKS = "definition_links"
@@ -124,6 +133,31 @@ def is_pure(cx: SimplicialComplex) -> bool:
     return cx.masks[0].bit_count() == cx.masks[-1].bit_count()
 
 
+# Derived values (see the module docstring).  Emptied, not evicted, when
+# full: a request that fills it again recomputes only what it revisits.
+_MEMO: dict[tuple, object] = {}
+_MEMO_LIMIT = 1 << 16
+
+
+def _memoized(key: tuple, compute: Callable[[], object]):
+    """The memoized value under key, computed (and stored) on a miss.  The
+    memo is emptied only here, once a computation has finished, so one that
+    stores entries of its own as it goes never sees them dropped."""
+    try:
+        return _MEMO[key]
+    except KeyError:
+        pass
+    value = _MEMO[key] = compute()
+    if len(_MEMO) > _MEMO_LIMIT:
+        _MEMO.clear()
+    return value
+
+
+def clear_caches() -> None:
+    """Drop every memoized obstruction map and k-CM_t search result."""
+    _MEMO.clear()
+
+
 def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """Each face mask whose link has reduced homology below the link's
     dimension, mapped to the lowest such degree, in canonical face order."""
@@ -180,8 +214,9 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
     once, depth first on one explicit stack, so the depth of the recursion
     costs no Python frames.  The memo is the only table: a link waits on
     the stack under its first child with no map in the memo, and once every
-    child has one, builds its own from theirs and stores it.  Nothing run
-    while the stack is non-empty empties the memo (see core._memoized).
+    child has one, builds its own from theirs and stores it; `_memoized`
+    stores the map of `top`, and empties the memo only once `descend` has
+    returned.
     """
     if top[-1].bit_count() <= 1:
         return {}  # dimension at most 0: no link can be obstructed
@@ -211,8 +246,10 @@ def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
                 if kept:
                     found.update(zip((r | face for r in _relabelled(kept, support, inverse=True)),
                                      map(sub.__getitem__, kept)))
-            found = _MEMO[("obstructions", key, field)] = {s: found[s] for s in _canonical(found)}
-        return found  # the map of top, the last link popped
+            found = {s: found[s] for s in _canonical(found)}
+            if stack:  # top, popped last, is stored by _memoized
+                _MEMO[("obstructions", key, field)] = found
+        return found  # the map of top
 
     return _memoized(("obstructions", top, field), descend)
 

@@ -31,27 +31,13 @@ Derived complexes avoid per-element Python work where the structure allows:
   one, so ``_maximal_masks``, which also checks the constructor's input for
   an antichain, compares each facet only with larger ones, and pure input
   compares nothing.
-
-Values derived from a complex (obstruction maps and the k-CM_t search's
-least failing sizes) live in ``_MEMO``, the module's one cache,
-keyed on ``(kind, compact masks, parameters...)``: the facet masks of
-``compact()``, the used vertex ids renamed 0..m-1 in order, which is what
-the functions computing them take.  An order-preserving relabelling keeps
-the canonical face order, so an obstruction map lifted back through the
-used ids keeps its order and its first witness.  So complexes that differ
-by an order-preserving relabelling share one entry (the links of a sphere
-at its faces are a handful of complexes on shifted ids), not only
-complexes that differ in their labels or ambient size, and no key keeps a
-complex alive.  The memo is emptied when a finished computation leaves
-more than ``_MEMO_LIMIT`` entries in it, never partway through one: the
-link recursion keeps the maps it still needs there and nowhere else.
 """
 
 from __future__ import annotations
 
 import warnings
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import FrozenRecord
 
@@ -192,31 +178,6 @@ def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     """Masks sorted by size, then by sorted vertex tuple."""
     # one flat tuple per mask compares faster than (size, vertex tuple)
     return tuple(sorted(masks, key=lambda m: (m.bit_count(),) + _bits(m)))
-
-
-# Derived values (see the module docstring).  Emptied, not evicted, when
-# full: a request that fills it again recomputes only what it revisits.
-_MEMO: dict[tuple, object] = {}
-_MEMO_LIMIT = 1 << 16
-
-
-def _memoized(key: tuple, compute: Callable[[], object]):
-    """The memoized value under key, computed (and stored) on a miss.  The
-    memo is emptied only here, once a computation has finished, so one that
-    stores entries of its own as it goes never sees them dropped."""
-    try:
-        return _MEMO[key]
-    except KeyError:
-        pass
-    value = _MEMO[key] = compute()
-    if len(_MEMO) > _MEMO_LIMIT:
-        _MEMO.clear()
-    return value
-
-
-def clear_caches() -> None:
-    """Drop every memoized obstruction map and k-CM_t search result."""
-    _MEMO.clear()
 
 
 def _maximal_masks(masks: Iterable[int]) -> list[int]:

@@ -3,11 +3,18 @@
 Each suite runs over a deterministic corpus (glued families, boundary
 spheres, seeded random pure complexes) and returns a report listing every
 counterexample with the complex that produced it, so the CLI can serialize
-failures for replay.  A clean run of `all` is the strongest evidence the
-deciders implement the intended theory.
+failures for replay.  `link_laws` (with its join cases) and the pinned
+`paper_fixtures` have loops of their own; the other six are checks of one
+complex each, run over the corpus by `_per_item`.  `link_laws`,
+`link_recursion` and `k_link_recursion` fail when `link` or `restrict`
+drops a facet; `deletion_theorem` meets only the pure items with at most
+two facets, the only ones with an admissible removal set among their facet
+subsets; `criteria_equivalence` and `monotonicity` hold by construction
+(every criterion and t read one obstruction map, k = 1 and 2 one k-CM_t
+search), so they can catch no fault in the deciders.
 
 A suite builds each derived complex of a corpus item once, in a table that
-lives for that item's loop: `link_laws` its restrictions and links, the
+lives for that item's check: `link_laws` its restrictions and links, the
 recursion suites the links of its vertices or faces (compacted once, as the
 deciders' memo keys are).  What a law checks is still built per check:
 the link of a link, the link of a restriction and the restriction of a link.
@@ -16,7 +23,7 @@ the link of a link, the link of a restriction and the restriction of a link.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ._record import FrozenRecord, Record
 from .classify import (
@@ -171,8 +178,8 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
     items = list(corpus)
     fails: list[CaseFailure] = []
 
-    def bad(what: str):
-        fails.append(CaseFailure("link_laws", f"{name}: {what}", cx))
+    def bad(case: str, where: SimplicialComplex):
+        fails.append(CaseFailure("link_laws", case, where))
 
     for name, cx in items:
         support = cx.support_mask
@@ -183,7 +190,7 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
             lk = _built(links, cx.link, sigma)
             for tau in _sampled(lk.faces(), 8):
                 if lk.link(tau) != _built(links, cx.link, sigma | tau):
-                    bad(f"link-of-link fails at {sigma}, {tau}")
+                    bad(f"{name}: link-of-link fails at {sigma}, {tau}", cx)
             outside = Face.from_mask(support & ~sigma.mask).vertices[:4]
             removals = [(v,) for v in outside] + list(combinations(outside, 2))[:2]
             for removed in removals:
@@ -191,7 +198,7 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
                 # sigma lies in keep, so it must be a face of the restriction
                 restricted = _built(restrictions, cx.restrict, keep)
                 if not restricted.contains(sigma) or restricted.link(sigma) != lk.restrict(keep):
-                    bad(f"restriction/link commutation fails at {sigma}, W={removed}")
+                    bad(f"{name}: restriction/link commutation fails at {sigma}, W={removed}", cx)
 
     joins = min(len(items), 8)
     for i in range(joins):
@@ -200,54 +207,58 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
         _, c = items[(i + 2) % len(items)]
         ab = a.join(b)
         if ab.dim != a.dim + b.dim + 1:
-            fails.append(CaseFailure(
-                "link_laws", f"join:{name_a}: dimension formula fails", ab))
+            bad(f"join:{name_a}: dimension formula fails", ab)
         if a.join(SimplicialComplex.from_facets([()])) != a:
-            fails.append(CaseFailure(
-                "link_laws", f"join:{name_a}: {{<>}} is not a join identity", a))
+            bad(f"join:{name_a}: {{<>}} is not a join identity", a)
         left = ab.join(c).compact()
         if left.masks != a.join(b.join(c)).compact().masks:
-            fails.append(CaseFailure(
-                "link_laws", f"join:{name_a}: associativity fails", left))
+            bad(f"join:{name_a}: associativity fails", left)
     return _report("link_laws", len(items) + joins, fails)
 
 
 # -- classification theorems ---------------------------------------------------
 
-def suite_criteria_equivalence(corpus: Iterable[CorpusItem],
-                               field: FieldSpec = GF2) -> SuiteReport:
+def _per_item(suite: str):
+    """The suite `suite` made of the decorated check, which yields a failure
+    message for each law one complex breaks: called as (corpus, field=GF2),
+    it counts one case per item and files each message under its name."""
+    def suite_of(check: Callable[[SimplicialComplex, FieldSpec], Iterator[str]]):
+        def run(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
+            items = list(corpus)
+            fails = [CaseFailure(suite, f"{name}: {what}", cx)
+                     for name, cx in items for what in check(cx, field)]
+            return _report(suite, len(items), fails)
+        run.__name__ = run.__qualname__ = check.__name__
+        run.__doc__ = check.__doc__
+        return run
+    return suite_of
+
+
+@_per_item("criteria_equivalence")
+def suite_criteria_equivalence(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """The three CM_t deciders agree for every t in 0..dim."""
-    items = list(corpus)
-    fails = []
-    for name, cx in items:
-        for t in _ts(cx):
-            verdicts = {crit: is_cm_t(cx, t, field, crit)
-                        for crit in (DEFINITION_LINKS, REISNER_HOMOLOGY, LOCAL_HOMOLOGY)}
-            if len(set(verdicts.values())) != 1:
-                fails.append(CaseFailure(
-                    "criteria_equivalence", f"{name}: t={t} verdicts {verdicts}", cx))
-    return _report("criteria_equivalence", len(items), fails)
+    for t in _ts(cx):
+        verdicts = {crit: is_cm_t(cx, t, field, crit)
+                    for crit in (DEFINITION_LINKS, REISNER_HOMOLOGY, LOCAL_HOMOLOGY)}
+        if len(set(verdicts.values())) != 1:
+            yield f"t={t} verdicts {verdicts}"
 
 
-def suite_link_recursion(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
+@_per_item("link_recursion")
+def suite_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """CM_t (t >= 1) holds iff the complex is pure and every vertex link is CM_{t-1}."""
-    items = list(corpus)
-    fails = []
-    for name, cx in items:
-        pure = is_pure(cx)
-        # the vertex links for every t, compact as the deciders' memo keys are
-        links = [cx.link(v).compact() for v in cx.faces(size=1)] if pure else []
-        for t in range(1, cx.dim + 1):
-            lhs = is_cm_t(cx, t, field)
-            rhs = pure and all(is_cm_t(lk, t - 1, field) for lk in links)
-            if lhs != rhs:
-                fails.append(CaseFailure(
-                    "link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
-    return _report("link_recursion", len(items), fails)
+    pure = is_pure(cx)
+    # the vertex links for every t, compact as the deciders' memo keys are
+    links = [cx.link(v).compact() for v in cx.faces(size=1)] if pure else []
+    for t in range(1, cx.dim + 1):
+        lhs = is_cm_t(cx, t, field)
+        rhs = pure and all(is_cm_t(lk, t - 1, field) for lk in links)
+        if lhs != rhs:
+            yield f"t={t} lhs={lhs} rhs={rhs}"
 
 
-def suite_k_link_recursion(corpus: Iterable[CorpusItem],
-                           field: FieldSpec = GF2) -> SuiteReport:
+@_per_item("k_link_recursion")
+def suite_k_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """k-CM_t recursion laws on pure complexes, k = 2:
 
     * t >= 1: k-CM_t iff every nonempty face's link is k-CM_{t-1};
@@ -256,111 +267,74 @@ def suite_k_link_recursion(corpus: Iterable[CorpusItem],
       agrees with the removal-set definition for every t.
     """
     k = 2
-    items = list(corpus)
-    fails = []
-    for name, cx in items:
-        if not is_pure(cx):
+    if not is_pure(cx):
+        return
+    # every face with its link, built and compacted once for every t
+    links = [(s, cx.link(s).compact()) for s in cx.faces()]
+    nonempty = links[1:]  # the empty face comes first
+    for t in range(1, cx.dim + 1):
+        lhs = is_k_cm_t_unbounded(cx, k, t, field)
+        rhs = all(is_k_cm_t_unbounded(lk, k, t - 1, field) for _, lk in nonempty)
+        if lhs != rhs:
+            yield f"t={t} lhs={lhs} rhs={rhs}"
+        if lhs:
+            for s, lk in _sampled([(s, lk) for s, lk in nonempty if len(s) <= 2], 6):
+                if not is_k_cm_t_unbounded(lk, k, max(t - len(s), 0), field):
+                    yield f"t={t} link drop fails at {s}"
+    for t in _ts(cx):
+        lhs = is_k_cm_t_unbounded(cx, k, t, field)
+        rhs = all(is_k_cm_t_unbounded(lk, k, 0, field) for s, lk in links if len(s) >= t)
+        if lhs != rhs:
+            yield f"t={t} link formulation lhs={lhs} rhs={rhs}"
+
+
+@_per_item("deletion_theorem")
+def suite_deletion_theorem(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
+    """Coface deletion: for CM_t cx and an admissible set of at most two
+    facets (pairwise unions outside, dimension drop, links 2-CM_{t-1}), the
+    survivor is 2-CM_t one dimension down.  A facet holds no other facet, so
+    only the set of all facets of a pure complex can drop the dimension."""
+    if not is_pure(cx) or len(cx.masks) > 2:
+        return
+    sigmas = list(cx.facets)
+    survivor, rep = cx.delete_cofaces(sigmas)
+    if not (rep.union_condition and rep.dim_dropped):
+        return
+    links = [cx.link(s) for s in sigmas]
+    for t in _ts(cx):
+        if not is_cm_t(cx, t, field):
             continue
-        # every face with its link, built and compacted once for every t
-        links = [(s, cx.link(s).compact()) for s in cx.faces()]
-        nonempty = links[1:]  # the empty face comes first
-        for t in range(1, cx.dim + 1):
-            lhs = is_k_cm_t_unbounded(cx, k, t, field)
-            rhs = all(is_k_cm_t_unbounded(lk, k, t - 1, field) for _, lk in nonempty)
-            if lhs != rhs:
-                fails.append(CaseFailure(
-                    "k_link_recursion", f"{name}: t={t} lhs={lhs} rhs={rhs}", cx))
-            if lhs:
-                for s, lk in _sampled([(s, lk) for s, lk in nonempty if len(s) <= 2], 6):
-                    if not is_k_cm_t_unbounded(lk, k, max(t - len(s), 0), field):
-                        fails.append(CaseFailure(
-                            "k_link_recursion",
-                            f"{name}: t={t} link drop fails at {s}", cx))
-        for t in _ts(cx):
-            lhs = is_k_cm_t_unbounded(cx, k, t, field)
-            rhs = all(is_k_cm_t_unbounded(lk, k, 0, field)
-                      for s, lk in links if len(s) >= t)
-            if lhs != rhs:
-                fails.append(CaseFailure(
-                    "k_link_recursion",
-                    f"{name}: t={t} link formulation lhs={lhs} rhs={rhs}", cx))
-    return _report("k_link_recursion", len(items), fails)
-
-
-def suite_deletion_theorem(corpus: Iterable[CorpusItem],
-                           field: FieldSpec = GF2) -> SuiteReport:
-    """Coface deletion: for CM_t cx and admissible removal sets among facet
-    subsets of size <= 2 (pairwise unions outside, dimension drop, links
-    2-CM_{t-1}), the survivor is 2-CM_t one dimension down."""
-    items = list(corpus)
-    fails = []
-    for name, cx in items:
-        if not is_pure(cx):
+        if not all(is_k_cm_t_unbounded(lk, 2, t - 1, field) for lk in links):
             continue
-        sigma_sets = [[f] for f in cx.facets]
-        sigma_sets += [list(p) for p in combinations(cx.facets, 2)]
-        top = [f for f in cx.masks if f.bit_count() == cx.masks[-1].bit_count()]
-        for sigmas in sigma_sets:
-            # the dimension drops exactly when every facet of the top size
-            # contains some sigma: build only those deletions
-            if not all(any(s.mask & f == s.mask for s in sigmas) for f in top):
-                continue
-            survivor, rep = cx.delete_cofaces(sigmas)
-            if not (rep.union_condition and rep.dim_dropped):
-                continue
-            links = [cx.link(s) for s in sigmas]
-            for t in _ts(cx):
-                if not is_cm_t(cx, t, field):
-                    continue
-                if not all(is_k_cm_t_unbounded(lk, 2, t - 1, field) for lk in links):
-                    continue
-                ok = (not survivor.is_void
-                      and survivor.dim == cx.dim - 1
-                      and is_k_cm_t_unbounded(survivor, 2, t, field))
-                if not ok:
-                    fails.append(CaseFailure(
-                        "deletion_theorem",
-                        f"{name}: t={t} sigmas={sigmas} conclusion fails", cx))
-    return _report("deletion_theorem", len(items), fails)
+        if (survivor.is_void or survivor.dim != cx.dim - 1
+                or not is_k_cm_t_unbounded(survivor, 2, t, field)):
+            yield f"t={t} sigmas={sigmas} conclusion fails"
 
 
-def suite_skeleton_theorem(corpus: Iterable[CorpusItem],
-                           field: FieldSpec = GF2) -> SuiteReport:
+@_per_item("skeleton_theorem")
+def suite_skeleton_theorem(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """For a k-CM_t complex of dimension d-1 the (d-s-1)-skeleton is (k+s)-CM_t."""
-    items = list(corpus)
-    fails = []
-    for name, cx in items:
-        if not is_pure(cx) or cx.dim < 1:
+    if not is_pure(cx) or cx.dim < 1:
+        return
+    t = min_t(cx, field)
+    k = _max_k_at(cx, t, field, 3)
+    for s in (1, 2):
+        if s > cx.dim:
             continue
-        t = min_t(cx, field)
-        k = _max_k_at(cx, t, field, 3)
-        for s in (1, 2):
-            if s > cx.dim:
-                continue
-            target = cx.skeleton(cx.dim - s)
-            if not is_k_cm_t_unbounded(target, k + s, t, field):
-                fails.append(CaseFailure(
-                    "skeleton_theorem",
-                    f"{name}: t={t} k={k} s={s} skeleton not (k+s)-CM_t", cx))
-    return _report("skeleton_theorem", len(items), fails)
+        target = cx.skeleton(cx.dim - s)
+        if not is_k_cm_t_unbounded(target, k + s, t, field):
+            yield f"t={t} k={k} s={s} skeleton not (k+s)-CM_t"
 
 
-def suite_monotonicity(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> SuiteReport:
+@_per_item("monotonicity")
+def suite_monotonicity(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """CM_t is monotone in t; k-CM_t is antitone in k."""
-    items = list(corpus)
-    fails = []
-    for name, cx in items:
-        verdicts = [is_cm_t(cx, t, field) for t in _ts(cx)]
-        for a, b in zip(verdicts, verdicts[1:]):
-            if a and not b:
-                fails.append(CaseFailure(
-                    "monotonicity", f"{name}: CM_t not monotone: {verdicts}", cx))
-                break
-        for t in _ts(cx):
-            if is_k_cm_t_unbounded(cx, 2, t, field) and not is_k_cm_t_unbounded(cx, 1, t, field):
-                fails.append(CaseFailure(
-                    "monotonicity", f"{name}: k-monotonicity fails at t={t}", cx))
-    return _report("monotonicity", len(items), fails)
+    verdicts = [is_cm_t(cx, t, field) for t in _ts(cx)]
+    if any(a and not b for a, b in zip(verdicts, verdicts[1:])):
+        yield f"CM_t not monotone: {verdicts}"
+    for t in _ts(cx):
+        if is_k_cm_t_unbounded(cx, 2, t, field) and not is_k_cm_t_unbounded(cx, 1, t, field):
+            yield f"k-monotonicity fails at t={t}"
 
 
 def suite_paper_fixtures(corpus: Iterable[CorpusItem] = (),
@@ -406,21 +380,17 @@ def suite_paper_fixtures(corpus: Iterable[CorpusItem] = (),
     checks.append(("miyazaki: the deletion survivor is not 2-CM_1",
                    not is_k_cm_t_unbounded(deleted, 2, 1, field)))
 
-    for d in range(2, 6):
-        for t in range(1, d):
-            cx = glued_simplices(GluedFamilySpec.uniform(d, 2, t - 2))
-            checks.append((f"glued d={d} t={t}: min_t = {t}", min_t(cx, field) == t))
-
     gamma3 = glued_simplices(GluedFamilySpec.uniform(4, 3, 0))
     checks.append(("three glued tetrahedra: CM_2 with min_t = 2",
                    is_cm_t(gamma3, 2, field) and min_t(gamma3, field) == 2))
 
-    # skeleton of a glued family: 2-CM_t always; the sharpness half
+    # each glued pair, then its skeleton: 2-CM_t always; the sharpness half
     # (not 2-CM_{t-1}) only bites for t <= d-2, where the skeleton is
     # high-dimensional enough to see the failure
     for d in range(2, 6):
         for t in range(1, d):
             gamma = glued_simplices(GluedFamilySpec.uniform(d, 2, t - 2))
+            checks.append((f"glued d={d} t={t}: min_t = {t}", min_t(gamma, field) == t))
             lam = gamma.skeleton(d - 2)
             checks.append((f"glued skeleton d={d} t={t}: 2-CM_{t}",
                            is_k_cm_t_unbounded(lam, 2, t, field)))

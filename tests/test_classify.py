@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cmtkit
 from cmtkit import classify as classify_module
-from cmtkit import core, homology
+from cmtkit import homology
 from cmtkit.classify import (
     _max_k_at,
     _obstructions,
@@ -91,9 +91,9 @@ class TestIsCm:
     def test_clear_caches_drops_the_memo(self):
         clear_caches()
         is_cm(boundary_simplex(4), GF2)
-        assert {key[0] for key in core._MEMO} == {"obstructions"}
+        assert {key[0] for key in classify_module._MEMO} == {"obstructions"}
         clear_caches()
-        assert not core._MEMO
+        assert not classify_module._MEMO
 
     def test_package_attribute_is_the_module(self):
         from cmtkit import classify as module
@@ -106,9 +106,9 @@ class TestIsCm:
         assert "clear_caches" in cmtkit.__all__
         cmtkit.clear_caches()
         assert is_k_cm_t(boundary_simplex(4), 1, 0, GF2)
-        assert {key[0] for key in core._MEMO} == {"obstructions", "max_k"}
+        assert {key[0] for key in classify_module._MEMO} == {"obstructions", "max_k"}
         cmtkit.clear_caches()
-        assert not core._MEMO
+        assert not classify_module._MEMO
 
 
 class TestMemo:
@@ -118,12 +118,12 @@ class TestMemo:
         wider = SimplicialComplex(a.n_vertices + 1, a.facets, b.labels + ("z",))
         clear_caches()
         found = _obstructions(a, GF2)
-        entries = [key for key in core._MEMO if key[0] == "obstructions"]
-        assert core._MEMO[("obstructions", a.masks, GF2)] is found
+        entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
+        assert classify_module._MEMO[("obstructions", a.masks, GF2)] is found
         assert _obstructions(b, GF2) is found
         assert _obstructions(wider, GF2) is found
         # the copies add no entry of their own (the vertex links have theirs)
-        assert [key for key in core._MEMO if key[0] == "obstructions"] == entries
+        assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
         # the shared entry holds masks; each witness names its own labels
         assert cm_witness(a, GF2).to_json(a) == {
             "kind": "link_homology", "face": ["3"], "degree": 0}
@@ -136,10 +136,10 @@ class TestMemo:
                                    [f"v{i}" for i in range(2 * a.n_vertices)])
         clear_caches()
         found = _obstructions(a, GF2)
-        entries = [key for key in core._MEMO if key[0] == "obstructions"]
+        entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
         assert list(_obstructions(gapped, GF2).items()) == [(Face((4,)).mask, 0)]
-        assert core._MEMO[("obstructions", a.masks, GF2)] is found
-        assert [key for key in core._MEMO if key[0] == "obstructions"] == entries
+        assert classify_module._MEMO[("obstructions", a.masks, GF2)] is found
+        assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
         # the shared vertex 2 of `a` is vertex 4 of the gapped copy
         assert cm_witness(gapped, GF2).to_json(gapped) == {
             "kind": "link_homology", "face": ["v4"], "degree": 0}
@@ -163,7 +163,7 @@ class TestMemo:
         sphere = boundary_simplex(10)
         clear_caches()
         assert _obstructions(sphere, GF2) == {}
-        entries = [key for key in core._MEMO if key[0] == "obstructions"]
+        entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
         assert sorted(len(key[1]) for key in entries) == list(range(3, 11))
 
     def test_each_distinct_link_is_expanded_once(self, monkeypatch):
@@ -185,7 +185,7 @@ class TestMemo:
             assert cm_t_witness(case, 0).to_json(case) == {
                 "kind": "link_not_cm", "face": [],
                 "inner": {"kind": "link_homology", "face": face, "degree": 3}}
-            stored = [key[1] for key in core._MEMO if key[0] == "obstructions"]
+            stored = [key[1] for key in classify_module._MEMO if key[0] == "obstructions"]
             assert len(stored) > 10
             assert sorted(expanded) == sorted(stored)
             assert sorted(ranked) == sorted(
@@ -223,7 +223,7 @@ class TestMemo:
 
         clear_caches()
         want = [answers(cx) for cx in cases]
-        monkeypatch.setattr(core, "_MEMO_LIMIT", 3)
+        monkeypatch.setattr(classify_module, "_MEMO_LIMIT", 3)
         clear_caches()
         assert [answers(cx) for cx in cases] == want
 
@@ -241,9 +241,9 @@ class TestMemo:
         clear_caches()
         rep = classify(boundary_simplex(8), GF2)
         assert rep.max_k_per_t == {t: 2 for t in range(7)}
-        assert [key for key in core._MEMO if key[0] == "max_k"] == [
+        assert [key for key in classify_module._MEMO if key[0] == "max_k"] == [
             ("max_k", boundary_simplex(8).masks, GF2, 9)]
-        assert {key[0] for key in core._MEMO} == {"obstructions", "max_k"}
+        assert {key[0] for key in classify_module._MEMO} == {"obstructions", "max_k"}
 
     def test_one_k_search_entry_per_limit_asked(self):
         # max_k per t is 1, 1, 2 on the Miyazaki deletion survivor
@@ -253,9 +253,9 @@ class TestMemo:
         assert [_max_k_at(survivor, t, GF2, 2) for t in range(3)] == [1, 1, 2]
         assert [_max_k_at(survivor, t, GF2, 9) for t in range(3)] == [1, 1, 2]
         assert _max_k_at(survivor, 2, GF2, 1) == 1
-        assert core._MEMO[("max_k", survivor.masks, GF2, 2)] == (1, 1, 2)
-        assert core._MEMO[("max_k", survivor.masks, GF2, 1)] == (1, 1, 1)
-        assert [key[3] for key in core._MEMO
+        assert classify_module._MEMO[("max_k", survivor.masks, GF2, 2)] == (1, 1, 2)
+        assert classify_module._MEMO[("max_k", survivor.masks, GF2, 1)] == (1, 1, 1)
+        assert [key[3] for key in classify_module._MEMO
                 if key[:3] == ("max_k", survivor.masks, GF2)] == [2, 9, 1]
         # t below 0 reads as 0, and above dim as dim
         assert _max_k_at(survivor, -3, GF2, 9) == 1 and _max_k_at(survivor, 7, GF2, 9) == 2

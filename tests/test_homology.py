@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cmtkit import homology
-from cmtkit.core import EMPTY_FACE, Face, clear_caches, from_facets
+from cmtkit.classify import clear_caches
+from cmtkit.core import EMPTY_FACE, Face, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS, FieldSpec
 from cmtkit.generators import boundary_simplex, projective_plane_6, simplex
 from cmtkit.homology import (

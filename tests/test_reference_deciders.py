@@ -3,7 +3,7 @@
 import pytest
 
 import reference_deciders as ref
-from cmtkit import core
+from cmtkit import classify as classify_module
 from cmtkit.classify import (CRITERIA, classify, clear_caches, cm_t_witness, cm_witness,
                              k_cm_t_witness, min_t)
 from cmtkit.core import from_facets
@@ -99,7 +99,7 @@ def test_classify_max_k_per_t_matches_reference(field):
 def test_small_memo_bound_changes_no_outcome(monkeypatch):
     clear_caches()
     at_default = _comparisons(GF2)
-    monkeypatch.setattr(core, "_MEMO_LIMIT", 8)
+    monkeypatch.setattr(classify_module, "_MEMO_LIMIT", 8)
     clear_caches()
     assert _comparisons(GF2) == at_default
-    assert len(core._MEMO) <= 8
+    assert len(classify_module._MEMO) <= 8

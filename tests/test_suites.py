@@ -2,7 +2,7 @@
 
 import pytest
 
-from cmtkit import core
+from cmtkit import classify
 from cmtkit.classify import clear_caches
 from cmtkit.core import SimplicialComplex
 from cmtkit.fields import GF2
@@ -12,12 +12,14 @@ from cmtkit.suites import (
     glued_fixture_grid,
     random_corpus,
     run_suites,
+    suite_deletion_theorem,
     suite_k_link_recursion,
     suite_link_laws,
     suite_link_recursion,
 )
 
 CORPUS = build_corpus(max_n=5, seeds=4)
+VERIFY_CORPUS = build_corpus(max_n=7, seeds=20, seed_base=101)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -35,10 +37,10 @@ def test_run_suites_all_expands():
 def test_small_memo_bound_changes_no_report(monkeypatch):
     clear_caches()
     at_default = [r.to_json() for r in run_suites(["all"], CORPUS, field=GF2)]
-    monkeypatch.setattr(core, "_MEMO_LIMIT", 8)
+    monkeypatch.setattr(classify, "_MEMO_LIMIT", 8)
     clear_caches()
     assert [r.to_json() for r in run_suites(["all"], CORPUS, field=GF2)] == at_default
-    assert len(core._MEMO) <= 8
+    assert len(classify._MEMO) <= 8
 
 
 def test_verify_all_memo_shares_relabelled_entries():
@@ -46,15 +48,15 @@ def test_verify_all_memo_shares_relabelled_entries():
     # (398 obstruction maps, 167 k-CM_t searches); keyed on uncompacted
     # masks, with Betti vectors memoized too, it stored 3,134
     clear_caches()
-    reports = run_suites(["all"], build_corpus(max_n=7, seeds=20, seed_base=101), field=GF2)
+    reports = run_suites(["all"], VERIFY_CORPUS, field=GF2)
     assert all(r.ok for r in reports)
-    assert len(core._MEMO) <= 565
+    assert len(classify._MEMO) <= 565
 
 
 def test_verify_all_case_counts():
     # the counts `verify --suite all --max-n 7 --seeds 20` reports: 36 corpus items,
     # link_laws one join case more for each of the first 8, paper_fixtures 38 checks
-    reports = run_suites(["all"], build_corpus(max_n=7, seeds=20, seed_base=101), field=GF2)
+    reports = run_suites(["all"], VERIFY_CORPUS, field=GF2)
     cases = {r.suite: r.cases for r in reports}
     assert cases == {**dict.fromkeys(SUITES, 36), "link_laws": 44, "paper_fixtures": 38}
 
@@ -92,6 +94,38 @@ def test_recursions_catch_a_link_that_drops_a_facet(monkeypatch, suite, failures
     monkeypatch.setattr(SimplicialComplex, "link",
                         lambda self, face: _without_first_facet(link(self, face)))
     assert len(suite(CORPUS).failures) == failures
+
+
+def test_deletion_theorem_catches_a_survivor_that_keeps_a_facet(monkeypatch):
+    delete_cofaces = SimplicialComplex.delete_cofaces
+
+    def keeping_first_facet(self, faces):
+        survivor, report = delete_cofaces(self, faces)
+        return SimplicialComplex._from_masks(survivor.masks + self.masks[:1], self.labels), report
+
+    monkeypatch.setattr(SimplicialComplex, "delete_cofaces", keeping_first_facet)
+    cases = [f.case for f in suite_deletion_theorem(VERIFY_CORPUS).failures]
+    assert len(cases) == 21
+    assert all(case.endswith("conclusion fails") for case in cases)
+
+
+def test_deletion_theorem_deletes_once_per_item_that_can_be_admissible(monkeypatch):
+    # a facet holds no other facet, so the dimension of a pure complex drops
+    # only when every facet is removed: among 1- and 2-sets of facets, only
+    # the facets of a pure complex with at most two can be admissible
+    delete_cofaces = SimplicialComplex.delete_cofaces
+    deleted = []
+
+    def recording(self, faces):
+        deleted.append(id(self))
+        return delete_cofaces(self, faces)
+
+    monkeypatch.setattr(SimplicialComplex, "delete_cofaces", recording)
+    assert suite_deletion_theorem(VERIFY_CORPUS).ok
+    few = [id(cx) for _, cx in VERIFY_CORPUS
+           if len(cx.masks) <= 2 and cx.masks[0].bit_count() == cx.masks[-1].bit_count()]
+    assert deleted == few
+    assert len(few) == 11
 
 
 @pytest.mark.parametrize("suite, method", [(suite_link_laws, "restrict"),
