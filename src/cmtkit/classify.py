@@ -1,55 +1,56 @@
 """Deciders for Cohen-Macaulay, CM_t, Buchsbaum and k-CM_t complexes.
 
-One computation serves every CM_t decider: the obstruction map of a
-complex, which sends each face whose link has nonzero reduced homology
-below the link's dimension to the lowest such degree.  The three CM_t
-criteria are three readings of that map:
+A face is obstructed when its link has nonzero reduced homology below the
+link's dimension; its degree is the lowest such one.  One computation
+serves every CM_t decider: per link, an int whose bit s is set when some
+face of s vertices is obstructed.  CM_t is purity plus no obstructed face
+with at least t vertices, and the three criteria are three readings of it:
 
-* ``definition_links`` - purity plus Cohen-Macaulayness of the link of
-  every face with at least t vertices; such a link fails exactly when an
-  obstructed face contains the face;
-* ``reisner_homology`` - purity plus no obstructed face with at least t
-  vertices;
-* ``local_homology`` - the same condition read as local homology, which at
-  a nonempty face is the link's homology shifted up by the face's size, and
-  at the empty face is the global homology.
+* ``definition_links`` - the link of every face with at least t vertices is
+  CM; such a link fails exactly when an obstructed face contains the face;
+* ``reisner_homology`` - no obstructed face with at least t vertices;
+* ``local_homology`` - the same, read as local homology, which at a nonempty
+  face is the link's homology shifted up by the face's size, and at the
+  empty face is the global homology.
 
-The map comes from the vertex links, not from a walk over the faces.  The
+The sizes come from the vertex links, not from a walk over the faces.  The
 link of a face sigma is the link of sigma - v in lk v for any vertex v of
-sigma, so the map of a complex holds the empty face when the complex's own
-homology is obstructed, and v | rho for each vertex v and each rho in the
-map of lk v whose vertices all lie above v (`_link_recursion`).  A cone
-S * L, whose facets all contain the face S, takes one child instead: the
-link of a face missing a vertex of S is a cone, hence acyclic, and
-lk(S | rho) = lk_L(rho), so its map is S | rho for each rho in the map of
-L = lk S, and a simplex has no child at all.  Links that differ by an
-order-preserving relabelling share one map, so a sphere needs one complex
-per dimension.  Links of dimension at most 0 end the recursion, which runs
-depth first on an explicit stack with the memo as its only table.
+sigma, so a complex's sizes are bit 0 when its own homology is obstructed
+(at its `low` degree) and the sizes of its vertex links shifted up by one
+(`_link_recursion`).  A cone S * L, whose facets all contain the face S,
+takes one child instead: the link of a face missing a vertex of S is a
+cone, hence acyclic, and lk(S | rho) = lk_L(rho), so its sizes are those of
+L = lk S shifted up by |S|, and a simplex has no child at all.  Links that
+differ by an order-preserving relabelling share one entry, so a sphere
+needs one complex per dimension.  Links of dimension at most 0 end the
+recursion, which runs depth first on an explicit stack with the memo as its
+only table.
 
-Naive per-criterion deciders in ``tests/reference_deciders.py``, and the
-flat per-face scan ``reference_deciders.obstructions``, are the independent
-check on these.  All deciders produce concrete witnesses on failure so the
-CLI can report them.  One k-CM_t search (`_max_k_up_to`) serves every t: its
+A witness comes from a descent (`_descent`): the least obstructed face of a
+size starts at the least vertex v whose link has an obstructed face one
+vertex smaller, and goes on in lk v; its degree is the last link's `low`.
+``definition_links`` descends to the least t-face that lies in an obstructed
+face, and names the first obstructed face of its link.  Naive
+per-criterion deciders in ``tests/reference_deciders.py``, and the flat
+per-face scan ``reference_deciders.obstructions``, are the independent
+check on these.  One k-CM_t search (`_max_k_up_to`) serves every t: its
 levels, the complexes left by deleting vertices, do not depend on t, and
-each fails CM_t exactly below its own min_t.  The recursion, `_min_t` and
-the search take compact facet masks (ids renamed 0..m-1 in order), not a
-complex, and memoize on them, since the deciders and the theorem suites
-revisit the same links and restrictions, often on shifted ids.  The public
-deciders compact once; `_obstructions` lifts its map back to the complex's
-own ids, and a `Face` is built only for a witness returned.
+each fails CM_t exactly below its own min_t.
 
-Their values (obstruction maps and the k-CM_t search's least failing
+The recursion, `_min_t` and the search take compact facet masks (ids
+renamed 0..m-1 in order), not a complex, and memoize on them, since the
+deciders and the theorem suites revisit the same links and restrictions,
+often on shifted ids.  A descent walks the complex's own ids and compacts
+each link it reads, and a `Face` is built only for a witness returned.
+The values ((sizes, low) per link, and the k-CM_t search's least failing
 sizes) live in ``_MEMO``, the package's one cache, keyed on ``(kind,
-compact masks, parameters...)``.  An order-preserving relabelling keeps the
-canonical face order, so an obstruction map lifted back through the used
-ids keeps its order and its first witness.  So complexes that differ by an
+compact masks, parameters...)``.  So complexes that differ by an
 order-preserving relabelling share one entry (the links of a sphere at its
 faces are a handful of complexes on shifted ids), not only complexes that
 differ in their labels or ambient size, and no key keeps a complex alive.
 The memo is emptied when a finished computation leaves more than
 ``_MEMO_LIMIT`` entries in it, never partway through one: the link
-recursion keeps the maps it still needs there and nowhere else.
+recursion keeps the entries it still needs there and nowhere else.
 """
 
 from __future__ import annotations
@@ -61,14 +62,7 @@ from typing import Callable, Iterator
 
 from . import homology
 from ._record import FrozenRecord
-from .core import (
-    EMPTY_FACE,
-    Face,
-    SimplicialComplex,
-    _bits,
-    _canonical,
-    _relabelled,
-)
+from .core import Face, SimplicialComplex, _bits, _relabelled
 from .fields import GF2, FieldSpec
 
 DEFINITION_LINKS = "definition_links"
@@ -154,111 +148,122 @@ def _memoized(key: tuple, compute: Callable[[], object]):
 
 
 def clear_caches() -> None:
-    """Drop every memoized obstruction map and k-CM_t search result."""
+    """Drop every memoized link entry and k-CM_t search result."""
     _MEMO.clear()
 
 
-def _obstructions(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
-    """Each face mask whose link has reduced homology below the link's
-    dimension, mapped to the lowest such degree, in canonical face order."""
-    _require_nonvoid(cx)
-    found = _link_recursion(cx.compact().masks, field)
-    support = cx.support_mask
-    if support & (support + 1) == 0:  # cx uses the ids 0..m-1: the memo value is its own
-        return found
-    return dict(zip(_relabelled(found, support, inverse=True), found.values()))
+def _links_by_vertex(masks: tuple[int, ...]) -> dict[int, list[int]]:
+    """lk v, on the complex's own ids, for each vertex v of a facet with more
+    than 2 vertices (those whose links have dimension at least 1), ascending.
+    One pass over the facets files each facet less v under every vertex v in
+    it, which keeps the facets' canonical order (see core.link)."""
+    big = 0
+    for f in reversed(masks):
+        if f.bit_count() <= 2:
+            break
+        big |= f
+    links: dict[int, list[int]] = {v: [] for v in _bits(big)}
+    for f in masks:
+        for v in _bits(f & big):
+            links[v].append(f ^ 1 << v)
+    return links
 
 
-def _vertex_links(masks: tuple[int, ...]) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """(face, excluded, support, compact masks) for each link of dimension at
-    least 1 whose map makes up the map of the complex with facet masks
-    `masks`: its obstructed faces are face | rho for each rho in the link's
-    map that misses `excluded` (in the link's compact ids), lifted through
-    `support`.
+def _compacted(masks: list[int]) -> tuple[int, ...]:
+    return tuple(_relabelled(masks, reduce(or_, masks)))
 
-    A cone, whose facets share the face S, gives lk S alone, excluding
-    nothing: a face missing a vertex of S has a cone for its link, and
-    lk(S | rho) = lk_{lk S}(rho).  Any other complex gives lk v for each
-    vertex v, ascending, excluding the ids below v.  One pass over the
-    facets files each facet less v under every vertex v in it, which keeps
-    the facets' canonical order (see core.link).
-    """
+
+def _vertex_links(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """(shift, the distinct compact links of dimension at least 1) whose sizes,
+    shifted up by `shift`, make up those of the nonempty faces of the complex
+    with facet masks `masks`: for a cone on the face S, lk S alone, shifted
+    by |S| (see the module docstring); else lk v for each vertex v, by 1."""
     common = reduce(and_, masks)
     if common:  # lk S alone, unless its dimension is at most 0 ({<>} for a simplex)
         lk = [f ^ common for f in masks]
-        links = {common: lk} if lk[-1].bit_count() > 1 else {}
-    else:
-        big = 0  # the vertices of facets with more than 2 vertices: they have such links
-        for f in reversed(masks):
-            if f.bit_count() <= 2:
-                break
-            big |= f
-        links = {1 << v: [] for v in _bits(big)}
-        for f in masks:
-            for v in _bits(f & big):
-                links[1 << v].append(f ^ 1 << v)
-    out = []
-    for face, lk in links.items():
-        support = reduce(or_, lk)
-        # a vertex link excludes the ids of lk v below v; lk S excludes none
-        excluded = 0 if common else (1 << (support & (face - 1)).bit_count()) - 1
-        out.append((face, excluded, support, tuple(_relabelled(lk, support))))
-    return out
+        return common.bit_count(), [_compacted(lk)] if lk[-1].bit_count() > 1 else []
+    return 1, list(dict.fromkeys(map(_compacted, _links_by_vertex(masks).values())))
 
 
-def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> dict[int, int]:
-    """The obstruction map of the compact complex with facet masks `top`,
-    through its vertex links (see the module docstring).
+def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> tuple[int, int | None]:
+    """(sizes, low) of the compact complex with facet masks `top`: bit s of
+    sizes is set when some face of s vertices is obstructed, and low is the
+    lowest obstructed degree of the complex's own homology, or None.
 
     Each distinct link, up to an order-preserving relabelling, is computed
     once, depth first on one explicit stack, so the depth of the recursion
     costs no Python frames.  The memo is the only table: a link waits on
-    the stack under its first child with no map in the memo, and once every
-    child has one, builds its own from theirs and stores it; `_memoized`
-    stores the map of `top`, and empties the memo only once `descend` has
-    returned.
+    the stack under its first child with no entry in the memo, and once
+    every child has one, builds its own from theirs and stores it;
+    `_memoized` stores the entry of `top`, and empties the memo only once
+    `walk` has returned.
     """
     if top[-1].bit_count() <= 1:
-        return {}  # dimension at most 0: no link can be obstructed
+        return 0, None  # dimension at most 0: no link can be obstructed
 
-    def expand(key):  # the link, its children, and those of them with no map yet
-        kids = _vertex_links(key)
-        return key, kids, (lk for *_, lk in kids if ("obstructions", lk, field) not in _MEMO)
+    def expand(key):  # the link, its children, and those of them with no entry yet
+        shift, kids = _vertex_links(key)
+        return key, shift, kids, (lk for lk in kids if ("obstructions", lk, field) not in _MEMO)
 
-    def descend() -> dict[int, int]:
+    def walk() -> tuple[int, int | None]:
         stack = [expand(top)]
         while stack:
-            key, kids, missing = stack[-1]
+            key, shift, kids, missing = stack[-1]
             lk = next(missing, None)
             if lk is not None:
                 stack.append(expand(lk))
                 continue
             stack.pop()
-            found = {}
+            low = None
             if not reduce(and_, key):  # a cone is acyclic: no Betti vector to read
                 betti = homology._betti(key, field)
                 low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
-                if low is not None:
-                    found[0] = low
-            for face, excluded, support, lk in kids:
-                sub = _MEMO[("obstructions", lk, field)]
-                kept = [r for r in sub if not r & excluded]
-                if kept:
-                    found.update(zip((r | face for r in _relabelled(kept, support, inverse=True)),
-                                     map(sub.__getitem__, kept)))
-            found = {s: found[s] for s in _canonical(found)}
+            sizes = reduce(or_, (_MEMO[("obstructions", lk, field)][0] for lk in kids), 0)
+            entry = (sizes << shift | (low is not None), low)
             if stack:  # top, popped last, is stored by _memoized
-                _MEMO[("obstructions", key, field)] = found
-        return found  # the map of top
+                _MEMO[("obstructions", key, field)] = entry
+        return entry
 
-    return _memoized(("obstructions", top, field), descend)
+    return _memoized(("obstructions", top, field), walk)
+
+
+def _descent(masks: tuple[int, ...], size: int, field: FieldSpec,
+             exact: bool) -> tuple[int, tuple[int, ...]]:
+    """The least face, in canonical order, of `size` vertices that is (exact)
+    or lies in (not exact) an obstructed face of the complex with facet
+    masks `masks` on any ids, with the facet masks of its link.
+
+    Each step adds the least vertex v whose link has an obstructed face of
+    the wanted size less one (or at least that size) and goes on in lk v:
+    no vertex below v lies in such a face.
+    """
+    face = 0
+    for wanted in range(size - 1, -1, -1):
+        for v, lk in _links_by_vertex(masks).items():
+            sizes = _link_recursion(_compacted(lk), field)[0] >> wanted
+            if sizes & 1 if exact else sizes:
+                break
+        face |= 1 << v
+        masks = lk
+    return face, masks
+
+
+def _least_obstructed(masks: tuple[int, ...], t: int,
+                      field: FieldSpec) -> tuple[Face, int] | None:
+    """The first obstructed face with at least t vertices of the complex with
+    facet masks `masks` on any ids, and its degree (its link's low), or None."""
+    sizes = _link_recursion(_compacted(masks), field)[0] >> t
+    if not sizes:
+        return None
+    face, lk = _descent(masks, t + (sizes & -sizes).bit_length() - 1, field, True)
+    return Face.from_mask(face), _link_recursion(_compacted(lk), field)[1]
 
 
 def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
     """Reisner test: the first face whose link has homology below its dimension, or None."""
-    for s, degree in _obstructions(cx, field).items():
-        return Witness("link_homology", face=Face.from_mask(s), degree=degree)
-    return None
+    _require_nonvoid(cx)
+    found = _least_obstructed(cx.masks, 0, field)
+    return None if found is None else Witness("link_homology", *found)
 
 
 def is_cm(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
@@ -278,31 +283,24 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
     t = max(int(t), 0)
     if not is_pure(cx):
         return Witness("impure")
-    obstructed = _obstructions(cx, field)
     if crit == DEFINITION_LINKS:
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
-        # with more than t vertices fails only if its t-subsets do.  The least
-        # t-face inside an obstructed face r is its t lowest vertices, and
-        # the faces rho - sigma of lk(sigma) come in the same order as rho.
-        lows = {r & (2 << _bits(r)[t - 1]) - 1 if t else 0
-                for r in obstructed if r.bit_count() >= t}
-        if not lows:
+        # with more than t vertices fails only if its t-subsets do
+        if not _link_recursion(_compacted(cx.masks), field)[0] >> t:
             return None
-        s = min(lows, key=_bits)
-        r, degree = next((r, degree) for r, degree in obstructed.items() if s & r == s)
-        inner = Witness("link_homology", face=Face.from_mask(r & ~s), degree=degree)
-        return Witness("link_not_cm", face=Face.from_mask(s), inner=inner)
-    for s, degree in obstructed.items():
-        size = s.bit_count()
-        if size < t:
-            continue
-        if crit == REISNER_HOMOLOGY:
-            return Witness("link_homology", face=Face.from_mask(s), degree=degree)
-        if not s:
-            # punctures never see the empty face: this is the global condition
-            return Witness("global_homology", face=EMPTY_FACE, degree=degree)
-        return Witness("local_homology", face=Face.from_mask(s), degree=degree + size)
-    return None
+        sigma, lk = _descent(cx.masks, t, field, False)
+        inner = Witness("link_homology", *_least_obstructed(lk, 0, field))  # cm_witness(lk sigma)
+        return Witness("link_not_cm", face=Face.from_mask(sigma), inner=inner)
+    found = _least_obstructed(cx.masks, t, field)
+    if found is None:
+        return None
+    face, degree = found
+    if crit == REISNER_HOMOLOGY:
+        return Witness("link_homology", face, degree)
+    if not face:
+        # punctures never see the empty face: this is the global condition
+        return Witness("global_homology", face, degree)
+    return Witness("local_homology", face, degree + len(face))
 
 
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
@@ -391,7 +389,7 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
         for v, facets in _vertex_deletions(sub):  # sub is CM_t, hence pure
             if facets[-1].bit_count() < sub[-1].bit_count():
                 return Witness("restriction_dimension", removed=(*removed, v))
-            if _max_k_up_to(tuple(_relabelled(facets, reduce(or_, facets))), field, s)[at] < s:
+            if _max_k_up_to(_compacted(facets), field, s)[at] < s:
                 break
         removed.append(v)
         sub = tuple(facets)
@@ -425,7 +423,7 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
 
 def _min_t(masks: tuple[int, ...], field: FieldSpec) -> int:
     """min_t of the pure compact complex with facet masks `masks`."""
-    return max((s.bit_count() + 1 for s in _link_recursion(masks, field)), default=0)
+    return _link_recursion(masks, field)[0].bit_length()
 
 
 def max_k(cx: SimplicialComplex, t: int, field: FieldSpec = GF2) -> int:

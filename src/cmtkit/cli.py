@@ -54,7 +54,10 @@ def _face_from_labels(cx: SimplicialComplex, text: str) -> Face:
     missing = [t for t in tokens if t not in index]
     if missing:
         raise UsageError(f"unknown vertex label(s): {missing}")
-    return Face(index[t] for t in tokens)
+    face = Face(index[t] for t in tokens)
+    if not cx.contains(face):  # named by the labels given, not by internal ids
+        raise UsageError(f"not a face of the complex: {tokens}")
+    return face
 
 
 def _write_report(report: dict, args) -> None:

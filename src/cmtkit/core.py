@@ -201,14 +201,14 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _relabelled(masks: Iterable[int], support: int, inverse: bool = False) -> list[int]:
+def _relabelled(masks: Iterable[int], support: int) -> list[int]:
     """The masks with the i-th lowest id of `support` renamed i (every bit of
-    every mask must lie in support); with inverse, i renamed that id instead.
+    every mask must lie in support).
 
     Each run of ids missing below the top of support takes one shift of every
-    mask, the highest run first (the lowest first to insert them back).  Once
-    the runs outnumber the bits per mask, every mask is renamed bit by bit
-    through one id map instead, so the time stays linear in the mask sizes.
+    mask, the highest run first.  Once the runs outnumber the bits per mask,
+    every mask is renamed bit by bit through one id map instead, so the time
+    stays linear in the mask sizes.
     """
     masks = list(masks)
     budget = sum(map(int.bit_count, masks))
@@ -216,19 +216,14 @@ def _relabelled(masks: Iterable[int], support: int, inverse: bool = False) -> li
     gaps = ~support & ((1 << support.bit_length()) - 1)
     while gaps:
         if (len(runs) + 1) * len(masks) > budget:
-            ids = _bits(support)
-            bit = [1 << v for v in ids] if inverse else {v: 1 << i for i, v in enumerate(ids)}
+            bit = {v: 1 << i for i, v in enumerate(_bits(support))}
             return [sum(map(bit.__getitem__, _bits(m))) for m in masks]
         low = gaps & -gaps
         above = (gaps + low) & ~gaps
         runs.append((low - 1, above.bit_length() - low.bit_length()))
         gaps &= -above
-    if inverse:
-        for below, width in runs:
-            masks = [m & below | (m & ~below) << width for m in masks]
-    else:
-        for below, width in reversed(runs):
-            masks = [m & below | m >> width & ~below for m in masks]
+    for below, width in reversed(runs):
+        masks = [m & below | m >> width & ~below for m in masks]
     return masks
 
 

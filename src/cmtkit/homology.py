@@ -20,7 +20,7 @@ is exact over every field and the ranks come from the same exact kernels,
 so the result equals the full complex's Betti numbers, zero degrees
 included; `boundary_matrices` builds that full complex for the API and as
 the tests' oracle.  Betti vectors are not memoized: the deciders rank each
-distinct link once, for its obstruction map, and `classify`'s memo holds that.
+distinct link once, for its obstructed face sizes, which `classify`'s memo holds.
 
 Boundary maps stay sparse from the face masks to the rank kernels: each
 column is built as row index -> +-1 and ranked as a `linalg.Sparse` value.

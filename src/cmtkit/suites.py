@@ -10,7 +10,7 @@ complex each, run over the corpus by `_per_item`.  `link_laws`,
 drops a facet; `deletion_theorem` meets only the pure items with at most
 two facets, the only ones with an admissible removal set among their facet
 subsets; `criteria_equivalence` and `monotonicity` hold by construction
-(every criterion and t read one obstruction map, k = 1 and 2 one k-CM_t
+(every criterion and t read one int per link, k = 1 and 2 one k-CM_t
 search), so they can catch no fault in the deciders.
 
 A suite builds each derived complex of a corpus item once, in a table that

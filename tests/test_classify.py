@@ -16,8 +16,8 @@ import cmtkit
 from cmtkit import classify as classify_module
 from cmtkit import homology
 from cmtkit.classify import (
+    _link_recursion,
     _max_k_at,
-    _obstructions,
     CRITERIA,
     classify,
     clear_caches,
@@ -117,11 +117,12 @@ class TestMemo:
         b = SimplicialComplex(a.n_vertices, a.facets, ["p", "q", "r", "s", "u"])
         wider = SimplicialComplex(a.n_vertices + 1, a.facets, b.labels + ("z",))
         clear_caches()
-        found = _obstructions(a, GF2)
+        assert not is_cm(a, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
-        assert classify_module._MEMO[("obstructions", a.masks, GF2)] is found
-        assert _obstructions(b, GF2) is found
-        assert _obstructions(wider, GF2) is found
+        # only the shared vertex is obstructed: bit 1 of the sizes, and the
+        # complex's own homology is not
+        assert classify_module._MEMO[("obstructions", a.masks, GF2)] == (0b10, None)
+        assert not is_cm(b, GF2) and not is_cm(wider, GF2)
         # the copies add no entry of their own (the vertex links have theirs)
         assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
         # the shared entry holds masks; each witness names its own labels
@@ -135,10 +136,10 @@ class TestMemo:
         gapped = SimplicialComplex(2 * a.n_vertices, [Face(2 * v for v in f) for f in a.facets],
                                    [f"v{i}" for i in range(2 * a.n_vertices)])
         clear_caches()
-        found = _obstructions(a, GF2)
+        assert not is_cm(a, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
-        assert list(_obstructions(gapped, GF2).items()) == [(Face((4,)).mask, 0)]
-        assert classify_module._MEMO[("obstructions", a.masks, GF2)] is found
+        assert not is_cm(gapped, GF2)
+        assert classify_module._MEMO[("obstructions", a.masks, GF2)] == (0b10, None)
         assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
         # the shared vertex 2 of `a` is vertex 4 of the gapped copy
         assert cm_witness(gapped, GF2).to_json(gapped) == {
@@ -151,20 +152,21 @@ class TestMemo:
         betti = homology._betti
         monkeypatch.setattr(homology, "_betti", lambda *a: calls.append(a[0]) or betti(*a))
         clear_caches()
-        assert _obstructions(simplex(1 << 18), GF2) == {}
-        assert _obstructions(TWO_TRI_VERTEX.join(boundary_simplex(3)), GF2)
+        assert is_cm(simplex(1 << 18), GF2)
+        assert not is_cm(TWO_TRI_VERTEX.join(boundary_simplex(3)), GF2)
         assert calls and all(not reduce(and_, masks) for masks in calls)
         assert homology.reduced_betti(simplex(4), GF2).items() == tuple(
             (d, 0) for d in range(-1, 4))
 
     def test_sphere_needs_one_obstruction_map_per_dimension(self):
         # every link of a sphere is a sphere on shifted ids: the recursion
-        # computes one map per dimension 1..dim, not one walk per face
+        # computes one entry per dimension 1..dim, not one walk per face
         sphere = boundary_simplex(10)
         clear_caches()
-        assert _obstructions(sphere, GF2) == {}
+        assert is_cm(sphere, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
         assert sorted(len(key[1]) for key in entries) == list(range(3, 11))
+        assert {classify_module._MEMO[key] for key in entries} == {(0, None)}
 
     def test_each_distinct_link_is_expanded_once(self, monkeypatch):
         # a cold request expands each link it stores once, and ranks each
@@ -191,6 +193,29 @@ class TestMemo:
             assert sorted(ranked) == sorted(
                 key for key in stored if not reduce(and_, key) and key[-1].bit_count() > 1)
 
+    def test_witnesses_on_a_warm_memo_rank_nothing(self, monkeypatch):
+        # each descent reads the entries the recursion of the complex stored,
+        # or those of cones over them: once min_t has filled the memo, no
+        # witness under any t or criterion ranks a matrix
+        ranked = []
+        relative_betti = homology._relative_betti
+        monkeypatch.setattr(homology, "_relative_betti",
+                            lambda *args: ranked.append(args[0]) or relative_betti(*args))
+        cx = random_pure(10, 5, 0.4, 3)
+        gapped = SimplicialComplex(2 * cx.n_vertices, [Face(2 * v for v in f) for f in cx.facets])
+        cone = cx.join(from_facets([(0,)]))
+        for case in (cx, gapped, cone):
+            clear_caches()
+            assert min_t(case) == (5 if case is cone else 4)
+            ranked.clear()
+            faces = {len(cm_witness(case).face)}
+            for t in range(case.dim + 2):
+                for crit in CRITERIA:
+                    w = cm_t_witness(case, t, GF2, crit)
+                    faces.add(None if w is None else len(w.face))
+            assert not ranked
+            assert faces == {0, 1, 2, 3, None} | ({4} if case is cone else set())
+
     def test_link_recursion_takes_no_python_frame_per_level(self):
         # the links of the 90-vertex sphere go 88 levels deep: a recursive
         # walk overflows a limit of 60 frames, the explicit stack does not
@@ -212,7 +237,8 @@ class TestMemo:
                  miyazaki_example()[0], from_facets([(1, 2, 3), (3, 4, 5), (5, 6, 1), (2, 4, 6)])]
 
         def answers(cx):
-            out = [list(_obstructions(cx, field).items()) for field in (GF2, GF3, RATIONALS)]
+            out = [(_link_recursion(cx.compact().masks, field), cm_witness(cx, field))
+                   for field in (GF2, GF3, RATIONALS)]
             for t in range(cx.dim + 2):
                 for crit in CRITERIA:
                     w = cm_t_witness(cx, t, GF2, crit)

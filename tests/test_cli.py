@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -158,6 +159,14 @@ class TestTransformers:
     def test_link_of_non_face_is_usage_error(self, two_tri, capsys):
         code, _, err = run(capsys, ["link", two_tri, "--face", "1 4"])
         assert code == 2 and "not a face" in err
+
+    def test_link_of_non_face_names_the_labels_given(self, tmp_path, capsys):
+        # labels 1 and 3 are internal ids 0 and 2
+        path = tmp_path / "edge_and_point.cplx"
+        path.write_text("1 2\n3\n")
+        code, _, err = run(capsys, ["link", str(path), "--face", "1 3"])
+        assert code == 2
+        assert err == "cmtkit: not a face of the complex: ['1', '3']\n"
 
     def test_unknown_label_is_usage_error(self, two_tri, capsys):
         code, _, err = run(capsys, ["link", two_tri, "--face", "zzz"])
@@ -466,6 +475,25 @@ class TestLargeInputs:
         exit_code, seconds, report = done.stdout.split(" ", 2)
         assert exit_code == "0" and json.loads(report)["ok"] is True, done.stderr
         assert float(seconds) < 1.5
+
+    def test_check_of_10000_triangles_and_a_bowtie_is_fast(self, tmp_path):
+        # the witness is the bowtie's shared vertex, above 30,000 others: each
+        # descent step groups every vertex link in one pass over the facets,
+        # where a pass per vertex link took quadratic time
+        path = tmp_path / "triangles.cplx"
+        path.write_text("".join(f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(10000))
+                        + "30000 30001 30002\n30002 30003 30004\n")
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "check", str(path), "--t", "1"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+        seconds = time.perf_counter() - start
+        assert done.returncode == 1, done.stderr
+        assert json.loads(done.stdout)["witnesses"] == [{
+            "kind": "link_not_cm", "face": ["30002"],
+            "inner": {"kind": "link_homology", "face": [], "degree": 0}}]
+        assert seconds < 15
 
     def test_homology_of_19448_facets_is_fast(self, tmp_path):
         # the 6-skeleton of the 16-sphere: pure, so maximality compares nothing

@@ -45,7 +45,7 @@ def test_small_memo_bound_changes_no_report(monkeypatch):
 
 def test_verify_all_memo_shares_relabelled_entries():
     # `verify --suite all --max-n 7 --seeds 20` at seed 101: 565 entries
-    # (398 obstruction maps, 167 k-CM_t searches); keyed on uncompacted
+    # (398 link entries, 167 k-CM_t searches); keyed on uncompacted
     # masks, with Betti vectors memoized too, it stored 3,134
     clear_caches()
     reports = run_suites(["all"], VERIFY_CORPUS, field=GF2)
