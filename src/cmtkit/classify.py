@@ -17,14 +17,13 @@ The sizes come from the vertex links, not from a walk over the faces.  The
 link of a face sigma is the link of sigma - v in lk v for any vertex v of
 sigma, so a complex's sizes are bit 0 when its own homology is obstructed
 (at its `low` degree) and the sizes of its vertex links shifted up by one
-(`_link_recursion`).  A cone S * L, whose facets all contain the face S,
-takes one child instead: the link of a face missing a vertex of S is a
-cone, hence acyclic, and lk(S | rho) = lk_L(rho), so its sizes are those of
-L = lk S shifted up by |S|, and a simplex has no child at all.  Links that
-differ by an order-preserving relabelling share one entry, so a sphere
-needs one complex per dimension.  Links of dimension at most 0 end the
-recursion, which runs depth first on an explicit stack with the memo as its
-only table.
+(`_link_recursion`).  A cone S * L, whose facets all contain the face S, is
+not obstructed itself, and its sizes are those of L = lk S shifted up by
+|S|: the link of a face missing a vertex of S is a cone, hence acyclic, and
+lk(S | rho) = lk_L(rho).  So only cores have entries: `_core` splits the
+top and each vertex link into |S| and the compact L (a simplex has the
+core {<>}).  Cores of dimension at most 0 end the recursion, which runs
+depth first on an explicit stack with the memo as its only table.
 
 A witness comes from a descent (`_descent`): the least obstructed face of a
 size starts at the least vertex v whose link has an obstructed face one
@@ -37,17 +36,14 @@ check on these.  One k-CM_t search (`_max_k_up_to`) serves every t: its
 levels, the complexes left by deleting vertices, do not depend on t, and
 each fails CM_t exactly below its own min_t.
 
-The recursion, `_min_t` and the search take compact facet masks (ids
-renamed 0..m-1 in order), not a complex, and memoize on them, since the
-deciders and the theorem suites revisit the same links and restrictions,
-often on shifted ids.  A descent walks the complex's own ids and compacts
-each link it reads, and a `Face` is built only for a witness returned.
-The values ((sizes, low) per link, and the k-CM_t search's least failing
-sizes) live in ``_MEMO``, the package's one cache, keyed on ``(kind,
-compact masks, parameters...)``.  So complexes that differ by an
-order-preserving relabelling share one entry (the links of a sphere at its
-faces are a handful of complexes on shifted ids), not only complexes that
-differ in their labels or ambient size, and no key keeps a complex alive.
+The recursion and a descent take facet masks on any ids, and the k-CM_t
+search compact ones (ids renamed 0..m-1 in order), not a complex; a `Face`
+is built only for a witness returned.  The values ((sizes, low) per core,
+and the k-CM_t search's least failing sizes) live in ``_MEMO``, the
+package's one cache, keyed on ``(kind, compact masks, parameters...)``.  So
+complexes that differ by an order-preserving relabelling share one entry
+(a sphere needs one core per dimension), not only complexes that differ in
+their labels or ambient size, and no key keeps a complex alive.
 The memo is emptied when a finished computation leaves more than
 ``_MEMO_LIMIT`` entries in it, never partway through one: the link
 recursion keeps the entries it still needs there and nowhere else.
@@ -58,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import homology
 from ._record import FrozenRecord
@@ -169,62 +165,62 @@ def _links_by_vertex(masks: tuple[int, ...]) -> dict[int, list[int]]:
     return links
 
 
-def _compacted(masks: list[int]) -> tuple[int, ...]:
-    return tuple(_relabelled(masks, reduce(or_, masks)))
+def _compacted(masks: Sequence[int]) -> tuple[int, ...]:
+    """The masks, used ids renamed 0..m-1 in order (a compact tuple as is)."""
+    support = reduce(or_, masks)
+    return tuple(_relabelled(masks, support) if support & support + 1 else masks)
 
 
-def _vertex_links(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """(shift, the distinct compact links of dimension at least 1) whose sizes,
-    shifted up by `shift`, make up those of the nonempty faces of the complex
-    with facet masks `masks`: for a cone on the face S, lk S alone, shifted
-    by |S| (see the module docstring); else lk v for each vertex v, by 1."""
+def _core(masks: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(|S|, L) for the complex S * L with facet masks `masks` on any ids: S
+    the vertices in every facet, L the compact facet masks of lk S."""
     common = reduce(and_, masks)
-    if common:  # lk S alone, unless its dimension is at most 0 ({<>} for a simplex)
-        lk = [f ^ common for f in masks]
-        return common.bit_count(), [_compacted(lk)] if lk[-1].bit_count() > 1 else []
-    return 1, list(dict.fromkeys(map(_compacted, _links_by_vertex(masks).values())))
+    return common.bit_count(), _compacted([f ^ common for f in masks] if common else masks)
 
 
-def _link_recursion(top: tuple[int, ...], field: FieldSpec) -> tuple[int, int | None]:
-    """(sizes, low) of the compact complex with facet masks `top`: bit s of
-    sizes is set when some face of s vertices is obstructed, and low is the
-    lowest obstructed degree of the complex's own homology, or None.
+def _link_recursion(masks: Sequence[int], field: FieldSpec) -> tuple[int, int | None]:
+    """(sizes, low) of the complex with facet masks `masks` on any ids: bit s
+    of sizes is set when some face of s vertices is obstructed, and low is
+    the lowest obstructed degree of the complex's own homology, or None.
 
-    Each distinct link, up to an order-preserving relabelling, is computed
-    once, depth first on one explicit stack, so the depth of the recursion
-    costs no Python frames.  The memo is the only table: a link waits on
-    the stack under its first child with no entry in the memo, and once
-    every child has one, builds its own from theirs and stores it;
-    `_memoized` stores the entry of `top`, and empties the memo only once
+    Only cores (`_core`) have entries: a cone reads its core's sizes shifted
+    up by |S|, and a core ORs those of its vertex links, each shifted up by
+    one more.  Each distinct core is computed once, depth first on one
+    explicit stack, so the depth costs no Python frames.  The memo is the
+    only table: a core waits on the stack under its first child with no
+    entry, and once every child has one, builds its own from theirs and
+    stores it; `_memoized` stores the top's, and empties the memo only once
     `walk` has returned.
     """
+    shift, top = _core(masks)
     if top[-1].bit_count() <= 1:
         return 0, None  # dimension at most 0: no link can be obstructed
 
-    def expand(key):  # the link, its children, and those of them with no entry yet
-        shift, kids = _vertex_links(key)
-        return key, shift, kids, (lk for lk in kids if ("obstructions", lk, field) not in _MEMO)
+    def expand(key):  # the core, its (shift, child core) pairs, and the children with no entry yet
+        kids = dict.fromkeys(kid for kid in map(_core, _links_by_vertex(key).values())
+                             if kid[1][-1].bit_count() > 1)
+        return key, kids, (lk for _, lk in kids if ("obstructions", lk, field) not in _MEMO)
 
     def walk() -> tuple[int, int | None]:
         stack = [expand(top)]
         while stack:
-            key, shift, kids, missing = stack[-1]
+            key, kids, missing = stack[-1]
             lk = next(missing, None)
             if lk is not None:
                 stack.append(expand(lk))
                 continue
             stack.pop()
-            low = None
-            if not reduce(and_, key):  # a cone is acyclic: no Betti vector to read
-                betti = homology._betti(key, field)
-                low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
-            sizes = reduce(or_, (_MEMO[("obstructions", lk, field)][0] for lk in kids), 0)
-            entry = (sizes << shift | (low is not None), low)
+            betti = homology._betti(key, field)
+            low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
+            sizes = reduce(or_, (_MEMO[("obstructions", lk, field)][0] << s + 1
+                                 for s, lk in kids), 0)
+            entry = (sizes | (low is not None), low)
             if stack:  # top, popped last, is stored by _memoized
                 _MEMO[("obstructions", key, field)] = entry
         return entry
 
-    return _memoized(("obstructions", top, field), walk)
+    sizes, low = _memoized(("obstructions", top, field), walk)
+    return (sizes << shift, None) if shift else (sizes, low)
 
 
 def _descent(masks: tuple[int, ...], size: int, field: FieldSpec,
@@ -240,7 +236,7 @@ def _descent(masks: tuple[int, ...], size: int, field: FieldSpec,
     face = 0
     for wanted in range(size - 1, -1, -1):
         for v, lk in _links_by_vertex(masks).items():
-            sizes = _link_recursion(_compacted(lk), field)[0] >> wanted
+            sizes = _link_recursion(lk, field)[0] >> wanted
             if sizes & 1 if exact else sizes:
                 break
         face |= 1 << v
@@ -252,11 +248,11 @@ def _least_obstructed(masks: tuple[int, ...], t: int,
                       field: FieldSpec) -> tuple[Face, int] | None:
     """The first obstructed face with at least t vertices of the complex with
     facet masks `masks` on any ids, and its degree (its link's low), or None."""
-    sizes = _link_recursion(_compacted(masks), field)[0] >> t
+    sizes = _link_recursion(masks, field)[0] >> t
     if not sizes:
         return None
     face, lk = _descent(masks, t + (sizes & -sizes).bit_length() - 1, field, True)
-    return Face.from_mask(face), _link_recursion(_compacted(lk), field)[1]
+    return Face.from_mask(face), _link_recursion(lk, field)[1]
 
 
 def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
@@ -286,7 +282,7 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
     if crit == DEFINITION_LINKS:
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
         # with more than t vertices fails only if its t-subsets do
-        if not _link_recursion(_compacted(cx.masks), field)[0] >> t:
+        if not _link_recursion(cx.masks, field)[0] >> t:
             return None
         sigma, lk = _descent(cx.masks, t, field, False)
         inner = Witness("link_homology", *_least_obstructed(lk, 0, field))  # cm_witness(lk sigma)
@@ -418,11 +414,11 @@ def min_t(cx: SimplicialComplex, field: FieldSpec = GF2) -> int:
     obstructed face, or 0 if there is none."""
     if not is_pure(cx):
         raise ValueError("min_t undefined for impure complexes")
-    return _min_t(cx.compact().masks, field)
+    return _min_t(cx.masks, field)
 
 
 def _min_t(masks: tuple[int, ...], field: FieldSpec) -> int:
-    """min_t of the pure compact complex with facet masks `masks`."""
+    """min_t of the pure complex with facet masks `masks` on any ids."""
     return _link_recursion(masks, field)[0].bit_length()
 
 
@@ -464,9 +460,9 @@ def classify(cx: SimplicialComplex, field: FieldSpec = GF2) -> ClassificationRep
                 for t in range(max(dim, 0) + 1))
     if not pure:
         return ClassificationReport(dim, False, field, None, {}, agree)
-    masks = cx.compact().masks
-    mt = _min_t(masks, field)
-    ks = _max_k_up_to(masks, field, len(cx.vertex_ids()) + 1)  # one search for every t
+    mt = _min_t(cx.masks, field)
+    # one search for every t
+    ks = _max_k_up_to(cx.compact().masks, field, len(cx.vertex_ids()) + 1)
     per_t = {t: k for t, k in enumerate(ks) if t >= mt}
     return ClassificationReport(dim, True, field, mt, per_t, agree)
 
@@ -491,8 +487,10 @@ def explore_join(pool: list[SimplicialComplex],
                  field: FieldSpec = GF2) -> list[JoinObservation]:
     """Observed minimal t of factors versus their join, for every pool pair.
 
-    Purely exploratory output: how min_t behaves under joins is an open
-    question, so no expected relationship is asserted.
+    Only observed values are reported.  Over a field, min_t of a join of pure
+    nonvoid complexes follows the join law, max(min_t(A) + dim B + 1 if
+    min_t(A) > 0, min_t(B) + dim A + 1 if min_t(B) > 0, 0) (from Milnor's
+    join homology); ``tests/test_join_law.py`` checks it.
     """
     for cx in pool:
         if not is_pure(cx):

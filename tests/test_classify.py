@@ -119,11 +119,14 @@ class TestMemo:
         clear_caches()
         assert not is_cm(a, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
-        # only the shared vertex is obstructed: bit 1 of the sizes, and the
-        # complex's own homology is not
-        assert classify_module._MEMO[("obstructions", a.masks, GF2)] == (0b10, None)
+        # a is the cone on the shared vertex over two disjoint edges: the one
+        # entry is the edges', obstructed in their own degree 0, and only the
+        # shared vertex of the cone is obstructed (bit 1 of its sizes)
+        assert entries == [("obstructions", (0b0011, 0b1100), GF2)]
+        assert classify_module._MEMO[entries[0]] == (1, 0)
+        assert _link_recursion(a.masks, GF2) == (0b10, None)
         assert not is_cm(b, GF2) and not is_cm(wider, GF2)
-        # the copies add no entry of their own (the vertex links have theirs)
+        # the copies add no entry of their own
         assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
         # the shared entry holds masks; each witness names its own labels
         assert cm_witness(a, GF2).to_json(a) == {
@@ -139,7 +142,9 @@ class TestMemo:
         assert not is_cm(a, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
         assert not is_cm(gapped, GF2)
-        assert classify_module._MEMO[("obstructions", a.masks, GF2)] == (0b10, None)
+        assert entries == [("obstructions", (0b0011, 0b1100), GF2)]
+        assert classify_module._MEMO[entries[0]] == (1, 0)
+        assert _link_recursion(gapped.masks, GF2) == (0b10, None)
         assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
         # the shared vertex 2 of `a` is vertex 4 of the gapped copy
         assert cm_witness(gapped, GF2).to_json(gapped) == {
@@ -169,44 +174,49 @@ class TestMemo:
         assert {classify_module._MEMO[key] for key in entries} == {(0, None)}
 
     def test_each_distinct_link_is_expanded_once(self, monkeypatch):
-        # a cold request expands each link it stores once, and ranks each
-        # stored link once unless it is a cone
+        # a cold recursion expands and ranks each core it stores once, on
+        # the complex, a gapped copy and a cone over it alike
         expanded, ranked = [], []
-        vertex_links, relative_betti = classify_module._vertex_links, homology._relative_betti
-        monkeypatch.setattr(classify_module, "_vertex_links",
-                            lambda masks: expanded.append(masks) or vertex_links(masks))
+        links_by_vertex = classify_module._links_by_vertex
+        relative_betti = homology._relative_betti
+        monkeypatch.setattr(classify_module, "_links_by_vertex",
+                            lambda masks: expanded.append(masks) or links_by_vertex(masks))
         monkeypatch.setattr(homology, "_relative_betti",
                             lambda *args: ranked.append(args[0]) or relative_betti(*args))
         cx = random_pure(10, 5, 0.4, 3)
         gapped = SimplicialComplex(2 * cx.n_vertices, [Face(2 * v for v in f) for f in cx.facets])
         cone = cx.join(from_facets([(0,)]))
-        for case, face in ((cx, []), (gapped, []), (cone, ["0'"])):
+        for case, entry in ((cx, (0b1111, 3)), (gapped, (0b1111, 3)), (cone, (0b11110, None))):
             clear_caches()
             expanded.clear()
             ranked.clear()
+            assert _link_recursion(case.masks, GF2) == entry
+            stored = [key[1] for key in classify_module._MEMO if key[0] == "obstructions"]
+            assert len(stored) > 10
+            assert not any(reduce(and_, key) for key in stored)
+            assert sorted(expanded) == sorted(ranked) == sorted(stored)
+        for case, face in ((cx, []), (gapped, []), (cone, ["0'"])):
             assert cm_t_witness(case, 0).to_json(case) == {
                 "kind": "link_not_cm", "face": [],
                 "inner": {"kind": "link_homology", "face": face, "degree": 3}}
-            stored = [key[1] for key in classify_module._MEMO if key[0] == "obstructions"]
-            assert len(stored) > 10
-            assert sorted(expanded) == sorted(stored)
-            assert sorted(ranked) == sorted(
-                key for key in stored if not reduce(and_, key) and key[-1].bit_count() > 1)
 
     def test_witnesses_on_a_warm_memo_rank_nothing(self, monkeypatch):
-        # each descent reads the entries the recursion of the complex stored,
-        # or those of cones over them: once min_t has filled the memo, no
-        # witness under any t or criterion ranks a matrix
+        # each descent reads the entries the recursion of the complex stored:
+        # once min_t has filled the memo, no witness under any t or criterion
+        # ranks a matrix or stores an entry, and a gapped copy and a cone
+        # store the 176 entries of the complex itself
         ranked = []
         relative_betti = homology._relative_betti
         monkeypatch.setattr(homology, "_relative_betti",
                             lambda *args: ranked.append(args[0]) or relative_betti(*args))
         cx = random_pure(10, 5, 0.4, 3)
         gapped = SimplicialComplex(2 * cx.n_vertices, [Face(2 * v for v in f) for f in cx.facets])
-        cone = cx.join(from_facets([(0,)]))
+        cone = cx.join(simplex(1))
+        entries = []
         for case in (cx, gapped, cone):
             clear_caches()
             assert min_t(case) == (5 if case is cone else 4)
+            entries.append(set(classify_module._MEMO))
             ranked.clear()
             faces = {len(cm_witness(case).face)}
             for t in range(case.dim + 2):
@@ -214,7 +224,9 @@ class TestMemo:
                     w = cm_t_witness(case, t, GF2, crit)
                     faces.add(None if w is None else len(w.face))
             assert not ranked
+            assert set(classify_module._MEMO) == entries[-1]
             assert faces == {0, 1, 2, 3, None} | ({4} if case is cone else set())
+        assert entries[0] == entries[1] == entries[2] and len(entries[0]) == 176
 
     def test_link_recursion_takes_no_python_frame_per_level(self):
         # the links of the 90-vertex sphere go 88 levels deep: a recursive

@@ -1,8 +1,11 @@
 """The named verification suites run clean on a small corpus."""
 
+from functools import reduce
+from operator import and_
+
 import pytest
 
-from cmtkit import classify
+from cmtkit import classify, homology
 from cmtkit.classify import clear_caches
 from cmtkit.core import SimplicialComplex
 from cmtkit.fields import GF2
@@ -44,13 +47,29 @@ def test_small_memo_bound_changes_no_report(monkeypatch):
 
 
 def test_verify_all_memo_shares_relabelled_entries():
-    # `verify --suite all --max-n 7 --seeds 20` at seed 101: 565 entries
-    # (398 link entries, 167 k-CM_t searches); keyed on uncompacted
+    # `verify --suite all --max-n 7 --seeds 20` at seed 101: 540 entries
+    # (373 link entries, 167 k-CM_t searches); keyed on uncompacted
     # masks, with Betti vectors memoized too, it stored 3,134
     clear_caches()
     reports = run_suites(["all"], VERIFY_CORPUS, field=GF2)
     assert all(r.ok for r in reports)
-    assert len(classify._MEMO) <= 565
+    assert len(classify._MEMO) <= 540
+
+
+def test_verify_all_stores_no_cone_and_ranks_each_entry_once(monkeypatch):
+    # the link memo is keyed on cone-free cores: a cold `verify --suite all
+    # --max-n 7 --seeds 20` at seed 101 stores 373 of them, none a cone, and
+    # ranks each once
+    ranked = []
+    relative_betti = homology._relative_betti
+    monkeypatch.setattr(homology, "_relative_betti",
+                        lambda *args: ranked.append(args[0]) or relative_betti(*args))
+    clear_caches()
+    assert all(r.ok for r in run_suites(["all"], VERIFY_CORPUS, field=GF2))
+    stored = [key[1] for key in classify._MEMO if key[0] == "obstructions"]
+    assert len(stored) == 373
+    assert not any(reduce(and_, masks) for masks in stored)
+    assert sorted(ranked) == sorted(stored)
 
 
 def test_verify_all_case_counts():
