@@ -36,11 +36,11 @@ check on these.  One k-CM_t search (`_max_k_up_to`) serves every t: its
 levels, the complexes left by deleting vertices, do not depend on t, and
 each fails CM_t exactly below its own min_t.
 
-The recursion and a descent take facet masks on any ids, and the k-CM_t
-search compact ones (ids renamed 0..m-1 in order), not a complex; a `Face`
-is built only for a witness returned.  The values ((sizes, low) per core,
-and the k-CM_t search's least failing sizes) live in ``_MEMO``, the
-package's one cache, keyed on ``(kind, compact masks, parameters...)``.  So
+The recursion and a descent take facet masks on any ids, as the k-CM_t
+search does, not a complex; a `Face` is built only for a witness returned.
+The values ((sizes, low) per core, and the k-CM_t search's least failing
+sizes) live in ``_MEMO``, the package's one cache, keyed on ``(kind,
+compact masks, parameters...)``, ids renamed 0..m-1 in order.  So
 complexes that differ by an order-preserving relabelling share one entry
 (a sphere needs one core per dimension), not only complexes that differ in
 their labels or ambient size, and no key keeps a complex alive.
@@ -309,14 +309,15 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
     return is_cm_t(cx, 1, field)
 
 
-def _max_k_up_to(top: tuple[int, ...], field: FieldSpec, limit: int) -> tuple[int, ...]:
+def _max_k_up_to(masks: Sequence[int], field: FieldSpec, limit: int) -> tuple[int, ...]:
     """min(max_k(K, t), limit) for t = 0..max(dim K, 0), 0 where K is not CM_t,
-    for the compact complex K with facet masks `top`.  Level s holds the
-    distinct compacted K - W with |W| = s, each scoring its min_t (every t if
-    impure, or if a cone on the level before); t first fails where the
-    running maximum score exceeds t."""
+    for the complex K with facet masks `masks` on any ids, keyed on them
+    compacted.  Level s holds the distinct compacted K - W with |W| = s, each
+    scoring its min_t (every t if impure, or if a cone on the level before);
+    t first fails where the running maximum score exceeds t."""
     if limit < 1:
         raise ValueError("k must be at least 1")
+    top = _compacted(masks)
     every = max(top[-1].bit_count(), 1)  # max(dim, 0) + 1: the score that fails every t
 
     def score(masks: tuple[int, ...]) -> int:
@@ -353,7 +354,7 @@ def _max_k_at(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> in
     """_max_k_up_to at t, read as 0..max(dim, 0): above dim CM_t is purity."""
     _require_nonvoid(cx)
     t = min(max(t, 0), max(cx.dim, 0))
-    return _max_k_up_to(cx.compact().masks, field, limit)[t]
+    return _max_k_up_to(cx.masks, field, limit)[t]
 
 
 def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
@@ -385,7 +386,7 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
         for v, facets in _vertex_deletions(sub):  # sub is CM_t, hence pure
             if facets[-1].bit_count() < sub[-1].bit_count():
                 return Witness("restriction_dimension", removed=(*removed, v))
-            if _max_k_up_to(_compacted(facets), field, s)[at] < s:
+            if _max_k_up_to(facets, field, s)[at] < s:
                 break
         removed.append(v)
         sub = tuple(facets)
@@ -462,7 +463,7 @@ def classify(cx: SimplicialComplex, field: FieldSpec = GF2) -> ClassificationRep
         return ClassificationReport(dim, False, field, None, {}, agree)
     mt = _min_t(cx.masks, field)
     # one search for every t
-    ks = _max_k_up_to(cx.compact().masks, field, len(cx.vertex_ids()) + 1)
+    ks = _max_k_up_to(cx.masks, field, len(cx.vertex_ids()) + 1)
     per_t = {t: k for t, k in enumerate(ks) if t >= mt}
     return ClassificationReport(dim, True, field, mt, per_t, agree)
 

@@ -15,9 +15,9 @@ search), so they can catch no fault in the deciders.
 
 A suite builds each derived complex of a corpus item once, in a table that
 lives for that item's check: `link_laws` its restrictions and links, the
-recursion suites the links of its vertices or faces (compacted once, as the
-deciders' memo keys are).  What a law checks is still built per check:
-the link of a link, the link of a restriction and the restriction of a link.
+recursion suites the links of its vertices or faces.  What a law checks
+is still built per check: the link of a link, the link of a restriction and
+the restriction of a link.
 """
 
 from __future__ import annotations
@@ -248,8 +248,7 @@ def suite_criteria_equivalence(cx: SimplicialComplex, field: FieldSpec) -> Itera
 def suite_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """CM_t (t >= 1) holds iff the complex is pure and every vertex link is CM_{t-1}."""
     pure = is_pure(cx)
-    # the vertex links for every t, compact as the deciders' memo keys are
-    links = [cx.link(v).compact() for v in cx.faces(size=1)] if pure else []
+    links = [cx.link(v) for v in cx.faces(size=1)] if pure else []
     for t in range(1, cx.dim + 1):
         lhs = is_cm_t(cx, t, field)
         rhs = pure and all(is_cm_t(lk, t - 1, field) for lk in links)
@@ -269,8 +268,7 @@ def suite_k_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[
     k = 2
     if not is_pure(cx):
         return
-    # every face with its link, built and compacted once for every t
-    links = [(s, cx.link(s).compact()) for s in cx.faces()]
+    links = [(s, cx.link(s)) for s in cx.faces()]
     nonempty = links[1:]  # the empty face comes first
     for t in range(1, cx.dim + 1):
         lhs = is_k_cm_t_unbounded(cx, k, t, field)

@@ -462,6 +462,40 @@ class TestMaxK:
         assert rep.min_t == 0
         assert rep.max_k_per_t == {t: 5 for t in range(10)}
 
+    @pytest.mark.parametrize("case", ("gapped", "vertex_link"))
+    def test_search_takes_masks_on_any_ids(self, monkeypatch, case):
+        # the k-CM_t search compacts its own input: on ids with gaps, every
+        # k-CM_t decider answers as on the compact copy without building
+        # one, and the search stores the compact copy's entries
+        cx = random_pure(8, 4, 0.6, 3)
+        if case == "gapped":
+            wide = SimplicialComplex(2 * cx.n_vertices, [Face(2 * v for v in f) for f in cx.facets],
+                                     [cx.labels[v // 2] if v % 2 == 0 else f"gap{v}"
+                                      for v in range(2 * cx.n_vertices)])
+        else:
+            wide = cx.link(Face([3]))
+        compact = wide.compact()
+        assert compact.masks != wide.masks and is_pure(wide)
+
+        def decisions(c):
+            out = [classify(c, GF2).to_json()]
+            for t in range(c.dim + 2):
+                for k in (1, 2, 3):
+                    w = k_cm_t_witness(c, k, t, GF2)
+                    out += [is_k_cm_t_unbounded(c, k, t, GF2), w and w.to_json(c)]
+                try:
+                    out.append(max_k(c, t, GF2))
+                except ValueError as e:
+                    out.append(str(e))
+            return out, {key for key in classify_module._MEMO if key[0] == "max_k"}
+
+        clear_caches()
+        want = decisions(compact)
+        monkeypatch.setattr(SimplicialComplex, "compact",
+                            lambda self: pytest.fail("a decider compacted its input"))
+        clear_caches()
+        assert decisions(wide) == want
+
 
 class TestClassify:
     def test_two_triangles_at_vertex(self):

@@ -59,17 +59,25 @@ def test_verify_all_memo_shares_relabelled_entries():
 def test_verify_all_stores_no_cone_and_ranks_each_entry_once(monkeypatch):
     # the link memo is keyed on cone-free cores: a cold `verify --suite all
     # --max-n 7 --seeds 20` at seed 101 stores 373 of them, none a cone, and
-    # ranks each once
-    ranked = []
+    # ranks each once.  The recursion and the k-CM_t search (167 entries)
+    # compact their own input: only link_laws' join associativity (16) and
+    # paper_fixtures (1) build compact complexes, where handing the search
+    # compact masks built 3,514
+    ranked, compacted = [], []
     relative_betti = homology._relative_betti
+    compact = SimplicialComplex.compact
     monkeypatch.setattr(homology, "_relative_betti",
                         lambda *args: ranked.append(args[0]) or relative_betti(*args))
+    monkeypatch.setattr(SimplicialComplex, "compact",
+                        lambda self: compacted.append(self) or compact(self))
     clear_caches()
     assert all(r.ok for r in run_suites(["all"], VERIFY_CORPUS, field=GF2))
     stored = [key[1] for key in classify._MEMO if key[0] == "obstructions"]
     assert len(stored) == 373
     assert not any(reduce(and_, masks) for masks in stored)
     assert sorted(ranked) == sorted(stored)
+    assert sum(key[0] == "max_k" for key in classify._MEMO) == 167
+    assert len(compacted) <= 17
 
 
 def test_verify_all_case_counts():
