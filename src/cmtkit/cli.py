@@ -6,16 +6,24 @@ an output file cannot be written, and on an internal error (reported as
 `cmtkit: internal error: <type>: <message>`, never as a traceback).
 Reports are JSON with a stable schema (schema: 1); exit code 1 is always
 accompanied by a concrete witness in the report.
+
+Each command is described once, in COMMANDS.  main reads a plain argv (a
+command, exact option strings with their values, positionals) straight
+from that table; anything else (help, --version, abbreviations, '=' forms,
+a usage error) goes to the argparse parser that build_parser makes from the
+same table, so help text, usage errors and exit codes are argparse's.  A
+plain request builds no parser and never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .classify import (
@@ -206,85 +214,166 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-@functools.cache  # once per process: building all nine subparsers takes about 2 ms
-def build_parser() -> argparse.ArgumentParser:
+class _Arg:
+    """One argument of a command, as argparse's add_argument takes it: a
+    positional when its one flag has no leading '-', else an option under
+    each of its flags, stored under dest (argparse's own derivation)."""
+
+    __slots__ = ("flags", "dest", "type", "default", "choices", "required", "help")
+
+    def __init__(self, *flags, type=None, default=None, choices=None, required=False,
+                 help=None):
+        self.flags = flags
+        name = next((f for f in flags if f.startswith("--")), flags[0])
+        self.dest = name.lstrip("-").replace("-", "_")
+        self.type, self.default, self.choices = type, default, choices
+        self.required, self.help = required, help
+
+    @property
+    def positional(self) -> bool:
+        return not self.flags[0].startswith("-")
+
+
+def _common(output: str) -> tuple[_Arg, _Arg]:
+    return (_Arg("--field", default="gf2", help="coefficient field: gf<p> or q"),
+            _Arg("-o", "--output", help=f"write the {output} here instead of stdout"))
+
+
+_REPORT = _common("JSON report")
+_COMPLEX = _common("facet file")
+
+# Every command once: its handler, its help line and its arguments in the
+# order that help lists them.  main reads plain argv straight from this
+# table; build_parser builds the argparse parser from it for everything else.
+COMMANDS = {
+    "homology": (cmd_homology, "reduced Betti numbers of a complex",
+                 (_Arg("file"), *_REPORT)),
+    "check": (cmd_check, "decide CM_t (or k-CM_t with --k)", (
+        _Arg("file"),
+        _Arg("--t", type=int, default=0, help="CM_t index (default 0 = CM)"),
+        _Arg("--k", type=int, help="decide k-CM_t instead"),
+        _Arg("--criterion", default="def", choices=("def", "reisner", "local"),
+             help="CM_t criterion (ignored with --k)"),
+        *_REPORT)),
+    "classify": (cmd_classify, "full classification report", (_Arg("file"), *_REPORT)),
+    "link": (cmd_link, "link of a face, as a facet file", (
+        _Arg("file"),
+        _Arg("--face", required=True, help="vertex labels, e.g. --face '1 3'"),
+        *_COMPLEX)),
+    "skeleton": (cmd_skeleton, "j-skeleton, as a facet file", (
+        _Arg("file"),
+        _Arg("-j", type=int, required=True, help="skeleton dimension (>= -1)"),
+        *_COMPLEX)),
+    "join": (cmd_join, "simplicial join of two complexes",
+             (_Arg("file_a"), _Arg("file_b"), *_COMPLEX)),
+    "gen": (cmd_gen, "emit a generated complex as a facet file", (
+        _Arg("family", choices=tuple(_FAMILIES)),
+        _Arg("-n", type=int, default=3, help="vertex count (simplex/boundary/random)"),
+        _Arg("-d", type=int, default=3, help="facet size (glued/random)"),
+        _Arg("-m", type=int, default=2, help="number of glued simplices"),
+        _Arg("--overlap", type=int, default=0,
+             help="pairwise intersection dimension for glued families"),
+        _Arg("--density", type=float, default=0.5, help="facet density (random)"),
+        _Arg("--seed", type=int, default=42, help="random seed"),
+        *_COMPLEX)),
+    "explore-join": (cmd_explore_join, "observed min_t of two factors and their join",
+                     (_Arg("file_a"), _Arg("file_b"), *_REPORT)),
+    "verify": (cmd_verify, "run a named property suite over a generated corpus", (
+        _Arg("--suite", default="all", choices=SUITE_NAMES),
+        _Arg("--max-n", type=int, default=6, help="vertex bound for the generated corpus"),
+        _Arg("--seeds", type=int, default=10, help="number of random corpus seeds"),
+        *_REPORT)),
+}
+
+# argparse reads a token of this form as a value, not an option, when no
+# option string looks like a negative number (none here does)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_plain(token: str) -> bool:
+    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
+
+
+def _value(arg: _Arg, text: str):
+    """arg's value read from text, type first and then choices, as argparse
+    does; ValueError when either refuses it."""
+    value = text if arg.type is None else arg.type(text)
+    if arg.choices is not None and value not in arg.choices:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _read_plain(argv: list[str]):
+    """The namespace argparse would return for argv, when every token is
+    plain: a command, then exact option strings each followed by its value,
+    and positionals; a value or positional starts with '-' only as a
+    negative number.  None for anything else (help, --version, '--',
+    abbreviations, '=' forms, unknown options, a type, choice or count
+    error), which build_parser's parser then handles."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, arguments = COMMANDS[argv[0]]
+    options = {flag: a for a in arguments if not a.positional for flag in a.flags}
+    positionals = [a for a in arguments if a.positional]
+    values = {a.dest: a.default for a in arguments}
+    seen, plain = set(), []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            arg = options.get(token)
+            if arg is None:
+                if not _is_plain(token):
+                    return None
+                plain.append(token)
+                continue
+            value = next(tokens, None)
+            if value is None or not _is_plain(value):
+                return None
+            values[arg.dest] = _value(arg, value)
+            seen.add(arg.dest)
+        if len(plain) != len(positionals):
+            return None
+        for arg, token in zip(positionals, plain):
+            values[arg.dest] = _value(arg, token)
+    except ValueError:
+        return None
+    if any(a.required and a.dest not in seen for a in arguments):
+        return None
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
+
+
+@functools.cache  # once per process, and only when _read_plain declines: about 3-5 ms
+def build_parser():
+    """argparse's parser for every command in COMMANDS."""
+    import argparse  # here, not at the top: a plain argv never loads it (or gettext)
+
     parser = argparse.ArgumentParser(
         prog="cmtkit",
         description="Decide Cohen-Macaulay, CM_t, Buchsbaum and k-CM_t properties "
                     "of simplicial complexes, exactly, over GF(p) or Q.")
     parser.add_argument("--version", action="version", version=f"cmtkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, fn, output_is_complex=False):
-        p.add_argument("--field", default="gf2", help="coefficient field: gf<p> or q")
-        p.add_argument("-o", "--output",
-                       help="write the %s here instead of stdout"
-                            % ("facet file" if output_is_complex else "JSON report"))
+    for name, (fn, help, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for a in arguments:
+            common = {"type": a.type, "choices": a.choices, "help": a.help}
+            if a.positional:
+                p.add_argument(a.flags[0], **common)
+            else:
+                p.add_argument(*a.flags, dest=a.dest, default=a.default,
+                               required=a.required, **common)
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("homology", help="reduced Betti numbers of a complex")
-    p.add_argument("file")
-    add_common(p, cmd_homology)
-
-    p = sub.add_parser("check", help="decide CM_t (or k-CM_t with --k)")
-    p.add_argument("file")
-    p.add_argument("--t", type=int, default=0, help="CM_t index (default 0 = CM)")
-    p.add_argument("--k", type=int, default=None, help="decide k-CM_t instead")
-    p.add_argument("--criterion", default="def", choices=("def", "reisner", "local"),
-                   help="CM_t criterion (ignored with --k)")
-    add_common(p, cmd_check)
-
-    p = sub.add_parser("classify", help="full classification report")
-    p.add_argument("file")
-    add_common(p, cmd_classify)
-
-    p = sub.add_parser("link", help="link of a face, as a facet file")
-    p.add_argument("file")
-    p.add_argument("--face", required=True, help="vertex labels, e.g. --face '1 3'")
-    add_common(p, cmd_link, output_is_complex=True)
-
-    p = sub.add_parser("skeleton", help="j-skeleton, as a facet file")
-    p.add_argument("file")
-    p.add_argument("-j", type=int, required=True, help="skeleton dimension (>= -1)")
-    add_common(p, cmd_skeleton, output_is_complex=True)
-
-    p = sub.add_parser("join", help="simplicial join of two complexes")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    add_common(p, cmd_join, output_is_complex=True)
-
-    p = sub.add_parser("gen", help="emit a generated complex as a facet file")
-    p.add_argument("family", choices=tuple(_FAMILIES))
-    p.add_argument("-n", type=int, default=3, help="vertex count (simplex/boundary/random)")
-    p.add_argument("-d", type=int, default=3, help="facet size (glued/random)")
-    p.add_argument("-m", type=int, default=2, help="number of glued simplices")
-    p.add_argument("--overlap", type=int, default=0,
-                   help="pairwise intersection dimension for glued families")
-    p.add_argument("--density", type=float, default=0.5, help="facet density (random)")
-    p.add_argument("--seed", type=int, default=42, help="random seed")
-    add_common(p, cmd_gen, output_is_complex=True)
-
-    p = sub.add_parser("explore-join", help="observed min_t of two factors and their join")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    add_common(p, cmd_explore_join)
-
-    p = sub.add_parser("verify", help="run a named property suite over a generated corpus")
-    p.add_argument("--suite", default="all", choices=SUITE_NAMES)
-    p.add_argument("--max-n", dest="max_n", type=int, default=6,
-                   help="vertex bound for the generated corpus")
-    p.add_argument("--seeds", type=int, default=10, help="number of random corpus seeds")
-    add_common(p, cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
     except ParseError as e:

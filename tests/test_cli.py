@@ -10,9 +10,10 @@ import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmtkit
@@ -244,6 +245,21 @@ for argv in (["homology", f], ["check", f, "--t", "1"], ["check", f, "--k", "2"]
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_a_plain_command_loads_neither_argparse_nor_gettext(self, two_tri, tmp_path):
+        # compare the module set before and after, so that what site imports does not count
+        script = f"""
+import sys
+before = set(sys.modules)
+from cmtkit.cli import main
+main(["check", {two_tri!r}, "--t", "1", "-o", {str(tmp_path / "out.json")!r}])
+print(sorted({{"argparse", "gettext"}} & (set(sys.modules) - before)))
+"""
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
 
 class TestGen:
     def test_gen_then_check_pipeline(self, tmp_path, capsys):
@@ -307,8 +323,129 @@ class TestParser:
                  run(capsys, ["check", two_tri, "--t", "not-a-number"])[0],
                  run(capsys, ["homology", two_tri])[0]]
         assert codes == [0, 1, 2, 0]
+        # only "--t not-a-number" is left to argparse, so it alone builds the parser
         assert cli.build_parser.cache_info().misses == 1
-        assert cli.build_parser.cache_info().hits == 3
+        assert cli.build_parser.cache_info().hits == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{f}", "--t", "-5", "--criterion", "local", "--field", "q"],
+        ["check", "--k", "2", "{f}"], ["homology", "{f}", "--field", "gf3"],
+        ["classify", "{f}"], ["link", "{f}", "--face", "3"], ["skeleton", "-j", "0", "{f}"],
+        ["join", "{f}", "--field", "q", "{f}"],
+        ["gen", "random", "-n", "6", "--density", ".5", "--seed", "-3"],
+        ["explore-join", "{f}", "{f}"],
+        ["verify", "--suite", "monotonicity", "--max-n", "3", "--seeds", "0"],
+    ])
+    def test_a_plain_argv_builds_no_parser(self, argv, capsys, two_tri):
+        cli.build_parser.cache_clear()
+        code, _, err = run(capsys, [a.format(f=two_tri) for a in argv])
+        assert code in (0, 1) and err == ""
+        assert cli.build_parser.cache_info().currsize == 0
+
+
+# argv built from the command table, plain or not: exact, abbreviated, '='
+# and joined option forms, repeated and missing options, too few or too many
+# positionals, values of the wrong type or out of their choices, and help,
+# --version and '--'.  "{d}" is the directory of the argv_files fixture.
+_FILES = ["{d}/tv.cplx", "{d}/missing.cplx"]
+_OUTPUTS = ["{d}/out", "{d}/missing/out"]
+_STRINGS = ["gf2", "gf3", "q", "3", "1 3", "zzz", ""]
+_ODD_VALUES = ["-x", "-5", "-1e5", "--", "bogus", "1.5", ".5", "-.5", "1e3", "-"]
+_ODD_TOKENS = [["-h"], ["--help"], ["--version"], ["--"], ["--bogus", "1"], ["-"]]
+
+
+def _values(arg):
+    if arg.choices is not None:
+        usual = list(arg.choices)
+    elif arg.type is int:
+        usual = [str(i) for i in range(-2, 5)]
+    elif arg.type is float:
+        usual = ["0.5", "1.0", ".5", "-0.5"]
+    else:
+        usual = _FILES if arg.positional else _OUTPUTS if "-o" in arg.flags else _STRINGS
+    return st.one_of(st.sampled_from(usual), st.sampled_from(usual), st.sampled_from(_ODD_VALUES))
+
+
+@st.composite
+def _option(draw, arg):
+    flag = draw(st.sampled_from(arg.flags))
+    value = draw(_values(arg))
+    forms = [[flag, value]] * 4 + [[flag], [f"{flag}={value}"]]
+    if flag.startswith("--") and len(flag) > 3:
+        forms.append([flag[:-1], value])
+    if not flag.startswith("--"):
+        forms.append([flag + value])
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(cli.COMMANDS) * 4 + ["frobnicate", "-h", "--version"]))
+    arguments = cli.COMMANDS[name][2] if name in cli.COMMANDS else ()
+    items = []
+    for arg in arguments:
+        if arg.positional:
+            count = draw(st.sampled_from([1, 1, 1, 1, 0, 2]))
+            items += [[draw(_values(arg))] for _ in range(count)]
+        else:
+            count = draw(st.sampled_from([1, 1, 1, 2, 0] if arg.required else [0, 0, 1, 1, 2]))
+            items += [draw(_option(arg)) for _ in range(count)]
+    items += draw(st.lists(st.sampled_from(_ODD_TOKENS), max_size=1))
+    return [name] + [token for item in draw(st.permutations(items)) for token in item]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "tv.cplx").write_text(TWO_TRI_VERTEX)
+    return str(d)
+
+
+def _captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestPlainReader:
+    """The direct reader of plain argv against argparse as the oracle."""
+
+    @settings(max_examples=400)
+    @given(_argv())
+    def test_accepted_argv_parses_as_argparse_parses_it(self, argv):
+        args = cli._read_plain(argv)
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+    @settings(max_examples=150)
+    @given(_argv())
+    def test_main_answers_as_with_argparse_alone(self, argv_files, argv):
+        argv = [a.format(d=argv_files) for a in argv]
+        cwd = os.getcwd()
+        os.chdir(argv_files)  # "-obogus" and "--output=x" write where they run
+        try:
+            direct = _captured_main(argv)
+            with mock.patch.object(cli, "_read_plain", lambda argv: None):
+                assert _captured_main(argv) == direct
+        finally:
+            os.chdir(cwd)
+
+    def test_negative_values_are_read_directly(self):
+        args = cli._read_plain(["check", "f", "--t", "-5", "--k", "-1"])
+        assert args is not None and (args.t, args.k) == (-5, -1)
+        args = cli._read_plain(["gen", "random", "--density", "-.5"])
+        assert args is not None and args.density == -0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "f", "-h"], ["check", "f", "--fie", "q"], ["check", "f", "--field=q"],
+        ["skeleton", "f", "-j6"], ["check", "--", "f"], ["check", "f", "--jobs", "2"],
+        ["check", "f", "--t", "x"], ["check", "f", "--criterion", "x"], ["check"],
+        ["check", "f", "g"], ["link", "f"], ["check", "f", "--t", "-1e5"], ["check", "f", "--t"],
+        ["--version"], [], ["frobnicate"],
+    ])
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert cli._read_plain(argv) is None
 
 
 class TestParseErrors:

@@ -8,13 +8,16 @@ face is k-CM_{t-1}), taken down to links of dimension 0 and 1, gives:
   leaves the ridge a facet of a lower dimension;
 * for a graph, max_k(G, 0) is the vertex connectivity, since k-CM_0 is
   k-vertex-connectivity (Baclawski's CM connectivity), with
-  kappa(K_n) = n - 1.
+  kappa(K_n) = n - 1;
+* for a pure complex, max_k(cx, dim - 1) is the least vertex connectivity
+  of the link of a face of dim - 1 vertices: each such link is a graph, and
+  max_k raises "not CM_t" exactly when one of them is disconnected.
 
-Neither reads a Betti number, so both hold over every field.  The oracles
+None reads a Betti number, so all hold over every field.  The oracles
 here count facets and search vertex cuts by brute force on the edge list.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain, combinations
 
 import pytest
@@ -55,6 +58,16 @@ def vertex_connectivity(edges):
             if not connected(left, [e for e in edges if left.issuperset(e)]):
                 return size
     return len(vertices) - 1
+
+
+def least_link_connectivity(cx):
+    """The least vertex connectivity of the link of a face of dim - 1
+    vertices in a pure complex: the link's facets are the edges f - sigma."""
+    links = defaultdict(list)
+    for f in cx.facets:
+        for sigma in combinations(f.vertices, cx.dim - 1):
+            links[sigma].append(tuple(v for v in f.vertices if v not in sigma))
+    return min(vertex_connectivity(edges) for edges in links.values())
 
 
 def pairs(n):
@@ -101,3 +114,17 @@ def test_max_k_at_t_dim_is_the_least_number_of_facets_through_a_ridge(field, n, 
                                                                        seed):
     cx = random_pure(n, d, density, seed)
     assert max_k(cx, cx.dim, field) == least_facets_through_a_ridge(cx)
+
+
+@FIELDS
+@given(st.integers(5, 8), st.integers(3, 4),
+       st.sampled_from((0.4, 0.5, 0.6, 0.7, 0.8, 1.0)), st.integers(0, 2 ** 32))
+def test_max_k_at_t_dim_minus_1_is_the_least_connectivity_of_a_link(field, n, d, density,
+                                                                    seed):
+    cx = random_pure(n, d, density, seed)
+    kappa = least_link_connectivity(cx)
+    if kappa == 0:
+        with pytest.raises(ValueError, match="not CM_t"):
+            max_k(cx, cx.dim - 1, field)
+    else:
+        assert max_k(cx, cx.dim - 1, field) == kappa
