@@ -29,8 +29,12 @@ Derived complexes avoid per-element Python work where the structure allows:
   join, which only sorts.
 * Maximality goes by size class: a mask can lie only in a strictly larger
   one, so ``_maximal_masks``, which also checks the constructor's input for
-  an antichain, compares each facet only with larger ones, and pure input
-  compares nothing.
+  an antichain, compares each facet only with larger ones, and input of a
+  single size is only deduplicated.
+* ``_canonical`` sorts twice, stably, with keys called from C: by vertex
+  tuple, then by size (``int.bit_count``).  The vertex-tuple key is
+  ``_bits``, or, for masks below 2**16, the mask's bits reversed, read
+  descending.
 """
 
 from __future__ import annotations
@@ -52,6 +56,23 @@ def _byte_bits(offset: int) -> list[tuple[int, ...]]:
 
 # A mask below 2**16 (a face on ids 0..15) takes two lookups in _bits.
 _LOW_BITS, _HIGH_BITS = _byte_bits(0), _byte_bits(8)
+
+
+def _byte_reversals(shift: int) -> list[int]:
+    """Entry b: the byte value b with its 8 bits in reverse order, shifted
+    left by shift."""
+    table = [0]
+    for i in range(8):
+        table += [r | 0x80 << shift >> i for r in table]
+    return table
+
+
+_REV_LOW, _REV_HIGH = _byte_reversals(8), _byte_reversals(0)
+
+
+def _reversed16(mask: int) -> int:
+    """The 16 bits of mask (below 2**16) in reverse order."""
+    return _REV_LOW[mask & 0xFF] | _REV_HIGH[mask >> 8]
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -175,22 +196,38 @@ def _vertex_mask(obj, n_vertices: int) -> int:
 
 
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
-    """Masks sorted by size, then by sorted vertex tuple."""
-    # one flat tuple per mask compares faster than (size, vertex tuple)
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(),) + _bits(m)))
+    """Masks sorted by size, then by sorted vertex tuple.
+
+    Two stable sorts, by vertex tuple and then by size, with keys called
+    from C.  The sorted vertex tuples of two masks of one size first differ
+    at the lowest vertex of one mask but not the other, and the mask holding
+    it comes first: so masks below 2**16 sort by their bits reversed,
+    descending, an int key that is cheaper than the tuple to build and to
+    compare.  Wider masks sort by `_bits`."""
+    out = list(masks)
+    if out and max(out) < 0x10000:
+        out.sort(key=_reversed16, reverse=True)
+    else:
+        out.sort(key=_bits)
+    out.sort(key=int.bit_count)
+    return tuple(out)
 
 
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal masks among `masks`, deduplicated and unordered.
 
-    A mask lies only in strictly larger masks, so the masks are taken by
-    size, largest first, and each is compared only with the masks kept
-    before its size class: pure input compares nothing.
+    A mask lies only in strictly larger masks, so input of a single size is
+    only deduplicated.  Otherwise the masks are taken by size, largest
+    first, and each is compared only with the masks kept before its size
+    class.
     """
+    masks = set(masks)
+    if len(set(map(int.bit_count, masks))) < 2:
+        return list(masks)
     kept: list[int] = []
     larger: tuple[int, ...] = ()  # the kept masks larger than the current class
     size = None
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+    for m in sorted(masks, key=int.bit_count, reverse=True):
         if m.bit_count() != size:
             size, larger = m.bit_count(), tuple(kept)
         for k in larger:

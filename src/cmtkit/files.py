@@ -20,12 +20,19 @@ sorted (`_label_key`, or by length and text when every label is a plain
 decimal, which gives the same order) and numbered 0..n-1 in that order,
 each row becomes the OR of its labels' bits, and
 `SimplicialComplex._from_masks` normalizes the masks once.  Every label of
-a file lies in some facet, so nothing is relabelled afterwards.
+a file lies in some facet, so nothing is relabelled afterwards.  The text
+is split into rows in one C-level pass.  With at most 64 labels, every
+row's mask is the sum of its labels' bits, also taken in C-level passes,
+and a row that repeats a label (its sum has fewer bits set than the row
+has tokens) sends the file to the OR of ids, row by row.  More labels
+always take that path: a table of every label's bit would take memory
+quadratic in the label count.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 from .core import SimplicialComplex, _mask, from_facets
@@ -77,14 +84,23 @@ def _build(rows: list[list[str]]) -> SimplicialComplex:
     """The complex whose facets are the given rows of labels (a row may
     repeat a label, lie in another row or equal one)."""
     labels = _sorted_labels(set().union(*rows))
-    index = dict(zip(labels, range(len(labels)))).__getitem__
+    n = len(labels)
+    if n <= 64:
+        # each row sums its labels' bits, with no Python step per row; a sum
+        # of k distinct bits has k bits set, so a row that repeats a label
+        # shows up as a short count and sends the rows down the OR below
+        bit = dict(zip(labels, map((1).__lshift__, range(n)))).__getitem__
+        masks = list(map(sum, map(map, repeat(bit), rows)))
+        if list(map(int.bit_count, masks)) == list(map(len, rows)):
+            return SimplicialComplex._from_masks(masks, tuple(labels))
+    index = dict(zip(labels, range(n))).__getitem__
     masks = [_mask(list(map(index, row))) for row in rows]
     return SimplicialComplex._from_masks(masks, tuple(labels))
 
 
 def _parse_text(text: str) -> SimplicialComplex:
     if "#" not in text and "@" not in text:  # no comment, marker or bad token
-        rows = [row for row in map(str.split, text.splitlines()) if row]
+        rows = list(filter(None, map(str.split, text.splitlines())))
         return _build(rows) if rows else from_facets([])
     rows = []
     marker_line = None

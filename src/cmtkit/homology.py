@@ -13,9 +13,16 @@ degree i >= -1.  The chain complex of the pair has one basis element per
 face outside the star, and its boundary is the full boundary with the terms
 in the star dropped.  Those faces are closed upward inside each facet, so
 they are enumerated from the facets avoiding v downward, and nothing else
-is.  The apex is the vertex lying in the most facets, lowest id on ties: it
-puts the most faces into the star.  When it lies in every facet, K is a
-cone and every Betti number is 0, with no enumeration at all.  The identity
+is.  The walk files each size's facets avoiding v in C-level passes.  A
+ridge of a top-size cell lies in the star exactly when it is a facet through
+v less v, since only a facet can hold a face of the top size, so one set
+difference files the top level; the owner bitsets that test a face below it
+are built only when a lower level has cells, which skeleta and spheres never
+have.  The apex is the vertex lying in the most facets, lowest id on ties:
+it puts the most faces into the star.  It is found in one pass over the
+facet masks, which adds each into bit-sliced counts with a ripple carry.
+When it lies in every facet, K is a cone and every Betti number is 0, with
+no enumeration at all.  The identity
 is exact over every field and the ranks come from the same exact kernels,
 so the result equals the full complex's Betti numbers, zero degrees
 included; `boundary_matrices` builds that full complex for the API and as
@@ -29,9 +36,8 @@ A dense numpy view (`BoundaryMatrix.matrix`) is built only when asked for.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import filterfalse, groupby
 from operator import and_, or_
 from typing import Iterable
 
@@ -141,10 +147,27 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
 
 
 def _apex(masks: tuple[int, ...]) -> int | None:
-    """The vertex lying in the most facets, lowest id on ties; None for {<>}."""
-    counts = Counter(chain.from_iterable(map(_bits, masks)))
-    most = max(counts.values(), default=0)
-    return min(v for v, c in counts.items() if c == most) if most else None
+    """The vertex lying in the most facets, lowest id on ties; None for {<>}.
+
+    The counts are bit-sliced: planes[i] holds the vertices whose count has
+    bit i set, and each facet mask is added into them with a ripple carry,
+    a few int operations per facet however many vertices it has.  No count
+    exceeds len(masks), so the planes are allotted up front.  The most
+    frequent vertices are then read from the top plane down, keeping those
+    with a plane's bit whenever any of them has it."""
+    planes = [0] * len(masks).bit_length()
+    for m in masks:
+        i = 0
+        while m:
+            p = planes[i]
+            planes[i] = p ^ m
+            m &= p
+            i += 1
+    most = reduce(or_, planes, 0)
+    for p in reversed(planes):
+        if most & p:
+            most &= p
+    return (most & -most).bit_length() - 1 if most else None
 
 
 def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) -> BettiVector:
@@ -157,41 +180,51 @@ def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) 
     """
     top = masks[-1].bit_count()
     vbit = 0 if apex is None else 1 << apex
+    # cells[s]: the faces of size s outside st apex, seeded with the facets
+    # avoiding the apex (masks are in canonical order: one run per size)
     cells: list[set[int]] = [set() for _ in range(top + 1)]
-    for f in masks:
-        if not f & vbit:
-            cells[f.bit_count()].add(f)
-    # A face lies in st apex when some facet through the apex, less the apex,
-    # contains it: when the AND of its vertices' owner sets is nonzero.
-    star = [f ^ vbit for f in masks if f & vbit]
-    owners = [0] * reduce(or_, masks).bit_length()
-    for i, f in enumerate(star):
-        for u in _bits(f):
-            owners[u] |= 1 << i
-    every = (1 << len(star)) - 1
+    for size, run in groupby(masks, int.bit_count):
+        cells[size].update(filterfalse(vbit.__and__, run))
     # Faces outside the star are closed upward within a facet, so walk down
-    # from the facets avoiding the apex and stop at faces in the star.
-    seen: set[int] = set()
-    for size in range(top, 0, -1):
-        below = cells[size - 1]
-        for m in cells[size]:
-            for u in _bits(m):
-                t = m ^ 1 << u
-                if t in seen:
-                    continue
-                seen.add(t)
-                if not reduce(and_, map(owners.__getitem__, _bits(t)), every):
-                    below.add(t)
-    ordered = [sorted(level) for level in cells]
-    ranks = [0] * (top + 2)  # ranks[s]: rank of the boundary from size s to size s - 1
+    # from the facets avoiding the apex and stop at faces in the star.  A
+    # ridge t of a top-size cell lies in st apex exactly when t | apex is a
+    # facet, as it has the top size: the ridges less the facets through the
+    # apex, each less the apex, are the cells one size down.
+    if top:
+        ridges = {m ^ 1 << u for m in cells[top] for u in _bits(m)}
+        ridges.difference_update(map(vbit.__xor__, filter(vbit.__and__, masks)))
+        cells[top - 1] |= ridges
+    # Below the top, a face lies in st apex when some facet through the apex,
+    # less the apex, contains it: when the AND of its vertices' owner sets is
+    # nonzero.  Skeleta and spheres have no cells there, so no owner sets.
+    if any(cells[1:top]):
+        star = [f ^ vbit for f in masks if f & vbit]
+        owners = [0] * reduce(or_, masks).bit_length()
+        for i, f in enumerate(star):
+            for u in _bits(f):
+                owners[u] |= 1 << i
+        every = (1 << len(star)) - 1
+        seen: set[int] = set()
+        for size in range(top - 1, 0, -1):
+            below = cells[size - 1]
+            for m in cells[size]:
+                for u in _bits(m):
+                    t = m ^ 1 << u
+                    if t in seen:
+                        continue
+                    seen.add(t)
+                    if not reduce(and_, map(owners.__getitem__, _bits(t)), every):
+                        below.add(t)
+    # ranks[s]: rank of the boundary from size s to size s - 1, which is 0
+    # when either side has no cells
+    ranks = [0] * (top + 2)
     for size in range(1, top + 1):
-        if not ordered[size - 1]:  # no rows: the boundary has rank 0
-            continue
-        index = {m: i for i, m in enumerate(ordered[size - 1])}
-        columns = _columns(ordered[size], index)
-        if any(columns):
-            ranks[size] = rank(Sparse(len(index), columns), field)
-    return BettiVector({size - 1: len(ordered[size]) - ranks[size] - ranks[size + 1]
+        if cells[size - 1] and cells[size]:
+            rows = sorted(cells[size - 1])
+            columns = _columns(sorted(cells[size]), dict(zip(rows, range(len(rows)))))
+            if any(columns):
+                ranks[size] = rank(Sparse(len(rows), columns), field)
+    return BettiVector({size - 1: len(cells[size]) - ranks[size] - ranks[size + 1]
                         for size in range(top + 1)})
 
 

@@ -271,9 +271,18 @@ class TestLoadDump:
         n = 1 << 18
         ids = [*range(n), *range(0, n, 7)]
         random.Random(5).shuffle(ids)
+        start = time.perf_counter()
         cx = parse(" ".join(map(str, ids)) + "\n")
+        assert time.perf_counter() - start < 2.0
         assert cx.masks == simplex(n).masks
         assert cx.labels == tuple(map(str, range(n)))
+
+    def test_rows_over_more_than_64_labels_with_a_repeat(self):
+        # past 64 labels rows are ORed id by id; a repeat must not carry
+        text = "".join(f"{i} {i + 1} {i + 2} {i}\n" for i in range(0, 90, 3)) + "5 77\n"
+        cx, ref = parse(text), _reference_parse(text)
+        assert (cx.masks, cx.labels) == (ref.masks, ref.labels)
+        assert cx.n_vertices == 90 and len(cx.masks) == 31
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

@@ -1,10 +1,15 @@
 """Reduced and local homology, cross-checked against the integer oracle."""
 
+import re
 import time
+from collections import Counter
+from itertools import chain
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cmtkit import homology
 from cmtkit.classify import clear_caches
@@ -21,8 +26,27 @@ from cmtkit.homology import (
     reduced_euler_from_faces,
 )
 from cmtkit.snf import betti_via_snf
+from test_mask_oracles import mixed_complexes
 
 TRIANGLE = from_facets([(1, 2), (1, 3), (2, 3)])
+
+
+def _regex_parse(token):
+    """FieldSpec.parse as it was with the pattern gf(\\d+)."""
+    tok = token.strip().lower()
+    if tok in ("q", "rationals", "rational", "qq"):
+        return FieldSpec.rationals()
+    m = re.fullmatch(r"gf(\d+)", tok)
+    if not m:
+        raise ValueError(f"unknown field spec: {token!r} (expected gf<p> or q)")
+    return FieldSpec.gf(int(m.group(1)))
+
+
+def _outcome(parse, token):
+    try:
+        return parse(token)
+    except ValueError as e:
+        return str(e)
 
 
 class TestBettiVector:
@@ -56,6 +80,22 @@ class TestFieldSpec:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             FieldSpec.parse("florps")
+
+    @pytest.mark.parametrize("token", [
+        "gf2", " GF7 ", "gf\u0663", "gf\u00b2", "gf", "gf-3", "gf3x", "q", "gf 3", "gf+5",
+        "gf03", "gf9", "gf\uff17"])
+    def test_parse_matches_the_regex(self, token):
+        # isdecimal is Unicode category Nd, which is what \d matches in a str
+        # pattern: Arabic-Indic and fullwidth digits pass, a superscript does not
+        assert _outcome(FieldSpec.parse, token) == _outcome(_regex_parse, token)
+
+    # ASCII, Arabic-Indic, Devanagari, Thai and fullwidth digits (all Nd),
+    # superscripts and subscripts (No), signs and letters
+    @given(st.text("0123456789\u0663\u096d\u0e53\uff17\u00b2\u00b9\u2070\u2082 +-_.xgfq",
+                   max_size=6))
+    def test_parse_matches_the_regex_on_any_suffix(self, suffix):
+        for token in (suffix, "gf" + suffix, "GF" + suffix):
+            assert _outcome(FieldSpec.parse, token) == _outcome(_regex_parse, token)
 
 
 class TestReducedBetti:
@@ -125,6 +165,15 @@ class TestExcision:
             assert _relative_betti(rp2.masks, RATIONALS, v).items() == (
                 (-1, 0), (0, 0), (1, 0), (2, 0))
 
+    @given(mixed_complexes())
+    def test_every_apex_matches_the_snf_oracle(self, cx):
+        # impure input puts cells below the top size, where the star test
+        # reads the owner sets rather than the facet set
+        for f in (GF2, GF3, RATIONALS):
+            want = betti_via_snf(cx, f).items()
+            for v in (None, *cx.vertex_ids()):
+                assert _relative_betti(cx.masks, f, v).items() == want
+
     def test_irrelevant_complex_keeps_degree_minus_one(self, all_fields):
         for f in all_fields:
             assert reduced_betti(from_facets([()]), f).items() == ((-1, 1),)
@@ -139,6 +188,19 @@ class TestExcision:
         assert _apex(from_facets([(0, 1), (1, 2), (2, 3)]).masks) == 1
         assert _apex(from_facets([(0, 1), (2, 3), (3, 4), (4, 0)]).masks) == 0
         assert _apex(from_facets([()]).masks) is None
+
+    @given(st.lists(st.frozensets(st.integers(0, 15) | st.integers(0, 1 << 17), max_size=6),
+                    max_size=12))
+    @example([frozenset()])
+    @example([])
+    @example([frozenset({70000, 3}), frozenset({70000, 5}), frozenset({3, 5})])
+    def test_apex_matches_the_counter_definition(self, facets):
+        # masks wider than 2**16 bits included; ties go to the lowest id
+        masks = tuple(sum(1 << v for v in f) for f in facets)
+        counts = Counter(chain.from_iterable(facets))
+        most = max(counts.values(), default=0)
+        want = min(v for v, c in counts.items() if c == most) if most else None
+        assert _apex(masks) == want
 
     def test_apex_counts_facets_in_one_pass(self):
         edges = from_facets([(2 * i, 2 * i + 1) for i in range(3000)])

@@ -101,6 +101,15 @@ class TestCanonical:
                     sorted(masks, key=lambda m: (m.bit_count(), binary_digits(m))))
 
 
+    @given(st.lists(st.integers(0, 0xFFFF) | st.integers(0xFFF0, 1 << 20), max_size=40))
+    def test_reversed_key_matches_sorted_vertex_tuples(self, masks):
+        # below 2**16 the masks sort on their reversed bits, from 2**16 up on
+        # _bits: both sides of the boundary, alone and mixed
+        for part in (masks, [m for m in masks if m < 0x10000]):
+            assert _canonical(part) == tuple(
+                sorted(part, key=lambda m: (m.bit_count(), binary_digits(m))))
+
+
 class TestMaximalMasks:
     @given(mask_lists)
     def test_matches_quadratic_filter(self, masks):
