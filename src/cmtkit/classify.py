@@ -13,37 +13,25 @@ with at least t vertices, and the three criteria are three readings of it:
   face is the link's homology shifted up by the face's size, and at the
   empty face is the global homology.
 
-The sizes come from the vertex links, not from a walk over the faces.  The
-link of a face sigma is the link of sigma - v in lk v for any vertex v of
-sigma, so a complex's sizes are bit 0 when its own homology is obstructed
-(at its `low` degree) and the sizes of its vertex links shifted up by one
-(`_link_recursion`).  A cone S * L, whose facets all contain the face S, is
-not obstructed itself, and its sizes are those of L = lk S shifted up by
-|S|: the link of a face missing a vertex of S is a cone, hence acyclic, and
-lk(S | rho) = lk_L(rho).  So only cores have entries: `_core` splits the
-top and each vertex link into |S| and the compact L (a simplex has the
-core {<>}).  Cores of dimension at most 0 end the recursion, which runs
-depth first on an explicit stack with the memo as its only table.
-
-A witness comes from a descent (`_descent`): the least obstructed face of a
-size starts at the least vertex v whose link has an obstructed face one
-vertex smaller, and goes on in lk v; its degree is the last link's `low`.
-``definition_links`` descends to the least t-face that lies in an obstructed
-face, and names the first obstructed face of its link.  Naive
-per-criterion deciders in ``tests/reference_deciders.py``, and the flat
-per-face scan ``reference_deciders.obstructions``, are the independent
-check on these.  One k-CM_t search (`_max_k_up_to`) serves every t: its
+So `is_cm` and `is_cm_t` read that int and build no witness; a witness
+comes from a descent (`_descent`) that only the ``*_witness`` functions
+run.  The int comes from the vertex links, not from a walk over the faces
+(`_link_recursion`): the link of a face sigma is the link of sigma - v in
+lk v for any vertex v of sigma.  A cone S * L is not obstructed itself,
+and reads the sizes of L = lk S shifted up by |S|, so only cone-free cores
+(`_core`) have entries; ``tests/reference_deciders.py`` checks all this
+independently.  One k-CM_t search (`_max_k_up_to`) serves every t: its
 levels, the complexes left by deleting vertices, do not depend on t, and
 each fails CM_t exactly below its own min_t.
 
-The recursion and a descent take facet masks on any ids, as the k-CM_t
-search does, not a complex; a `Face` is built only for a witness returned.
-The values ((sizes, low) per core, and the k-CM_t search's least failing
-sizes) live in ``_MEMO``, the package's one cache, keyed on ``(kind,
-compact masks, parameters...)``, ids renamed 0..m-1 in order.  So
-complexes that differ by an order-preserving relabelling share one entry
-(a sphere needs one core per dimension), not only complexes that differ in
-their labels or ambient size, and no key keeps a complex alive.
+The recursion, a descent and the search take facet masks on any ids, not
+a complex; a `Face` is built only for a witness returned.  Their values
+((sizes, low) per core, and the search's least failing sizes) live in
+``_MEMO``, the package's one cache, keyed on ``(kind, compact masks,
+parameters...)``, ids renamed 0..m-1 in order, so complexes that differ by
+an order-preserving relabelling share one entry (a sphere needs one core
+per dimension), and no key keeps a complex alive.  A hit returns before
+any other work: `_memoized` calls `_walk` or `_search` only on a miss.
 The memo is emptied when a finished computation leaves more than
 ``_MEMO_LIMIT`` entries in it, never partway through one: the link
 recursion keeps the entries it still needs there and nowhere else.
@@ -129,15 +117,15 @@ _MEMO: dict[tuple, object] = {}
 _MEMO_LIMIT = 1 << 16
 
 
-def _memoized(key: tuple, compute: Callable[[], object]):
-    """The memoized value under key, computed (and stored) on a miss.  The
-    memo is emptied only here, once a computation has finished, so one that
-    stores entries of its own as it goes never sees them dropped."""
+def _memoized(key: tuple, compute: Callable[..., object], *args):
+    """The memoized value under key, or compute(*args), stored, on a miss.
+    The memo is emptied only here, once a computation has finished, so one
+    that stores entries of its own as it goes never sees them dropped."""
     try:
         return _MEMO[key]
     except KeyError:
         pass
-    value = _MEMO[key] = compute()
+    value = _MEMO[key] = compute(*args)
     if len(_MEMO) > _MEMO_LIMIT:
         _MEMO.clear()
     return value
@@ -182,45 +170,43 @@ def _link_recursion(masks: Sequence[int], field: FieldSpec) -> tuple[int, int | 
     """(sizes, low) of the complex with facet masks `masks` on any ids: bit s
     of sizes is set when some face of s vertices is obstructed, and low is
     the lowest obstructed degree of the complex's own homology, or None.
-
-    Only cores (`_core`) have entries: a cone reads its core's sizes shifted
-    up by |S|, and a core ORs those of its vertex links, each shifted up by
-    one more.  Each distinct core is computed once, depth first on one
-    explicit stack, so the depth costs no Python frames.  The memo is the
-    only table: a core waits on the stack under its first child with no
-    entry, and once every child has one, builds its own from theirs and
-    stores it; `_memoized` stores the top's, and empties the memo only once
-    `walk` has returned.
-    """
+    A cone S * L reads L's sizes shifted up by |S|: the link of a face
+    missing a vertex of S is a cone, hence acyclic, and lk(S | rho) =
+    lk_L(rho).  So only cores (`_core`) have entries."""
     shift, top = _core(masks)
     if top[-1].bit_count() <= 1:
         return 0, None  # dimension at most 0: no link can be obstructed
+    sizes, low = _memoized(("obstructions", top, field), _walk, top, field)
+    return (sizes << shift, None) if shift else (sizes, low)
 
+
+def _walk(top: tuple[int, ...], field: FieldSpec) -> tuple[int, int | None]:
+    """The entry of the core `top`: its own bit ORed with its vertex links'
+    sizes, each shifted up by one more than the link's |S|.  Each distinct
+    core is computed once, depth first on one explicit stack (no Python frame
+    per level): a core waits under its first child with no entry, and stores
+    its own once every child has one.  `_memoized` stores the top's."""
     def expand(key):  # the core, its (shift, child core) pairs, and the children with no entry yet
         kids = dict.fromkeys(kid for kid in map(_core, _links_by_vertex(key).values())
                              if kid[1][-1].bit_count() > 1)
         return key, kids, (lk for _, lk in kids if ("obstructions", lk, field) not in _MEMO)
 
-    def walk() -> tuple[int, int | None]:
-        stack = [expand(top)]
-        while stack:
-            key, kids, missing = stack[-1]
-            lk = next(missing, None)
-            if lk is not None:
-                stack.append(expand(lk))
-                continue
-            stack.pop()
-            betti = homology._betti(key, field)
-            low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
-            sizes = reduce(or_, (_MEMO[("obstructions", lk, field)][0] << s + 1
-                                 for s, lk in kids), 0)
-            entry = (sizes | (low is not None), low)
-            if stack:  # top, popped last, is stored by _memoized
-                _MEMO[("obstructions", key, field)] = entry
-        return entry
-
-    sizes, low = _memoized(("obstructions", top, field), walk)
-    return (sizes << shift, None) if shift else (sizes, low)
+    stack = [expand(top)]
+    while stack:
+        key, kids, missing = stack[-1]
+        lk = next(missing, None)
+        if lk is not None:
+            stack.append(expand(lk))
+            continue
+        stack.pop()
+        betti = homology._betti(key, field)
+        low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
+        sizes = reduce(or_, (_MEMO[("obstructions", lk, field)][0] << s + 1
+                             for s, lk in kids), 0)
+        entry = (sizes | (low is not None), low)
+        if stack:  # top, popped last, is stored by _memoized
+            _MEMO[("obstructions", key, field)] = entry
+    return entry
 
 
 def _descent(masks: tuple[int, ...], size: int, field: FieldSpec,
@@ -263,8 +249,9 @@ def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
 
 
 def is_cm(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
-    """Cohen-Macaulayness over the given field."""
-    return cm_witness(cx, field) is None
+    """Cohen-Macaulayness over the given field: no face is obstructed."""
+    _require_nonvoid(cx)
+    return not _link_recursion(cx.masks, field)[0]
 
 
 def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
@@ -301,7 +288,11 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
 
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
             criterion: str = DEFINITION_LINKS) -> bool:
-    return cm_t_witness(cx, t, field, criterion) is None
+    """cm_t_witness(...) is None, read off the obstruction int: no witness is built."""
+    _require_nonvoid(cx)
+    normalize_criterion(criterion)
+    t = max(int(t), 0)
+    return is_pure(cx) and not _link_recursion(cx.masks, field)[0] >> t
 
 
 def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
@@ -312,42 +303,44 @@ def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
 def _max_k_up_to(masks: Sequence[int], field: FieldSpec, limit: int) -> tuple[int, ...]:
     """min(max_k(K, t), limit) for t = 0..max(dim K, 0), 0 where K is not CM_t,
     for the complex K with facet masks `masks` on any ids, keyed on them
-    compacted.  Level s holds the distinct compacted K - W with |W| = s, each
-    scoring its min_t (every t if impure, or if a cone on the level before);
-    t first fails where the running maximum score exceeds t."""
+    compacted (`_search`)."""
     if limit < 1:
         raise ValueError("k must be at least 1")
     top = _compacted(masks)
+    return _memoized(("max_k", top, field, limit), _search, top, field, limit)
+
+
+def _search(top: tuple[int, ...], field: FieldSpec, limit: int) -> tuple[int, ...]:
+    """_max_k_up_to of the compact masks `top`: level s holds the distinct
+    compacted K - W with |W| = s, each scoring its min_t (every t if impure,
+    or if a cone on the level before); t fails where the running max exceeds t."""
     every = max(top[-1].bit_count(), 1)  # max(dim, 0) + 1: the score that fails every t
 
     def score(masks: tuple[int, ...]) -> int:
         pure = masks[0].bit_count() == masks[-1].bit_count()
         return _min_t(masks, field) if pure else every
 
-    def search() -> tuple[int, ...]:
-        failed = score(top)  # every t below it has failed
-        values, level = [0] * failed + [limit] * (every - failed), [top]
-        # every failing size is at most #V, and {<>} has no vertex to remove
-        for size in range(1, min(limit, reduce(or_, top).bit_length() + 1)):
-            # each level complex less each vertex v, ids above v moved one lower
-            kids = (tuple(f & (1 << v) - 1 | f >> 1 & -(1 << v) for f in facets)
-                    for masks in level for v, facets in _vertex_deletions(masks))
-            children = {}
-            # deleting the apex of a cone drops the dimension: every t fails
-            worst = every if any(reduce(and_, masks) for masks in level) else failed
-            for child in () if worst == every else kids:
-                if child not in children:
-                    children[child] = None
-                    worst = max(worst, score(child))
-                    if worst == every:
-                        break
-            values[failed:worst] = [size] * (worst - failed)
-            failed, level = worst, children
-            if failed == every:
-                break
-        return tuple(values)
-
-    return _memoized(("max_k", top, field, limit), search)
+    failed = score(top)  # every t below it has failed
+    values, level = [0] * failed + [limit] * (every - failed), [top]
+    # every failing size is at most #V, and {<>} has no vertex to remove
+    for size in range(1, min(limit, reduce(or_, top).bit_length() + 1)):
+        # each level complex less each vertex v, ids above v moved one lower
+        kids = (tuple(f & (1 << v) - 1 | f >> 1 & -(1 << v) for f in facets)
+                for masks in level for v, facets in _vertex_deletions(masks))
+        children = {}
+        # deleting the apex of a cone drops the dimension: every t fails
+        worst = every if any(reduce(and_, masks) for masks in level) else failed
+        for child in () if worst == every else kids:
+            if child not in children:
+                children[child] = None
+                worst = max(worst, score(child))
+                if worst == every:
+                    break
+        values[failed:worst] = [size] * (worst - failed)
+        failed, level = worst, children
+        if failed == every:
+            break
+    return tuple(values)
 
 
 def _max_k_at(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> int:

@@ -20,13 +20,13 @@ Derived complexes avoid per-element Python work where the structure allows:
 
 * One normalization step, ``_canonical(_maximal_masks(...))``, builds every
   complex whose facets may collide or nest: ``_from_masks`` (the entry that
-  ``from_facets`` and the file loader share), a restriction that shrinks a
-  facet, and coface deletion.  The rest take their masks as they come,
-  since their construction keeps an antichain in canonical order: a link
-  (the facets through a face differ only outside it, so removing the face
-  keeps their order), a skeleton, a compaction (an order-preserving
-  relabelling, ``_relabelled``, which ``from_facets`` uses too), and a
-  join, which only sorts.
+  ``from_facets`` and the file loader share), a restriction that shrinks
+  one of two or more facets, and coface deletion.  The rest take their
+  masks as they come, since their construction keeps an antichain in
+  canonical order: a link (the facets through a face differ only outside
+  it, so removing the face keeps their order), a skeleton, a compaction
+  (an order-preserving relabelling, ``_relabelled``, which ``from_facets``
+  uses too), and a join, which only sorts.
 * Maximality goes by size class: a mask can lie only in a strictly larger
   one, so ``_maximal_masks``, which also checks the constructor's input for
   an antichain, compares each facet only with larger ones, and input of a
@@ -461,22 +461,24 @@ class SimplicialComplex:
         """The link {tau | tau u sigma is a face, tau disjoint from sigma}."""
         sigma = as_face(face)
         s = sigma.mask
-        # Facets containing sigma stay an antichain after removing it, and in
-        # canonical order: they differ only outside sigma.
-        masks = tuple(f & ~s for f in self.masks if s & f == s)
+        masks = [f ^ s for f in self.masks if f & s == s]  # canonical: see the module docstring
         if not masks:
             raise ValueError(f"not a face of the complex: {sigma}")
         if s == 0:
             return self
-        return SimplicialComplex._trusted(masks, self.labels)
+        lk = _new(SimplicialComplex)
+        _set_masks(lk, tuple(masks))
+        _set_labels(lk, self.labels)
+        return lk
 
     def restrict(self, keep) -> "SimplicialComplex":
         """Faces contained in the vertex set `keep`; {<>} if nothing survives."""
         keep_mask = _vertex_mask(keep, self.n_vertices)
-        masks = tuple(f & keep_mask for f in self.masks)
+        masks = tuple([f & keep_mask for f in self.masks])
         if masks == self.masks:
             return self
-        return SimplicialComplex._trusted(_canonical(_maximal_masks(masks)), self.labels)
+        return SimplicialComplex._trusted(
+            masks if len(masks) == 1 else _canonical(_maximal_masks(masks)), self.labels)
 
     def skeleton(self, j: int) -> "SimplicialComplex":
         """All faces of dimension at most j (j = -1 gives {<>})."""

@@ -13,31 +13,30 @@ subsets; `criteria_equivalence` and `monotonicity` hold by construction
 (every criterion and t read one int per link, k = 1 and 2 one k-CM_t
 search), so they can catch no fault in the deciders.
 
-A suite builds each derived complex of a corpus item once, in a table that
-lives for that item's check: `link_laws` its restrictions and links, the
-recursion suites the links of its vertices or faces.  What a law checks
-is still built per check: the link of a link, the link of a restriction and
-the restriction of a link.
+A suite builds each derived complex of a corpus item once, in a table keyed
+on face masks that lives for that item's check.  What a law checks is still
+built per check: the link of a link, the link of a restriction and the
+restriction of a link.  `link_laws` samples face masks and builds a `Face`
+only for those it keeps; `k_link_recursion` reads every t of a link from
+one k-CM_t search (`_k_cm`).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from ._record import FrozenRecord, Record
 from .classify import (
-    DEFINITION_LINKS,
-    LOCAL_HOMOLOGY,
-    REISNER_HOMOLOGY,
+    CRITERIA,
     _max_k_at,
+    _max_k_up_to,
     is_cm,
     is_cm_t,
     is_k_cm_t_unbounded,
     is_pure,
     min_t,
 )
-from .core import Face, SimplicialComplex
+from .core import Face, SimplicialComplex, _bits
 from .fields import GF2, FieldSpec
 from .generators import (
     GluedFamilySpec,
@@ -141,24 +140,29 @@ def _report(suite: str, cases: int, failures: list[CaseFailure]) -> SuiteReport:
 
 
 def _sampled(seq, cap: int):
-    seq = list(seq)
     if len(seq) <= cap:
         return seq
     stride = -(-len(seq) // cap)
     return seq[::stride]
 
 
-def _ts(cx: SimplicialComplex) -> range:
-    return range(0, cx.dim + 1)
-
-
 def _built(table: dict[int, SimplicialComplex],
-           build: Callable[[Face], SimplicialComplex], face: Face) -> SimplicialComplex:
-    """build(face), made once per table: a table lives for one corpus item."""
-    got = table.get(face.mask)
+           build: Callable[[Face], SimplicialComplex], mask: int) -> SimplicialComplex:
+    """build(the face `mask`), made once per table: a table lives for one corpus item."""
+    got = table.get(mask)
     if got is None:
-        got = table[face.mask] = build(face)
+        got = table[mask] = build(Face.from_mask(mask))
     return got
+
+
+def _k_cm(cx: SimplicialComplex, k: int, field: FieldSpec) -> Callable[[int], bool]:
+    """is_k_cm_t_unbounded(cx, k, ., field), from one search run at the first call."""
+    ks: list[int] = []
+
+    def at(t: int) -> bool:
+        ks[:] = ks or _max_k_up_to(cx.masks, field, k)
+        return ks[min(max(t, 0), len(ks) - 1)] == k
+    return at
 
 
 # -- structural laws -----------------------------------------------------------
@@ -171,9 +175,8 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
     sigma for a few small W outside sigma (how k-CM_t reduces to CM_t of the
     deletions and of the links).  Then, over eight consecutive triples: the
     join's dimension formula, {<>} as its identity, and associativity.
-    The skeleton, ``from_facets`` and ``delete_cofaces`` identities are
-    checked by the Hypothesis tests of ``tests/test_properties.py``
-    (``TestSkeletonLaws``, ``TestConstructors``).
+    The skeleton, ``from_facets`` and ``delete_cofaces`` identities are left
+    to ``tests/test_properties.py`` (``TestSkeletonLaws``, ``TestConstructors``).
     """
     items = list(corpus)
     fails: list[CaseFailure] = []
@@ -186,19 +189,19 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
         links: dict[int, SimplicialComplex] = {}  # face mask -> its link in cx
         restrictions: dict[int, SimplicialComplex] = {}  # kept mask -> cx restricted to it
         # the link of the empty face is cx itself: nothing to check there
-        for sigma in _sampled(cx.faces()[1:], 24):
-            lk = _built(links, cx.link, sigma)
-            for tau in _sampled(lk.faces(), 8):
-                if lk.link(tau) != _built(links, cx.link, sigma | tau):
+        for s in _sampled(cx._face_masks()[1:], 24):
+            sigma, lk = Face.from_mask(s), _built(links, cx.link, s)
+            for t in _sampled(lk._face_masks(), 8):
+                tau = Face.from_mask(t)
+                if lk.link(tau) != _built(links, cx.link, s | t):
                     bad(f"{name}: link-of-link fails at {sigma}, {tau}", cx)
-            outside = Face.from_mask(support & ~sigma.mask).vertices[:4]
-            removals = [(v,) for v in outside] + list(combinations(outside, 2))[:2]
-            for removed in removals:
-                keep = Face.from_mask(support & ~Face(removed).mask)
+            bits = [1 << v for v in _bits(support & ~s)[:4]]  # W: 4 vertices, then 2 pairs
+            for w in bits + [bits[0] | b for b in bits[1:3]]:
+                keep = Face.from_mask(support & ~w)
                 # sigma lies in keep, so it must be a face of the restriction
-                restricted = _built(restrictions, cx.restrict, keep)
+                restricted = _built(restrictions, cx.restrict, keep.mask)
                 if not restricted.contains(sigma) or restricted.link(sigma) != lk.restrict(keep):
-                    bad(f"{name}: restriction/link commutation fails at {sigma}, W={removed}", cx)
+                    bad(f"{name}: restriction/link commutation fails at {sigma}, W={_bits(w)}", cx)
 
     joins = min(len(items), 8)
     for i in range(joins):
@@ -237,9 +240,8 @@ def _per_item(suite: str):
 @_per_item("criteria_equivalence")
 def suite_criteria_equivalence(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """The three CM_t deciders agree for every t in 0..dim."""
-    for t in _ts(cx):
-        verdicts = {crit: is_cm_t(cx, t, field, crit)
-                    for crit in (DEFINITION_LINKS, REISNER_HOMOLOGY, LOCAL_HOMOLOGY)}
+    for t in range(cx.dim + 1):
+        verdicts = {crit: is_cm_t(cx, t, field, crit) for crit in CRITERIA}
         if len(set(verdicts.values())) != 1:
             yield f"t={t} verdicts {verdicts}"
 
@@ -268,20 +270,21 @@ def suite_k_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[
     k = 2
     if not is_pure(cx):
         return
-    links = [(s, cx.link(s)) for s in cx.faces()]
+    own = _k_cm(cx, k, field)
+    links = [(s, _k_cm(cx.link(s), k, field)) for s in cx.faces()]
     nonempty = links[1:]  # the empty face comes first
     for t in range(1, cx.dim + 1):
-        lhs = is_k_cm_t_unbounded(cx, k, t, field)
-        rhs = all(is_k_cm_t_unbounded(lk, k, t - 1, field) for _, lk in nonempty)
+        lhs = own(t)
+        rhs = all(lk(t - 1) for _, lk in nonempty)
         if lhs != rhs:
             yield f"t={t} lhs={lhs} rhs={rhs}"
         if lhs:
             for s, lk in _sampled([(s, lk) for s, lk in nonempty if len(s) <= 2], 6):
-                if not is_k_cm_t_unbounded(lk, k, max(t - len(s), 0), field):
+                if not lk(t - len(s)):
                     yield f"t={t} link drop fails at {s}"
-    for t in _ts(cx):
-        lhs = is_k_cm_t_unbounded(cx, k, t, field)
-        rhs = all(is_k_cm_t_unbounded(lk, k, 0, field) for s, lk in links if len(s) >= t)
+    for t in range(cx.dim + 1):
+        lhs = own(t)
+        rhs = all(lk(0) for s, lk in links if len(s) >= t)
         if lhs != rhs:
             yield f"t={t} link formulation lhs={lhs} rhs={rhs}"
 
@@ -299,7 +302,7 @@ def suite_deletion_theorem(cx: SimplicialComplex, field: FieldSpec) -> Iterator[
     if not (rep.union_condition and rep.dim_dropped):
         return
     links = [cx.link(s) for s in sigmas]
-    for t in _ts(cx):
+    for t in range(cx.dim + 1):
         if not is_cm_t(cx, t, field):
             continue
         if not all(is_k_cm_t_unbounded(lk, 2, t - 1, field) for lk in links):
@@ -327,10 +330,10 @@ def suite_skeleton_theorem(cx: SimplicialComplex, field: FieldSpec) -> Iterator[
 @_per_item("monotonicity")
 def suite_monotonicity(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """CM_t is monotone in t; k-CM_t is antitone in k."""
-    verdicts = [is_cm_t(cx, t, field) for t in _ts(cx)]
+    verdicts = [is_cm_t(cx, t, field) for t in range(cx.dim + 1)]
     if any(a and not b for a, b in zip(verdicts, verdicts[1:])):
         yield f"CM_t not monotone: {verdicts}"
-    for t in _ts(cx):
+    for t in range(cx.dim + 1):
         if is_k_cm_t_unbounded(cx, 2, t, field) and not is_k_cm_t_unbounded(cx, 1, t, field):
             yield f"k-monotonicity fails at t={t}"
 

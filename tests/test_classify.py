@@ -45,6 +45,7 @@ from cmtkit.generators import (
     random_pure,
     simplex,
 )
+from cmtkit.suites import acceptance_corpus
 
 TWO_TRI_VERTEX = from_facets([(1, 2, 3), (3, 4, 5)])
 TWO_TRI_EDGE = from_facets([(1, 2, 3), (2, 3, 4)])
@@ -362,6 +363,54 @@ class TestIsCmT:
         assert is_buchsbaum(TWO_TRI_EDGE, GF2)
         wedge = from_facets([(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
         assert is_buchsbaum(wedge, GF2)
+
+
+
+# impure inputs, {<>} and the acceptance corpus (glued fixtures, 50 seeded
+# random complexes, boundary spheres)
+READER_INPUTS = [
+    from_facets([(1, 2, 3), (4, 5)]),
+    from_facets([(1, 2, 3), (3, 4), (4, 5)]),
+    from_facets([(0,), (1, 2), (2, 3, 4, 5)]),
+    from_facets([()]),
+] + [cx for _, cx in acceptance_corpus()]
+
+
+class TestVerdictReaders:
+    """is_cm and is_cm_t read the obstruction int; the witness functions
+    descend.  Each reader must answer exactly when its witness is None."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["gf2", "gf3", "q"])
+    def test_readers_agree_with_the_witnesses(self, field):
+        clear_caches()
+        for cx in READER_INPUTS:
+            assert is_cm(cx, field) == (cm_witness(cx, field) is None), cx
+            for criterion in CRITERIA:
+                for t in range(-1, cx.dim + 2):
+                    witness = cm_t_witness(cx, t, field, criterion)
+                    assert is_cm_t(cx, t, field, criterion) == (witness is None), (cx, t)
+
+    def test_readers_build_no_witness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a boolean decider descended")
+
+        monkeypatch.setattr(classify_module, "_descent", refuse)
+        monkeypatch.setattr(classify_module, "_least_obstructed", refuse)
+        monkeypatch.setattr(classify_module, "Witness", refuse)
+        clear_caches()
+        assert not is_cm(TWO_TRI_VERTEX, GF2)
+        assert not is_cm_t(TWO_TRI_VERTEX, 1, GF2)
+        assert not is_cm_t(from_facets([(1, 2, 3), (4, 5)]), 0, GF2)
+        rp2 = projective_plane_6()  # manifold links: fails only at the empty face over GF(2)
+        assert [is_cm_t(rp2, 0, GF2, c) for c in CRITERIA] == [False] * 3
+        assert all(is_cm_t(rp2, 1, GF2, c) for c in CRITERIA)
+
+    def test_unknown_criterion_still_raises(self):
+        for cx in (TWO_TRI_EDGE, TWO_TRI_VERTEX, from_facets([(1, 2, 3), (4, 5)])):
+            with pytest.raises(ValueError, match="unknown criterion"):
+                is_cm_t(cx, 0, GF2, "bogus")
+            with pytest.raises(ValueError, match="unknown criterion"):
+                cm_t_witness(cx, 0, GF2, "bogus")
 
 
 class TestWitnesses:

@@ -1,9 +1,10 @@
 """Law-level properties over randomly generated complexes."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmtkit.core import Face, SimplicialComplex, from_facets
+from cmtkit.core import Face, SimplicialComplex, _canonical, _maximal_masks, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.homology import (
     _relative_betti,
@@ -53,6 +54,43 @@ class TestLinkLaws:
         expected = {f.mask for f in cx.faces()
                     if f.mask & sigma.mask == 0 and cx.contains(f | sigma)}
         assert {f.mask for f in lk.faces()} == expected
+
+
+
+@st.composite
+def ambient_complexes(draw, max_n=7):
+    """A complex on ambient ids 0..n-1, some possibly unused."""
+    n = draw(st.integers(1, max_n))
+    raw = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    return SimplicialComplex(n, map(Face.from_mask, _maximal_masks(raw)))
+
+
+class TestDerivedMasks:
+    """link and restrict build their facet masks without the normalization
+    step where they can; applied to the cut masks, it must give the same."""
+
+    @given(ambient_complexes(), st.data())
+    def test_link_is_the_normalized_cut(self, cx, data):
+        s = data.draw(st.sampled_from(cx._face_masks()) | st.integers(0, (1 << cx.n_vertices) - 1))
+        through = [f & ~s for f in cx.masks if f & s == s]
+        if not through:
+            with pytest.raises(ValueError, match="not a face"):
+                cx.link(Face.from_mask(s))
+            return
+        lk = cx.link(Face.from_mask(s))
+        assert lk.masks == _canonical(_maximal_masks(through))
+        assert lk.labels == cx.labels
+
+    @given(ambient_complexes(), st.data())
+    def test_restrict_is_the_normalized_cut(self, cx, data):
+        every = (1 << cx.n_vertices) - 1
+        keep = data.draw(st.integers(0, every) | st.sampled_from([every, cx.support_mask])
+                         | st.sampled_from(cx.masks))
+        out = cx.restrict(Face.from_mask(keep))
+        assert out.masks == _canonical(_maximal_masks(f & keep for f in cx.masks))
+        assert out.labels == cx.labels
+        if all(f & keep == f for f in cx.masks):  # no facet is cut
+            assert out is cx
 
 
 class TestSkeletonLaws:

@@ -80,6 +80,25 @@ def test_verify_all_stores_no_cone_and_ranks_each_entry_once(monkeypatch):
     assert len(compacted) <= 17
 
 
+
+def test_verify_all_builds_every_law_it_checks(monkeypatch):
+    # the work a cold `verify --suite all --max-n 7 --seeds 20` does at seed
+    # 101 in layer 2, as traced before link_laws sampled face masks: a
+    # faster verify must not come from dropped link or restriction checks
+    calls = {"link": 0, "restrict": 0}
+    for method in calls:
+        derive = getattr(SimplicialComplex, method)
+
+        def counted(self, vertices, _derive=derive, _method=method):
+            calls[_method] += 1
+            return _derive(self, vertices)
+
+        monkeypatch.setattr(SimplicialComplex, method, counted)
+    clear_caches()
+    assert all(r.ok for r in run_suites(["all"], VERIFY_CORPUS, field=GF2))
+    assert calls == {"link": 7441, "restrict": 3642}
+
+
 def test_verify_all_case_counts():
     # the counts `verify --suite all --max-n 7 --seeds 20` reports: 36 corpus items,
     # link_laws one join case more for each of the first 8, paper_fixtures 38 checks
