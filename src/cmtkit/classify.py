@@ -13,16 +13,18 @@ with at least t vertices, and the three criteria are three readings of it:
   face is the link's homology shifted up by the face's size, and at the
   empty face is the global homology.
 
-So `is_cm` and `is_cm_t` read that int and build no witness; a witness
-comes from a descent (`_descent`) that only the ``*_witness`` functions
-run.  The int comes from the vertex links, not from a walk over the faces
-(`_link_recursion`): the link of a face sigma is the link of sigma - v in
-lk v for any vertex v of sigma.  A cone S * L is not obstructed itself,
-and reads the sizes of L = lk S shifted up by |S|, so only cone-free cores
-(`_core`) have entries; ``tests/reference_deciders.py`` checks all this
-independently.  One k-CM_t search (`_max_k_up_to`) serves every t: its
-levels, the complexes left by deleting vertices, do not depend on t, and
-each fails CM_t exactly below its own min_t.
+The boolean deciders (`is_cm`, `is_cm_t`, `is_buchsbaum`, `is_k_cm_t`,
+`is_k_buchsbaum`) alone decide: they read that int or the k-CM_t search
+and build no witness.  Each ``*_witness`` asks its decider first, returns
+None if it holds, and else describes the failure by a descent
+(`_descent`).  The int comes from the vertex links, not from a walk over
+the faces (`_link_recursion`): the link of a face sigma is the link of
+sigma - v in lk v for any vertex v of sigma.  A cone S * L is not
+obstructed itself, and reads the sizes of L = lk S shifted up by |S|, so
+only cone-free cores (`_core`) have entries; ``tests/reference_deciders.py``
+checks all this independently.  One k-CM_t search (`_max_k_up_to`) serves
+every t: its levels, the complexes left by deleting vertices, do not
+depend on t, and each fails CM_t exactly below its own min_t.
 
 The recursion, a descent and the search take facet masks on any ids, not
 a complex; a `Face` is built only for a witness returned.  Their values
@@ -230,22 +232,12 @@ def _descent(masks: tuple[int, ...], size: int, field: FieldSpec,
     return face, masks
 
 
-def _least_obstructed(masks: tuple[int, ...], t: int,
-                      field: FieldSpec) -> tuple[Face, int] | None:
+def _least_obstructed(masks: tuple[int, ...], t: int, field: FieldSpec) -> tuple[Face, int]:
     """The first obstructed face with at least t vertices of the complex with
-    facet masks `masks` on any ids, and its degree (its link's low), or None."""
+    facet masks `masks` on any ids (it has one), and its degree (its link's low)."""
     sizes = _link_recursion(masks, field)[0] >> t
-    if not sizes:
-        return None
     face, lk = _descent(masks, t + (sizes & -sizes).bit_length() - 1, field, True)
     return Face.from_mask(face), _link_recursion(lk, field)[1]
-
-
-def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
-    """Reisner test: the first face whose link has homology below its dimension, or None."""
-    _require_nonvoid(cx)
-    found = _least_obstructed(cx.masks, 0, field)
-    return None if found is None else Witness("link_homology", *found)
 
 
 def is_cm(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
@@ -254,45 +246,46 @@ def is_cm(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
     return not _link_recursion(cx.masks, field)[0]
 
 
+def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
+    """Reisner test: None if is_cm, else the first face whose link has
+    homology below its dimension."""
+    if is_cm(cx, field):
+        return None
+    return Witness("link_homology", *_least_obstructed(cx.masks, 0, field))
+
+
+def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
+            criterion: str = DEFINITION_LINKS) -> bool:
+    """CM_t, read off the obstruction int (see the module docstring).  t is
+    clamped below at 0; above dim only purity is required, as no face is
+    large enough to be quantified over."""
+    _require_nonvoid(cx)
+    normalize_criterion(criterion)
+    t = max(int(t), 0)
+    return is_pure(cx) and not _link_recursion(cx.masks, field)[0] >> t
+
+
 def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
                  criterion: str = DEFINITION_LINKS) -> Witness | None:
-    """Witness against CM_t under the chosen criterion, or None if CM_t holds.
-
-    t is clamped below at 0; values above dim leave only the purity
-    requirement since no face is large enough to be quantified over.
-    """
-    _require_nonvoid(cx)
-    crit = normalize_criterion(criterion)
-    t = max(int(t), 0)
+    """None if is_cm_t, else the witness against CM_t under the chosen criterion."""
+    if is_cm_t(cx, t, field, criterion):
+        return None
     if not is_pure(cx):
         return Witness("impure")
+    crit, t = normalize_criterion(criterion), max(int(t), 0)
     if crit == DEFINITION_LINKS:
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
         # with more than t vertices fails only if its t-subsets do
-        if not _link_recursion(cx.masks, field)[0] >> t:
-            return None
         sigma, lk = _descent(cx.masks, t, field, False)
         inner = Witness("link_homology", *_least_obstructed(lk, 0, field))  # cm_witness(lk sigma)
         return Witness("link_not_cm", face=Face.from_mask(sigma), inner=inner)
-    found = _least_obstructed(cx.masks, t, field)
-    if found is None:
-        return None
-    face, degree = found
+    face, degree = _least_obstructed(cx.masks, t, field)
     if crit == REISNER_HOMOLOGY:
         return Witness("link_homology", face, degree)
     if not face:
         # punctures never see the empty face: this is the global condition
         return Witness("global_homology", face, degree)
     return Witness("local_homology", face, degree + len(face))
-
-
-def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
-            criterion: str = DEFINITION_LINKS) -> bool:
-    """cm_t_witness(...) is None, read off the obstruction int: no witness is built."""
-    _require_nonvoid(cx)
-    normalize_criterion(criterion)
-    t = max(int(t), 0)
-    return is_pure(cx) and not _link_recursion(cx.masks, field)[0] >> t
 
 
 def is_buchsbaum(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
@@ -360,22 +353,26 @@ def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]
             f for f in masks if not f & bit]
 
 
-def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
-                   field: FieldSpec = GF2) -> Witness | None:
-    """The first W with fewer than k vertices, smallest first, for which
-    cx - W drops the dimension or fails CM_t, or None; k above #V + 1 is
-    rejected.  The first failing W of s vertices starts at the least v for
-    which cx - v drops the dimension (s = 1) or fails at s - 1 vertices (a
-    set holding a smaller vertex would come first), and goes on in cx - v."""
+def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> bool:
+    """No W with fewer than k vertices for which cx - W drops the dimension
+    or fails CM_t; k above #V + 1 is rejected."""
     _require_nonvoid(cx)
     if k > len(cx.vertex_ids()) + 1:
         raise ValueError("k exceeds vertex budget")
-    size = _max_k_at(cx, t, field, k)
-    if size == k:
+    return _max_k_at(cx, t, field, k) == k
+
+
+def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
+                   field: FieldSpec = GF2) -> Witness | None:
+    """None if is_k_cm_t, else the first failing W, smallest first.  The
+    first failing W of s vertices starts at the least v for which cx - v
+    drops the dimension (s = 1) or fails at s - 1 vertices (a set holding a
+    smaller vertex would come first), and goes on in cx - v."""
+    if is_k_cm_t(cx, k, t, field):
         return None
     at = min(max(t, 0), cx.dim)  # the t that _max_k_at read; every sub keeps cx.dim
     removed, sub = [], cx.masks
-    for s in range(size, 0, -1):
+    for s in range(_max_k_at(cx, t, field, k), 0, -1):
         for v, facets in _vertex_deletions(sub):  # sub is CM_t, hence pure
             if facets[-1].bit_count() < sub[-1].bit_count():
                 return Witness("restriction_dimension", removed=(*removed, v))
@@ -385,10 +382,6 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
         sub = tuple(facets)
     inner = cm_t_witness(SimplicialComplex._trusted(sub, cx.labels), t, field)
     return Witness("restriction", removed=tuple(removed), inner=inner)
-
-
-def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> bool:
-    return k_cm_t_witness(cx, k, t, field) is None
 
 
 def is_k_cm_t_unbounded(cx: SimplicialComplex, k: int, t: int,

@@ -377,8 +377,9 @@ READER_INPUTS = [
 
 
 class TestVerdictReaders:
-    """is_cm and is_cm_t read the obstruction int; the witness functions
-    descend.  Each reader must answer exactly when its witness is None."""
+    """is_cm and is_cm_t read the obstruction int, is_k_cm_t the k-CM_t
+    search; the witness functions descend.  Each reader must answer exactly
+    when its witness is None."""
 
     @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["gf2", "gf3", "q"])
     def test_readers_agree_with_the_witnesses(self, field):
@@ -390,13 +391,28 @@ class TestVerdictReaders:
                     witness = cm_t_witness(cx, t, field, criterion)
                     assert is_cm_t(cx, t, field, criterion) == (witness is None), (cx, t)
 
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONALS], ids=["gf2", "gf3", "q"])
+    def test_k_readers_agree_with_the_witness(self, field):
+        clear_caches()
+        for cx in READER_INPUTS:
+            budget = len(cx.vertex_ids()) + 1
+            for k in range(1, budget + 1):
+                for t in range(-1, cx.dim + 2):
+                    witness = k_cm_t_witness(cx, k, t, field)
+                    assert is_k_cm_t(cx, k, t, field) == (witness is None), (cx, k, t)
+                witness = k_cm_t_witness(cx, k, 1, field)
+                assert is_k_buchsbaum(cx, k, field) == (witness is None), (cx, k)
+            for decide in (is_k_cm_t, k_cm_t_witness):
+                with pytest.raises(ValueError, match="k exceeds vertex budget"):
+                    decide(cx, budget + 1, 0, field)
+
     def test_readers_build_no_witness(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a boolean decider descended")
 
-        monkeypatch.setattr(classify_module, "_descent", refuse)
-        monkeypatch.setattr(classify_module, "_least_obstructed", refuse)
-        monkeypatch.setattr(classify_module, "Witness", refuse)
+        for name in ("_descent", "_least_obstructed", "Witness", "cm_t_witness",
+                     "k_cm_t_witness"):
+            monkeypatch.setattr(classify_module, name, refuse)
         clear_caches()
         assert not is_cm(TWO_TRI_VERTEX, GF2)
         assert not is_cm_t(TWO_TRI_VERTEX, 1, GF2)
@@ -404,6 +420,10 @@ class TestVerdictReaders:
         rp2 = projective_plane_6()  # manifold links: fails only at the empty face over GF(2)
         assert [is_cm_t(rp2, 0, GF2, c) for c in CRITERIA] == [False] * 3
         assert all(is_cm_t(rp2, 1, GF2, c) for c in CRITERIA)
+        assert not is_k_cm_t(boundary_simplex(4), 3, 0, GF2)  # any 2 removed: an edge
+        assert not is_k_cm_t(from_facets([(1, 2, 3), (4, 5)]), 1, 0, GF2)
+        assert not is_k_buchsbaum(TWO_TRI_VERTEX, 1, GF2)
+        assert is_k_buchsbaum(rp2, 2, GF2) and not is_k_buchsbaum(rp2, 3, GF2)
 
     def test_unknown_criterion_still_raises(self):
         for cx in (TWO_TRI_EDGE, TWO_TRI_VERTEX, from_facets([(1, 2, 3), (4, 5)])):

@@ -424,8 +424,11 @@ class TestPlainReader:
         argv = [a.format(d=argv_files) for a in argv]
         cwd = os.getcwd()
         os.chdir(argv_files)  # "-obogus" and "--output=x" write where they run
+        tv = Path(argv_files) / "tv.cplx"  # "-o {d}/tv.cplx" overwrites the input
         try:
+            tv.write_text(TWO_TRI_VERTEX)
             direct = _captured_main(argv)
+            tv.write_text(TWO_TRI_VERTEX)
             with mock.patch.object(cli, "_read_plain", lambda argv: None):
                 assert _captured_main(argv) == direct
         finally:

@@ -99,6 +99,22 @@ def test_verify_all_builds_every_law_it_checks(monkeypatch):
     assert calls == {"link": 7441, "restrict": 3642}
 
 
+def test_link_recursion_reads_each_vertex_link_once(monkeypatch):
+    # a cold `verify --suite all --max-n 7 --seeds 20` at seed 101 sends 2,235
+    # facet lists through `_core` and relabels 1,186 of them; link_recursion
+    # asking is_cm_t of each vertex link at every t made it 2,452 and 1,302
+    calls = {"_core": 0, "_relabelled": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(classify, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    clear_caches()
+    assert all(r.ok for r in run_suites(["all"], VERIFY_CORPUS, field=GF2))
+    assert calls == {"_core": 2235, "_relabelled": 1186}
+
+
 def test_verify_all_case_counts():
     # the counts `verify --suite all --max-n 7 --seeds 20` reports: 36 corpus items,
     # link_laws one join case more for each of the first 8, paper_fixtures 38 checks
