@@ -1,11 +1,14 @@
 """Command-line surface.
 
-Exit codes: 0 when the command succeeded (and, for deciders, the property
-holds), 1 when a decided property fails, 2 on usage or parse errors, when
-an output file cannot be written, and on an internal error (reported as
-`cmtkit: internal error: <type>: <message>`, never as a traceback).
-Reports are JSON with a stable schema (schema: 1); exit code 1 is always
-accompanied by a concrete witness in the report.
+Each command's handler returns its result and writes nothing: a report
+command returns its JSON fields after "schema" and "command", a facet-file
+command the complex to emit.  main alone writes the result, as JSON with
+"schema": 1 or as a facet file, to stdout or to -o, and derives the exit
+code from it: 1 exactly when the report says "ok": false (a check report
+then carries its witness, a verify report its failing suite), else 0.
+Exit code 2 is for usage or parse errors, an output file that cannot be
+written, and an internal error (reported as `cmtkit: internal error:
+<type>: <message>`, never as a traceback).
 
 Each command is described once, in COMMANDS.  main reads a plain argv (a
 command, exact option strings with their values, positionals) straight
@@ -27,7 +30,6 @@ from types import SimpleNamespace
 
 from . import __version__
 from .classify import (
-    ClassificationReport,
     classify,
     cm_t_witness,
     explore_join,
@@ -51,9 +53,9 @@ from .suites import DEFAULT_SEED_BASE, SUITE_NAMES, build_corpus, run_suites
 
 SCHEMA = 1
 
-
-class UsageError(Exception):
-    pass
+# verify holds its whole corpus in memory, about 0.8 KB a seed (29 MB at
+# 20,000 seeds, 15 MB at none): 65,536 seeds take about 70 MB
+_MAX_SEEDS = 1 << 16
 
 
 def _face_from_labels(cx: SimplicialComplex, text: str) -> Face:
@@ -61,88 +63,55 @@ def _face_from_labels(cx: SimplicialComplex, text: str) -> Face:
     index = {lb: i for i, lb in enumerate(cx.labels)}
     missing = [t for t in tokens if t not in index]
     if missing:
-        raise UsageError(f"unknown vertex label(s): {missing}")
+        raise ValueError(f"unknown vertex label(s): {missing}")
     face = Face(index[t] for t in tokens)
     if not cx.contains(face):  # named by the labels given, not by internal ids
-        raise UsageError(f"not a face of the complex: {tokens}")
+        raise ValueError(f"not a face of the complex: {tokens}")
     return face
 
 
-def _write_report(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=False) + "\n"
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_complex(cx: SimplicialComplex, args) -> None:
-    if getattr(args, "output", None):
-        dump(cx, args.output)
-    else:
-        sys.stdout.write(emit(cx))
-
-
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> dict:
     cx = load(args.file)
     field = FieldSpec.parse(args.field)
     betti = reduced_betti(cx, field)
     dim = cx.dim
-    _write_report({
-        "schema": SCHEMA,
-        "command": "homology",
-        "field": field.token,
-        "dim": dim,
-        "betti": {str(d): betti[d] for d in range(-1, dim + 1)},
-    }, args)
-    return 0
+    return {"field": field.token, "dim": dim,
+            "betti": {str(d): betti[d] for d in range(-1, dim + 1)}}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> dict:
     cx = load(args.file)
     field = FieldSpec.parse(args.field)
     t = max(args.t, 0)  # CM_t for t <= 0 is CM_0
-    report: dict = {"schema": SCHEMA, "command": "check", "field": field.token, "t": t}
+    report: dict = {"field": field.token, "t": t}
     if args.k is not None:
-        report["k"] = args.k
-        report["property"] = f"{args.k}-CM_{t}"
+        report.update(k=args.k, property=f"{args.k}-CM_{t}")
         witness = k_cm_t_witness(cx, args.k, t, field)
     else:
         criterion = normalize_criterion(args.criterion)
-        report["criterion"] = criterion
-        report["property"] = f"CM_{t}"
+        report.update(criterion=criterion, property=f"CM_{t}")
         witness = cm_t_witness(cx, t, field, criterion)
     report["ok"] = witness is None
     report["witnesses"] = [] if witness is None else [witness.to_json(cx)]
-    _write_report(report, args)
-    return 0 if witness is None else 1
+    return report
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     cx = load(args.file)
-    report: ClassificationReport = classify(cx, FieldSpec.parse(args.field))
-    _write_report({"schema": SCHEMA, "command": "classify", **report.to_json()}, args)
-    return 0
+    return classify(cx, FieldSpec.parse(args.field)).to_json()
 
 
-def cmd_link(args) -> int:
+def cmd_link(args) -> SimplicialComplex:
     cx = load(args.file)
-    face = _face_from_labels(cx, args.face)
-    _write_complex(cx.link(face).compact(), args)
-    return 0
+    return cx.link(_face_from_labels(cx, args.face)).compact()
 
 
-def cmd_skeleton(args) -> int:
-    cx = load(args.file)
-    _write_complex(cx.skeleton(args.j).compact(), args)
-    return 0
+def cmd_skeleton(args) -> SimplicialComplex:
+    return load(args.file).skeleton(args.j).compact()
 
 
-def cmd_join(args) -> int:
-    a = load(args.file_a)
-    b = load(args.file_b)
-    _write_complex(a.join(b), args)
-    return 0
+def cmd_join(args) -> SimplicialComplex:
+    return load(args.file_a).join(load(args.file_b))
 
 
 _FAMILIES = {
@@ -155,39 +124,37 @@ _FAMILIES = {
 }
 
 
-def cmd_gen(args) -> int:
-    _write_complex(_FAMILIES[args.family](args), args)
-    return 0
+def cmd_gen(args) -> SimplicialComplex:
+    return _FAMILIES[args.family](args)
 
 
-def cmd_explore_join(args) -> int:
+def cmd_explore_join(args) -> dict:
     pool = [load(args.file_a), load(args.file_b)]
     field = FieldSpec.parse(args.field)
     observations = explore_join(pool, field)
-    _write_report({
-        "schema": SCHEMA,
-        "command": "explore-join",
+    return {
         "field": field.token,
         "exploratory": True,
         "note": "observed values only; no relationship is asserted",
         "observations": [o.to_json() for o in observations],
-    }, args)
-    return 0
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     field = FieldSpec.parse(args.field)
     if args.max_n < 1:
-        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     if args.seeds < 0:
-        raise UsageError(f"--seeds must be non-negative, got {args.seeds}")
+        raise ValueError(f"--seeds must be non-negative, got {args.seeds}")
+    if args.seeds > _MAX_SEEDS:
+        raise ValueError(f"--seeds must be at most {_MAX_SEEDS}, got {args.seeds}")
     seed_base = DEFAULT_SEED_BASE
     env_seed = os.environ.get("CMTKIT_SEED")
     if env_seed is not None:
         try:
             seed_base = int(env_seed)
         except ValueError:
-            raise UsageError(f"CMTKIT_SEED must be an integer, got {env_seed!r}") from None
+            raise ValueError(f"CMTKIT_SEED must be an integer, got {env_seed!r}") from None
     corpus = build_corpus(max_n=args.max_n, seeds=args.seeds, seed_base=seed_base)
     reports = run_suites([args.suite], corpus, field=field)
     ce_paths = []
@@ -198,20 +165,16 @@ def cmd_verify(args) -> int:
                 path = ce_dir / f"cmtkit-counterexample-{rep.suite}-{i}.cplx"
                 dump(failure.complex.compact(), path)
                 ce_paths.append(str(path))
-    ok = all(rep.ok for rep in reports)
-    _write_report({
-        "schema": SCHEMA,
-        "command": "verify",
+    return {
         "field": field.token,
         "suite": args.suite,
         "max_n": args.max_n,
         "seeds": args.seeds,
         "seed_base": seed_base,
-        "ok": ok,
+        "ok": all(rep.ok for rep in reports),
         "suites": [rep.to_json() for rep in reports],
         "counterexample_files": ce_paths,
-    }, args)
-    return 0 if ok else 1
+    }
 
 
 class _Arg:
@@ -375,11 +338,21 @@ def main(argv=None) -> int:
         except SystemExit as e:
             return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        if isinstance(result, SimplicialComplex):
+            text, code = emit(result), 0
+        else:
+            report = {"schema": SCHEMA, "command": args.command, **result}
+            text, code = json.dumps(report, indent=2) + "\n", 1 if report.get("ok") is False else 0
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ParseError as e:
         print(f"cmtkit: parse error: {e}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         # domain errors (void complex, bad parameters) are input errors here
         print(f"cmtkit: {e}", file=sys.stderr)
         return 2

@@ -46,6 +46,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ._record import FrozenRecord
 
 
+# A generated family or a join refuses more facet-vertex incidences than
+# this before it builds a facet: boundary_simplex(2000), with 4 million,
+# peaked at 207 MB.
+_MAX_INCIDENCES = 1 << 20
+
+
+def _bounded(count: int, what: str = "facet-vertex incidences") -> None:
+    if count > _MAX_INCIDENCES:
+        raise ValueError(f"{count} {what} exceed the limit of {_MAX_INCIDENCES}")
+
+
 def _byte_bits(offset: int) -> list[tuple[int, ...]]:
     """Entry b: the set bit positions of the byte value b, plus offset."""
     table: list[tuple[int, ...]] = [()]
@@ -495,9 +506,12 @@ class SimplicialComplex:
         return SimplicialComplex._trusted(masks, self.labels)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        """Simplicial join; the second operand's ids are shifted past ours."""
+        """Simplicial join; the second operand's ids are shifted past ours.
+        Above _MAX_INCIDENCES facet-vertex incidences it raises ValueError."""
         if self.is_void or other.is_void:
             raise ValueError("join with the void complex is undefined")
+        a, b = self.masks, other.masks
+        _bounded(len(b) * sum(map(int.bit_count, a)) + len(a) * sum(map(int.bit_count, b)))
         offset = self.n_vertices
         taken = set(self.labels)
         relabeled = []
@@ -506,7 +520,7 @@ class SimplicialComplex:
                 lb = lb + "'"
             taken.add(lb)
             relabeled.append(lb)
-        masks = _canonical(a | (b << offset) for a in self.masks for b in other.masks)
+        masks = _canonical(x | (y << offset) for x in a for y in b)
         return SimplicialComplex._trusted(masks, self.labels + tuple(relabeled))
 
     def delete_cofaces(self, faces_to_remove: Iterable) -> tuple["SimplicialComplex", DeletionReport]:

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 from ._record import FrozenRecord
-from .core import Face, SimplicialComplex, from_facets
+from .core import Face, SimplicialComplex, _bounded, from_facets
 
 _MASK64 = (1 << 64) - 1
 
@@ -14,16 +14,6 @@ _MASK64 = (1 << 64) - 1
 # subsets than this: C(18, 9) = 48,620 of them take a few seconds over all
 # 64 attempts at a density that keeps none.
 _MAX_SUBSETS = 1 << 16
-
-# Every family refuses more facet-vertex incidences than this before it
-# builds a facet: boundary_simplex(2000), with 4 million, peaked at 207 MB.
-_MAX_INCIDENCES = 1 << 20
-
-
-def _bounded(count: int, what: str = "facet-vertex incidences") -> None:
-    if count > _MAX_INCIDENCES:
-        raise ValueError(f"{count} {what} exceed the limit of {_MAX_INCIDENCES}")
-
 
 class SplitMix64:
     """Deterministic 64-bit generator (splitmix64), identical on every platform."""
@@ -164,7 +154,7 @@ def random_pure(n: int, d: int, density: float, seed: int,
     The splitmix64 stream makes the output a pure function of the seed.
     Unused vertices are compacted away, so the result may have fewer than
     n vertices but always has dimension d - 1.  Above _MAX_SUBSETS d-subsets,
-    or _MAX_INCIDENCES incidences among them, it raises ValueError.
+    or core._MAX_INCIDENCES incidences among them, it raises ValueError.
     """
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")

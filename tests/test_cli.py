@@ -34,6 +34,13 @@ def two_tri(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def edges_1000(tmp_path):
+    path = tmp_path / "e1k.cplx"
+    path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(1000)))
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -193,6 +200,11 @@ class TestTransformers:
         code, out, _ = run(capsys, ["join", str(a), str(b)])
         assert code == 0
         assert parse(out).dim == 1
+
+    def test_join_over_the_incidence_limit_is_exit_2(self, edges_1000, capsys):
+        code, out, err = run(capsys, ["join", edges_1000, edges_1000])
+        assert code == 2 and out == ""
+        assert err == "cmtkit: 4000000 facet-vertex incidences exceed the limit of 1048576\n"
 
     def test_output_file(self, two_tri, tmp_path, capsys):
         out_path = tmp_path / "link.cplx"
@@ -663,6 +675,12 @@ class TestExploreJoin:
         assert doc["observations"][0]["factor_min_t"] == [0, 0]
 
 
+    def test_join_over_the_incidence_limit_is_exit_2(self, edges_1000, capsys):
+        code, out, err = run(capsys, ["explore-join", edges_1000, edges_1000])
+        assert code == 2 and out == ""
+        assert err == "cmtkit: 4000000 facet-vertex incidences exceed the limit of 1048576\n"
+
+
 class TestVerify:
     def test_small_clean_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -692,7 +710,7 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--suite", "link_laws"])
         assert code == 1
         doc = json.loads(out)
-        assert doc["ok"] is False
+        assert doc["ok"] is False and [suite["ok"] for suite in doc["suites"]] == [False]
         (ce_path,) = doc["counterexample_files"]
         assert parse(open(ce_path).read()) == boundary_simplex(3)
 
@@ -707,3 +725,73 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--suite", "monotonicity",
                                     "--max-n", "4", "--seeds", "0"])
         assert code == 0 and json.loads(out)["seeds"] == 0
+
+    def test_seeds_over_the_limit_are_refused_before_the_corpus(self, capsys, monkeypatch):
+        def unbounded(*args, **kwargs):
+            raise AssertionError("build_corpus called")
+
+        monkeypatch.setattr(cli, "build_corpus", unbounded)
+        code, out, err = run(capsys, ["verify", "--suite", "paper_fixtures", "--seeds", "65537"])
+        assert code == 2 and out == ""
+        assert err == "cmtkit: --seeds must be at most 65536, got 65537\n"
+
+
+# One small valid argv per command; "{f}" is the two-triangle file.
+_VALID_ARGV = {
+    "homology": ["{f}"], "check": ["{f}", "--t", "1"], "classify": ["{f}"],
+    "link": ["{f}", "--face", "3"], "skeleton": ["{f}", "-j", "0"], "join": ["{f}", "{f}"],
+    "gen": ["rp2"], "explore-join": ["{f}", "{f}"],
+    "verify": ["--suite", "monotonicity", "--max-n", "3", "--seeds", "0"],
+}
+_FACET_FILE_COMMANDS = {"link", "skeleton", "join", "gen"}
+
+
+class TestOneWriter:
+    """Handlers return their result; main alone writes it and sets the exit code."""
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_handler_returns_its_result_and_writes_nothing(self, name, two_tri, tmp_path,
+                                                           capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = cli._read_plain([name] + [a.format(f=two_tri) for a in _VALID_ARGV[name]])
+        result = args.fn(args)
+        assert capsys.readouterr() == ("", "")
+        if name in _FACET_FILE_COMMANDS:
+            assert isinstance(result, cmtkit.SimplicialComplex)
+        else:
+            assert isinstance(result, dict) and not {"schema", "command"} & set(result)
+
+    @pytest.mark.parametrize("argv", [
+        *([name, *argv] for name, argv in _VALID_ARGV.items()),
+        ["check", "{f}", "--t", "2"], ["check", "{f}", "--t", "1", "--criterion", "local"],
+        ["check", "{f}", "--k", "2", "--t", "0"], ["check", "{f}", "--k", "1", "--t", "2"],
+        ["check", "{d}/s10.cplx", "--t", "0", "--field", "q"],
+        ["check", "{d}/s10.cplx", "--k", "3", "--t", "0"],
+        ["check", "{d}/s10.cplx", "--k", "2", "--t", "0"],
+        ["check", "{d}/rp2.cplx", "--t", "0"],
+        ["check", "{d}/rp2.cplx", "--t", "0", "--field", "gf3"],
+        ["check", "{d}/pt.cplx", "--t", "0"], ["check", "{d}/ef.cplx", "--t", "3"],
+        ["homology", "{d}/rp2.cplx", "--field", "gf3"], ["classify", "{d}/rp2.cplx"],
+        ["explore-join", "{f}", "{d}/pt.cplx"], ["explore-join", "{f}", "{d}/ef.cplx"],
+        ["gen", "boundary", "-n", "10"], ["skeleton", "{d}/s10.cplx", "-j", "2"],
+        ["verify", "--suite", "link_laws", "--max-n", "4", "--seeds", "1", "--field", "gf3"],
+    ])
+    def test_exit_1_exactly_when_the_report_fails(self, argv, two_tri, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s10.cplx").write_text(emit(boundary_simplex(10)))
+        (tmp_path / "rp2.cplx").write_text(emit(cmtkit.projective_plane_6()))
+        (tmp_path / "pt.cplx").write_text("1\n")
+        (tmp_path / "ef.cplx").write_text("@empty-face\n")
+        code, out, err = run(capsys, [a.format(f=two_tri, d=tmp_path) for a in argv])
+        assert err == "" and code in (0, 1)
+        if argv[0] in _FACET_FILE_COMMANDS:
+            assert code == 0 and not parse(out).is_void
+            return
+        doc = json.loads(out)
+        assert (doc["schema"], doc["command"]) == (1, argv[0])
+        assert code == (1 if doc.get("ok") is False else 0)
+        if code == 1 and argv[0] == "check":
+            assert doc["witnesses"]
+        if code == 1 and argv[0] == "verify":
+            assert any(not suite["ok"] for suite in doc["suites"])

@@ -296,6 +296,14 @@ class TestJoin:
         j = from_facets([(0,)]).join(from_facets([(0,)]))
         assert j.labels == ("0", "0'")
 
+    def test_refuses_a_product_over_the_incidence_limit(self):
+        # 1,000 x 1,000 edges would be a million 4-vertex facets; the count,
+        # len(B) inc(A) + len(A) inc(B), is checked before any is built
+        edges = from_facets([(2 * i, 2 * i + 1) for i in range(1000)])
+        with pytest.raises(ValueError, match="^4000000 facet-vertex incidences "
+                                             "exceed the limit of 1048576$"):
+            edges.join(edges)
+
 
 class TestDeleteCofaces:
     def test_remove_top_face(self):
