@@ -1,4 +1,9 @@
-"""cmtkit: exact deciders for CM_t and k-CM_t simplicial complexes."""
+"""cmtkit: exact deciders for CM_t and k-CM_t simplicial complexes.
+
+The generator and SNF-oracle names are loaded on first use (PEP 562), so
+that importing the package, or a command that runs neither, does not
+compile those modules.
+"""
 
 from .classify import (
     CRITERIA,
@@ -23,17 +28,6 @@ from .classify import (
 from .core import EMPTY_FACE, DeletionReport, Face, SimplicialComplex, from_facets
 from .fields import GF2, GF3, GF5, RATIONALS, FieldSpec
 from .files import ParseError, dump, emit, load, parse
-from .generators import (
-    GluedFamilySpec,
-    GluedRealizabilityError,
-    SplitMix64,
-    boundary_simplex,
-    glued_simplices,
-    miyazaki_example,
-    projective_plane_6,
-    random_pure,
-    simplex,
-)
 from .homology import (
     BettiVector,
     BoundaryMatrix,
@@ -43,7 +37,6 @@ from .homology import (
     reduced_euler_from_faces,
 )
 from .linalg import active_backend, rank, rank_mod_p, rank_rational
-from .snf import betti_via_snf, smith_diagonal
 
 __version__ = "0.1.0"
 
@@ -62,3 +55,28 @@ __all__ = [
     "rank_rational", "reduced_betti", "reduced_euler_from_faces", "simplex",
     "smith_diagonal",
 ]
+
+# name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("GluedFamilySpec", "GluedRealizabilityError", "SplitMix64",
+                     "boundary_simplex", "glued_simplices", "miyazaki_example",
+                     "projective_plane_6", "random_pure", "simplex", "generators"),
+                    "generators"),
+    **dict.fromkeys(("betti_via_snf", "smith_diagonal", "snf"), "snf"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    submodule = import_module(f".{module}", __name__)
+    value = submodule if name == module else getattr(submodule, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

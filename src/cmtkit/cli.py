@@ -15,7 +15,9 @@ command, exact option strings with their values, positionals) straight
 from that table; anything else (help, --version, abbreviations, '=' forms,
 a usage error) goes to the argparse parser that build_parser makes from the
 same table, so help text, usage errors and exit codes are argparse's.  A
-plain request builds no parser and never imports argparse.
+plain request builds no parser and never imports argparse.  Nor does it
+import a module it does not run: cmd_verify imports the suites and cmd_gen
+the generators, and no command imports the SNF oracle.
 """
 
 from __future__ import annotations
@@ -39,19 +41,15 @@ from .classify import (
 from .core import Face, SimplicialComplex
 from .fields import FieldSpec
 from .files import ParseError, dump, emit, load
-from .generators import (
-    GluedFamilySpec,
-    boundary_simplex,
-    glued_simplices,
-    miyazaki_example,
-    projective_plane_6,
-    random_pure,
-    simplex,
-)
 from .homology import reduced_betti
-from .suites import DEFAULT_SEED_BASE, SUITE_NAMES, build_corpus, run_suites
 
 SCHEMA = 1
+
+# suites.SUITE_NAMES, written here too so that reading a verify argv (or
+# building the parser) does not import the suites; a test keeps them equal
+SUITE_NAMES = ("link_laws", "criteria_equivalence", "link_recursion", "k_link_recursion",
+               "deletion_theorem", "skeleton_theorem", "monotonicity", "paper_fixtures",
+               "all")
 
 # verify holds its whole corpus in memory, about 0.8 KB a seed (29 MB at
 # 20,000 seeds, 15 MB at none): 65,536 seeds take about 70 MB
@@ -115,17 +113,19 @@ def cmd_join(args) -> SimplicialComplex:
 
 
 _FAMILIES = {
-    "simplex": lambda a: simplex(a.n),
-    "boundary": lambda a: boundary_simplex(a.n),
-    "glued": lambda a: glued_simplices(GluedFamilySpec.uniform(a.d, a.m, a.overlap)),
-    "miyazaki": lambda a: miyazaki_example()[0],
-    "rp2": lambda a: projective_plane_6(),
-    "random": lambda a: random_pure(a.n, a.d, a.density, a.seed),
+    "simplex": lambda g, a: g.simplex(a.n),
+    "boundary": lambda g, a: g.boundary_simplex(a.n),
+    "glued": lambda g, a: g.glued_simplices(g.GluedFamilySpec.uniform(a.d, a.m, a.overlap)),
+    "miyazaki": lambda g, a: g.miyazaki_example()[0],
+    "rp2": lambda g, a: g.projective_plane_6(),
+    "random": lambda g, a: g.random_pure(a.n, a.d, a.density, a.seed),
 }
 
 
 def cmd_gen(args) -> SimplicialComplex:
-    return _FAMILIES[args.family](args)
+    from . import generators  # here, not at the top: only gen runs them
+
+    return _FAMILIES[args.family](generators, args)
 
 
 def cmd_explore_join(args) -> dict:
@@ -141,6 +141,8 @@ def cmd_explore_join(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from . import suites  # here, not at the top: only verify runs them
+
     field = FieldSpec.parse(args.field)
     if args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
@@ -148,15 +150,15 @@ def cmd_verify(args) -> dict:
         raise ValueError(f"--seeds must be non-negative, got {args.seeds}")
     if args.seeds > _MAX_SEEDS:
         raise ValueError(f"--seeds must be at most {_MAX_SEEDS}, got {args.seeds}")
-    seed_base = DEFAULT_SEED_BASE
+    seed_base = suites.DEFAULT_SEED_BASE
     env_seed = os.environ.get("CMTKIT_SEED")
     if env_seed is not None:
         try:
             seed_base = int(env_seed)
         except ValueError:
             raise ValueError(f"CMTKIT_SEED must be an integer, got {env_seed!r}") from None
-    corpus = build_corpus(max_n=args.max_n, seeds=args.seeds, seed_base=seed_base)
-    reports = run_suites([args.suite], corpus, field=field)
+    corpus = suites.build_corpus(max_n=args.max_n, seeds=args.seeds, seed_base=seed_base)
+    reports = suites.run_suites([args.suite], corpus, field=field)
     ce_paths = []
     ce_dir = Path(args.output).parent if args.output else Path.cwd()
     for rep in reports:

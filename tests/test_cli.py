@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmtkit
-from cmtkit import cli
+from cmtkit import cli, suites
 from cmtkit.cli import main
 from cmtkit.files import parse
 from cmtkit.generators import boundary_simplex
@@ -228,8 +228,7 @@ class TestUnwritableOutput:
         assert err == f"cmtkit: cannot write {target}: No such file or directory\n"
 
     def test_counterexample_file_in_missing_directory(self, tmp_path, capsys, monkeypatch):
-        import cmtkit.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "run_suites", one_failing_suite)
+        monkeypatch.setattr(suites, "run_suites", one_failing_suite)
         target = tmp_path / "missing" / "report.json"
         code, out, err = run(capsys, ["verify", "--suite", "link_laws", "-o", str(target)])
         assert code == 2 and out == ""
@@ -258,19 +257,68 @@ for argv in (["homology", f], ["check", f, "--t", "1"], ["check", f, "--k", "2"]
         assert done.returncode == 0, done.stderr
 
     def test_a_plain_command_loads_neither_argparse_nor_gettext(self, two_tri, tmp_path):
-        # compare the module set before and after, so that what site imports does not count
+        # compare the module set before and after, so that what site imports does not count;
+        # the suites, generators and SNF oracle load only for verify and gen
         script = f"""
 import sys
 before = set(sys.modules)
 from cmtkit.cli import main
-main(["check", {two_tri!r}, "--t", "1", "-o", {str(tmp_path / "out.json")!r}])
-print(sorted({{"argparse", "gettext"}} & (set(sys.modules) - before)))
+f, out = {two_tri!r}, {str(tmp_path / "out")!r}
+for argv in (["homology", f], ["check", f, "--t", "1"], ["check", f, "--k", "2"],
+             ["classify", f], ["link", f, "--face", "3"], ["skeleton", f, "-j", "1"],
+             ["join", f, f], ["explore-join", f, f]):
+    assert main(argv + ["-o", out]) in (0, 1), argv
+print(sorted({{"argparse", "gettext", "cmtkit.suites", "cmtkit.generators", "cmtkit.snf"}}
+             & (set(sys.modules) - before)))
+assert main(["verify", "--suite", "monotonicity", "--max-n", "3", "--seeds", "0",
+             "-o", out]) == 0
+assert main(["gen", "rp2", "-o", out]) == 0 and len(open(out).readlines()) == 10
+"""
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_package_names_resolve_lazily_and_fully(self):
+        script = """
+import sys
+import cmtkit
+assert not {"cmtkit.generators", "cmtkit.snf"} & set(sys.modules)
+assert {"generators", "snf", "random_pure", "smith_diagonal"} <= set(dir(cmtkit))
+assert cmtkit.snf is sys.modules["cmtkit.snf"] and "cmtkit.generators" not in sys.modules
+names = {}
+exec("from cmtkit import *", names)
+assert set(cmtkit.__all__) <= set(names), set(cmtkit.__all__) - set(names)
+for name in cmtkit.__all__:
+    assert names[name] is getattr(cmtkit, name), name
+    assert name in dir(cmtkit), name
+for name in ("GluedFamilySpec", "GluedRealizabilityError", "SplitMix64", "boundary_simplex",
+             "glued_simplices", "miyazaki_example", "projective_plane_6", "random_pure",
+             "simplex"):
+    assert getattr(cmtkit, name) is getattr(cmtkit.generators, name), name
+for name in ("betti_via_snf", "smith_diagonal"):
+    assert getattr(cmtkit, name) is getattr(cmtkit.snf, name), name
+assert not hasattr(cmtkit, "no_such_name")
+try:
+    cmtkit.no_such_name
+except AttributeError as e:
+    assert str(e) == "module 'cmtkit' has no attribute 'no_such_name'", e
+else:
+    raise AssertionError("no AttributeError")
 """
         src = str(Path(cmtkit.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+
+    def test_suite_choices_are_the_suites_own_names(self, capsys):
+        # cli keeps its own copy, so that reading a verify argv imports no suite
+        (suite,) = [a for a in cli.COMMANDS["verify"][2] if a.dest == "suite"]
+        assert suite.choices == cli.SUITE_NAMES == suites.SUITE_NAMES
+        code, out, err = run(capsys, ["verify", "--suite", "nope"])
+        assert code == 2 and out == "" and "invalid choice: 'nope'" in err
+        assert all(name in err for name in suites.SUITE_NAMES)
 
 
 class TestGen:
@@ -704,9 +752,8 @@ class TestVerify:
         assert code == 2 and "CMTKIT_SEED" in err
 
     def test_failure_serializes_counterexample(self, tmp_path, capsys, monkeypatch):
-        import cmtkit.cli as cli_mod
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli_mod, "run_suites", one_failing_suite)
+        monkeypatch.setattr(suites, "run_suites", one_failing_suite)
         code, out, _ = run(capsys, ["verify", "--suite", "link_laws"])
         assert code == 1
         doc = json.loads(out)
@@ -730,7 +777,7 @@ class TestVerify:
         def unbounded(*args, **kwargs):
             raise AssertionError("build_corpus called")
 
-        monkeypatch.setattr(cli, "build_corpus", unbounded)
+        monkeypatch.setattr(suites, "build_corpus", unbounded)
         code, out, err = run(capsys, ["verify", "--suite", "paper_fixtures", "--seeds", "65537"])
         assert code == 2 and out == ""
         assert err == "cmtkit: --seeds must be at most 65536, got 65537\n"
