@@ -21,20 +21,25 @@ None if it holds, and else describes the failure by a descent
 the faces (`_link_recursion`): the link of a face sigma is the link of
 sigma - v in lk v for any vertex v of sigma.  A cone S * L is not
 obstructed itself, and reads the sizes of L = lk S shifted up by |S|, so
-only cone-free cores (`_core`) have entries; ``tests/reference_deciders.py``
-checks all this independently.  One k-CM_t search (`_max_k_up_to`) serves
-every t: its levels, the complexes left by deleting vertices, do not
-depend on t, and each fails CM_t exactly below its own min_t.
+only cone-free cores (`_core`) have entries.  Graphs end the recursion
+with no entry: the vertex links of a complex of dimension at most 1 have
+dimension at most 0, so only its own H~_0 can be obstructed, and over
+every field that has dimension #components - 1.  Likewise a disconnected
+core is obstructed in degree 0 with no Betti vector.
+``tests/reference_deciders.py`` checks all this independently.  One k-CM_t
+search (`_max_k_up_to`) serves every t: its levels, the complexes left by
+deleting vertices, do not depend on t, and each fails CM_t exactly below
+its own min_t.
 
 The recursion, a descent and the search take facet masks on any ids, not
 a complex; a `Face` is built only for a witness returned.  Their values
 ((sizes, low) per core, and the search's least failing sizes) live in
 ``_MEMO``, the package's one cache, keyed on ``(kind, compact masks,
 parameters...)``, ids renamed 0..m-1 in order, so complexes that differ by
-an order-preserving relabelling share one entry (a sphere needs one core
-per dimension), and no key keeps a complex alive.  A hit returns before
-any other work: `_memoized` calls `_walk` or `_search` only on a miss.
-The memo is emptied when a finished computation leaves more than
+an order-preserving relabelling share one entry (a sphere stores one core
+per dimension from 2 up), and no key keeps a complex alive.  A hit returns
+before any other work: `_memoized` calls `_walk` or `_search` only on a
+miss.  The memo is emptied when a finished computation leaves more than
 ``_MEMO_LIMIT`` entries in it, never partway through one: the link
 recursion keeps the entries it still needs there and nowhere else.
 """
@@ -48,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import homology
 from ._record import FrozenRecord
-from .core import Face, SimplicialComplex, _bits, _relabelled
+from .core import Face, SimplicialComplex, _bits, _components, _relabelled
 from .fields import GF2, FieldSpec
 
 DEFINITION_LINKS = "definition_links"
@@ -168,17 +173,32 @@ def _core(masks: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return common.bit_count(), _compacted([f ^ common for f in masks] if common else masks)
 
 
+def _split(masks: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """`_core` of a complex of dimension at least 2; a graph (or less) is its
+    own L with |S| = 0, as is, for it ends the recursion (`_graph_sizes`)."""
+    return _core(masks) if masks[-1].bit_count() > 2 else (0, masks)
+
+
+def _graph_sizes(masks: Sequence[int]) -> int:
+    """The sizes of a complex of dimension at most 1 on any ids: its vertex
+    links have dimension at most 0, so only its own H~_0, of dimension
+    #components - 1 over every field, can be obstructed (bit 0, degree 0)."""
+    return int(masks[-1].bit_count() == 2 and _components(masks) > 1)
+
+
 def _link_recursion(masks: Sequence[int], field: FieldSpec) -> tuple[int, int | None]:
     """(sizes, low) of the complex with facet masks `masks` on any ids: bit s
     of sizes is set when some face of s vertices is obstructed, and low is
     the lowest obstructed degree of the complex's own homology, or None.
     A cone S * L reads L's sizes shifted up by |S|: the link of a face
     missing a vertex of S is a cone, hence acyclic, and lk(S | rho) =
-    lk_L(rho).  So only cores (`_core`) have entries."""
-    shift, top = _core(masks)
-    if top[-1].bit_count() <= 1:
-        return 0, None  # dimension at most 0: no link can be obstructed
-    sizes, low = _memoized(("obstructions", top, field), _walk, top, field)
+    lk_L(rho).  So only cores (`_core`) of dimension at least 2 have entries."""
+    shift, top = _split(masks)
+    if top[-1].bit_count() > 2:
+        sizes, low = _memoized(("obstructions", top, field), _walk, top, field)
+    else:
+        sizes = _graph_sizes(top)
+        low = 0 if sizes else None
     return (sizes << shift, None) if shift else (sizes, low)
 
 
@@ -187,24 +207,39 @@ def _walk(top: tuple[int, ...], field: FieldSpec) -> tuple[int, int | None]:
     sizes, each shifted up by one more than the link's |S|.  Each distinct
     core is computed once, depth first on one explicit stack (no Python frame
     per level): a core waits under its first child with no entry, and stores
-    its own once every child has one.  `_memoized` stores the top's."""
-    def expand(key):  # the core, its (shift, child core) pairs, and the children with no entry yet
-        kids = dict.fromkeys(kid for kid in map(_core, _links_by_vertex(key).values())
-                             if kid[1][-1].bit_count() > 1)
-        return key, kids, (lk for _, lk in kids if ("obstructions", lk, field) not in _MEMO)
+    its own once every child has one.  `_memoized` stores the top's.  Graph
+    links are read on the spot, and a disconnected core is obstructed in
+    degree 0 with no Betti vector: its connectivity is settled by the link
+    of its first vertex when that reaches every other vertex, as on a sphere."""
+    def expand(key):
+        """The core, its graph links' sizes, whether it is connected, its
+        (shift, child core) pairs, and the children with no entry yet."""
+        links = _links_by_vertex(key)
+        leaves, kids = 0, {}
+        for shift, lk in map(_split, links.values()):
+            if lk[-1].bit_count() > 2:
+                kids[shift, lk] = None
+            else:
+                leaves |= _graph_sizes(lk) << shift + 1
+        v, first = next(iter(links.items()))
+        connected = reduce(or_, first, 1 << v) == reduce(or_, key) or _components(key) == 1
+        return key, leaves, connected, kids, (
+            lk for _, lk in kids if ("obstructions", lk, field) not in _MEMO)
 
     stack = [expand(top)]
     while stack:
-        key, kids, missing = stack[-1]
+        key, leaves, connected, kids, missing = stack[-1]
         lk = next(missing, None)
         if lk is not None:
             stack.append(expand(lk))
             continue
         stack.pop()
-        betti = homology._betti(key, field)
-        low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
+        low = 0  # H~_0 of a disconnected core
+        if connected:
+            betti = homology._betti(key, field)
+            low = next((i for i in range(-1, key[-1].bit_count() - 1) if betti[i]), None)
         sizes = reduce(or_, (_MEMO[("obstructions", lk, field)][0] << s + 1
-                             for s, lk in kids), 0)
+                             for s, lk in kids), leaves)
         entry = (sizes | (low is not None), low)
         if stack:  # top, popped last, is stored by _memoized
             _MEMO[("obstructions", key, field)] = entry

@@ -40,7 +40,9 @@ Derived complexes avoid per-element Python work where the structure allows:
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import FrozenRecord
@@ -273,6 +275,30 @@ def _relabelled(masks: Iterable[int], support: int) -> list[int]:
     for below, width in reversed(runs):
         masks = [m & below | m >> width & ~below for m in masks]
     return masks
+
+
+def _components(masks: Sequence[int]) -> int:
+    """The number of connected components of the complex with facet masks
+    `masks` on any ids (0 for {<>}).
+
+    A cone (a vertex in every facet) is one at once.  Otherwise a union-find
+    keyed by vertex id joins each facet's vertices to the root of its first
+    one, halving paths as it walks them: near linear in the facet-vertex
+    incidences, and no table is sized by the highest id.  Only non-roots
+    have a parent, so each one is a join."""
+    if reduce(and_, masks):
+        return 1
+    parent: dict[int, int] = {}
+    for f in masks:
+        r = -1
+        for v in _bits(f):
+            while (p := parent.get(v)) is not None:
+                parent[v] = v = parent.get(p, p)
+            if r < 0:
+                r = v
+            elif v != r:
+                parent[v] = r
+    return reduce(or_, masks).bit_count() - len(parent)
 
 
 class DeletionReport(FrozenRecord):

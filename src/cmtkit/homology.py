@@ -26,8 +26,12 @@ no enumeration at all.  The identity
 is exact over every field and the ranks come from the same exact kernels,
 so the result equals the full complex's Betti numbers, zero degrees
 included; `boundary_matrices` builds that full complex for the API and as
-the tests' oracle.  Betti vectors are not memoized: the deciders rank each
-distinct link once, for its obstructed face sizes, which `classify`'s memo holds.
+the tests' oracle.  A graph needs no chain complex at all: its Betti numbers
+have a closed form in its vertices, edges and components (`_betti`), and
+the components come from a union-find (`core._components`).  Betti vectors
+are not memoized: the deciders rank each distinct connected link of
+dimension at least 2 once, for its obstructed face sizes, which
+`classify`'s memo holds.
 
 Boundary maps stay sparse from the face masks to the rank kernels: each
 column is built as row index -> +-1 and ranked as a `linalg.Sparse` value.
@@ -42,7 +46,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from ._record import FrozenRecord
-from .core import Face, SimplicialComplex, _bits, as_face
+from .core import Face, SimplicialComplex, _bits, _components, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
 
@@ -231,9 +235,18 @@ def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) 
 def _betti(masks: tuple[int, ...], field: FieldSpec) -> BettiVector:
     """Reduced Betti numbers of the complex with facet masks `masks` (vertex
     ids need not be compact).  Cones (a vertex in every facet) are acyclic:
-    their zeros need no rank."""
+    their zeros need no rank.  Nor does a graph's (at most 2 vertices per
+    facet) closed form: with V vertices, E edges and c components (none in
+    {<>}), H~_0 has dimension c - 1 over every field, and the Euler
+    characteristic gives H~_1 = E - V + c."""
+    top = masks[-1].bit_count()
     if reduce(and_, masks):
-        return BettiVector(dict.fromkeys(range(-1, masks[-1].bit_count()), 0))
+        return BettiVector(dict.fromkeys(range(-1, top), 0))
+    if top <= 2:
+        c = _components(masks)
+        edges = sum(m.bit_count() == 2 for m in masks)
+        betti = (int(not c), max(c - 1, 0), edges - reduce(or_, masks).bit_count() + c)
+        return BettiVector(dict(zip(range(-1, top), betti)))
     return _relative_betti(masks, field, _apex(masks))
 
 

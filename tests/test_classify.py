@@ -49,6 +49,7 @@ from cmtkit.suites import acceptance_corpus
 
 TWO_TRI_VERTEX = from_facets([(1, 2, 3), (3, 4, 5)])
 TWO_TRI_EDGE = from_facets([(1, 2, 3), (2, 3, 4)])
+TWO_TET_VERTEX = from_facets([(1, 2, 3, 4), (4, 5, 6, 7)])
 PENTAGON = from_facets([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
 
@@ -114,16 +115,17 @@ class TestIsCm:
 
 class TestMemo:
     def test_relabelled_complexes_share_one_obstruction_entry(self):
-        a = TWO_TRI_VERTEX
-        b = SimplicialComplex(a.n_vertices, a.facets, ["p", "q", "r", "s", "u"])
+        a = TWO_TET_VERTEX
+        b = SimplicialComplex(a.n_vertices, a.facets, ["p", "q", "r", "s", "u", "v", "w"])
         wider = SimplicialComplex(a.n_vertices + 1, a.facets, b.labels + ("z",))
         clear_caches()
         assert not is_cm(a, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
-        # a is the cone on the shared vertex over two disjoint edges: the one
-        # entry is the edges', obstructed in their own degree 0, and only the
-        # shared vertex of the cone is obstructed (bit 1 of its sizes)
-        assert entries == [("obstructions", (0b0011, 0b1100), GF2)]
+        # a is the cone on the shared vertex over two disjoint triangles: the
+        # one entry is the triangles', obstructed in their own degree 0 (their
+        # edge links are graphs, with no entry), and only the shared vertex of
+        # the cone is obstructed (bit 1 of its sizes)
+        assert entries == [("obstructions", (0b000111, 0b111000), GF2)]
         assert classify_module._MEMO[entries[0]] == (1, 0)
         assert _link_recursion(a.masks, GF2) == (0b10, None)
         assert not is_cm(b, GF2) and not is_cm(wider, GF2)
@@ -131,25 +133,25 @@ class TestMemo:
         assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
         # the shared entry holds masks; each witness names its own labels
         assert cm_witness(a, GF2).to_json(a) == {
-            "kind": "link_homology", "face": ["3"], "degree": 0}
+            "kind": "link_homology", "face": ["4"], "degree": 0}
         assert cm_witness(b, GF2).to_json(b) == {
-            "kind": "link_homology", "face": ["r"], "degree": 0}
+            "kind": "link_homology", "face": ["s"], "degree": 0}
 
     def test_gapped_copy_shares_the_obstruction_entry(self):
-        a = TWO_TRI_VERTEX
+        a = TWO_TET_VERTEX
         gapped = SimplicialComplex(2 * a.n_vertices, [Face(2 * v for v in f) for f in a.facets],
                                    [f"v{i}" for i in range(2 * a.n_vertices)])
         clear_caches()
         assert not is_cm(a, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
         assert not is_cm(gapped, GF2)
-        assert entries == [("obstructions", (0b0011, 0b1100), GF2)]
+        assert entries == [("obstructions", (0b000111, 0b111000), GF2)]
         assert classify_module._MEMO[entries[0]] == (1, 0)
         assert _link_recursion(gapped.masks, GF2) == (0b10, None)
         assert [key for key in classify_module._MEMO if key[0] == "obstructions"] == entries
-        # the shared vertex 2 of `a` is vertex 4 of the gapped copy
+        # the shared vertex 3 of `a` is vertex 6 of the gapped copy
         assert cm_witness(gapped, GF2).to_json(gapped) == {
-            "kind": "link_homology", "face": ["v4"], "degree": 0}
+            "kind": "link_homology", "face": ["v6"], "degree": 0}
 
     def test_cones_skip_the_betti_vector(self, monkeypatch):
         # a cone is acyclic, so the recursion reads no Betti vector of one;
@@ -166,12 +168,14 @@ class TestMemo:
 
     def test_sphere_needs_one_obstruction_map_per_dimension(self):
         # every link of a sphere is a sphere on shifted ids: the recursion
-        # computes one entry per dimension 1..dim, not one walk per face
+        # computes one entry per dimension 2..dim, not one walk per face, and
+        # its 1-dimensional links, triangle boundaries, are graphs read on the
+        # spot with no entry
         sphere = boundary_simplex(10)
         clear_caches()
         assert is_cm(sphere, GF2)
         entries = [key for key in classify_module._MEMO if key[0] == "obstructions"]
-        assert sorted(len(key[1]) for key in entries) == list(range(3, 11))
+        assert sorted(len(key[1]) for key in entries) == list(range(4, 11))
         assert {classify_module._MEMO[key] for key in entries} == {(0, None)}
 
     def test_each_distinct_link_is_expanded_once(self, monkeypatch):
@@ -205,7 +209,7 @@ class TestMemo:
         # each descent reads the entries the recursion of the complex stored:
         # once min_t has filled the memo, no witness under any t or criterion
         # ranks a matrix or stores an entry, and a gapped copy and a cone
-        # store the 176 entries of the complex itself
+        # store the 56 entries of the complex itself (its graph links have none)
         ranked = []
         relative_betti = homology._relative_betti
         monkeypatch.setattr(homology, "_relative_betti",
@@ -227,7 +231,8 @@ class TestMemo:
             assert not ranked
             assert set(classify_module._MEMO) == entries[-1]
             assert faces == {0, 1, 2, 3, None} | ({4} if case is cone else set())
-        assert entries[0] == entries[1] == entries[2] and len(entries[0]) == 176
+        assert entries[0] == entries[1] == entries[2] and len(entries[0]) == 56
+        assert all(key[1][-1].bit_count() > 2 for key in entries[0])
 
     def test_link_recursion_takes_no_python_frame_per_level(self):
         # the links of the 90-vertex sphere go 88 levels deep: a recursive

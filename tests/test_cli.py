@@ -619,6 +619,24 @@ class TestFuzzedFacetFiles:
                 assert doc["ok"] is False and doc["witnesses"]
 
 
+def _cli_in_child(args, timeout):
+    """(exit code, JSON report, peak RSS in MB) of `cmtkit args` run in a
+    fresh interpreter.  The peak is the child's ru_maxrss, read by a small
+    launcher: on Linux a child's ru_maxrss starts at the high-water mark of
+    the process that spawned it, which would be this test runner's."""
+    src = str(Path(cmtkit.__file__).resolve().parents[1])
+    launcher = ("import resource, subprocess, sys\n"
+                "done = subprocess.run([sys.executable, '-m', 'cmtkit.cli', *sys.argv[1:]],\n"
+                "                      stdout=subprocess.PIPE, text=True)\n"
+                "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+                "print(done.returncode, peak, done.stdout)\n")
+    done = subprocess.run([sys.executable, "-c", launcher, *args],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=timeout)
+    exit_code, kilobytes, report = done.stdout.split(" ", 2)
+    return int(exit_code), json.loads(report), int(kilobytes) / 1024
+
+
 class TestLargeInputs:
     def test_check_of_a_14_vertex_simplex_is_fast(self, tmp_path):
         # every link of a simplex is a cone; each used to be ranked in full
@@ -659,7 +677,7 @@ class TestLargeInputs:
 
     def test_check_of_3000_disjoint_edges_is_fast(self, tmp_path):
         # a graph has no vertex link of dimension 1 or more: only its own
-        # homology is computed, with no walk over its faces
+        # components are counted, with no walk over its faces and no rank
         path = tmp_path / "edges.cplx"
         path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(3000)))
         src = str(Path(cmtkit.__file__).resolve().parents[1])
@@ -675,6 +693,33 @@ class TestLargeInputs:
         exit_code, seconds, report = done.stdout.split(" ", 2)
         assert exit_code == "0" and json.loads(report)["ok"] is True, done.stderr
         assert float(seconds) < 1.5
+
+    def test_an_ordered_10000_vertex_path_takes_linear_time(self, tmp_path):
+        # each edge joins the next vertex to one component: a union-find stays
+        # linear here, where merging component masks pass by pass is quadratic
+        path = tmp_path / "path.cplx"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(9999)))
+        code, report, _ = _cli_in_child(["check", str(path), "--t", "0"], timeout=5)
+        assert code == 0 and report["ok"] is True
+        code, report, _ = _cli_in_child(["homology", str(path)], timeout=5)
+        assert code == 0 and report["betti"] == {"-1": 0, "0": 0, "1": 0}
+
+    def test_10000_disjoint_edges_take_linear_memory(self, tmp_path):
+        # 20,000 vertices: the graph's Betti numbers and its obstruction come
+        # from a union-find keyed by vertex id, with no boundary matrix (76 MB
+        # when it was ranked)
+        path = tmp_path / "edges.cplx"
+        path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(10000)))
+        code, report, _ = _cli_in_child(["check", str(path), "--t", "0"], timeout=5)
+        assert code == 1 and report["witnesses"] == [{
+            "kind": "link_not_cm", "face": [],
+            "inner": {"kind": "link_homology", "face": [], "degree": 0}}]
+        code, report, peak = _cli_in_child(["homology", str(path)], timeout=5)
+        assert code == 0 and report["betti"] == {"-1": 0, "0": 9999, "1": 0}
+        assert peak < 60
+        code, report, peak = _cli_in_child(["check", str(path), "--t", "1"], timeout=5)
+        assert code == 0 and report["ok"] is True
+        assert peak < 60
 
     def test_check_of_10000_triangles_and_a_bowtie_is_fast(self, tmp_path):
         # the witness is the bowtie's shared vertex, above 30,000 others: each

@@ -3,7 +3,7 @@
 import re
 import time
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -12,8 +12,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cmtkit import homology
-from cmtkit.classify import clear_caches
-from cmtkit.core import EMPTY_FACE, Face, from_facets
+from cmtkit.classify import clear_caches, cm_witness, is_cm
+from cmtkit.core import EMPTY_FACE, Face, SimplicialComplex, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS, FieldSpec
 from cmtkit.generators import boundary_simplex, projective_plane_6, simplex
 from cmtkit.homology import (
@@ -27,6 +27,7 @@ from cmtkit.homology import (
 )
 from cmtkit.snf import betti_via_snf
 from test_mask_oracles import mixed_complexes
+from test_properties import _full_chain_betti
 
 TRIANGLE = from_facets([(1, 2), (1, 3), (2, 3)])
 
@@ -233,6 +234,49 @@ class TestExcision:
             clear_caches()
             assert reduced_betti(skeleton, f).nonzero() == {j: comb(n - 1, j + 1)}
         assert calls == {"rank": 0, "_columns": 0}
+
+
+@st.composite
+def graphs(draw):
+    """A graph with isolated vertices, gaps between its ids, and ids past 64,
+    whose masks `_bits` reads bit by bit: any number of components and cycles."""
+    ids = draw(st.lists(st.integers(0, 15) | st.integers(60, 200), min_size=1, max_size=12,
+                        unique=True))
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                          .filter(lambda e: e[0] != e[1]).map(frozenset), max_size=16, unique=True))
+    covered = set().union(*edges)
+    return SimplicialComplex(max(ids) + 1, [*map(Face, edges),
+                                            *(Face([v]) for v in ids if v not in covered)])
+
+
+class TestGraphs:
+    """A graph's Betti numbers come in closed form from its components."""
+
+    @given(graphs())
+    @example(from_facets([(1, 2), (2, 3), (3, 1), (4, 5), (6,)]))
+    @example(SimplicialComplex(200, [Face([199])]))
+    def test_closed_form_matches_the_chain_complex(self, cx):
+        for f in (GF2, GF3, RATIONALS):
+            want = _full_chain_betti(cx, f)
+            assert reduced_betti(cx, f).items() == want == betti_via_snf(cx, f).items()
+
+    def test_graphs_and_disconnected_cores_rank_nothing(self, monkeypatch, all_fields):
+        # a graph's Betti vector, and the own degree of a disconnected core
+        # of dimension 2 (two tetrahedron boundaries), read components only
+        def fail(*args):
+            raise AssertionError("a graph or a disconnected core needs no rank")
+
+        monkeypatch.setattr(homology, "rank", fail)
+        graph = SimplicialComplex(300, [Face(e) for e in ((1, 2), (2, 70), (1, 70), (100, 299))]
+                                  + [Face([5])])
+        spheres = from_facets([f for f in combinations(range(4), 3)]
+                              + [f for f in combinations(range(4, 8), 3)])
+        for f in all_fields:
+            clear_caches()
+            assert reduced_betti(graph, f).items() == ((-1, 0), (0, 2), (1, 1))
+            assert not is_cm(spheres, f)
+            assert cm_witness(spheres, f).to_json(spheres) == {
+                "kind": "link_homology", "face": [], "degree": 0}
 
 
 class TestBoundaryMatrices:

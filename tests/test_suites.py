@@ -7,7 +7,7 @@ import pytest
 
 from cmtkit import classify, homology
 from cmtkit.classify import clear_caches
-from cmtkit.core import SimplicialComplex
+from cmtkit.core import SimplicialComplex, _components
 from cmtkit.fields import GF2
 from cmtkit.suites import (
     SUITES,
@@ -47,35 +47,44 @@ def test_small_memo_bound_changes_no_report(monkeypatch):
 
 
 def test_verify_all_memo_shares_relabelled_entries():
-    # `verify --suite all --max-n 7 --seeds 20` at seed 101: 540 entries
-    # (373 link entries, 167 k-CM_t searches); keyed on uncompacted
-    # masks, with Betti vectors memoized too, it stored 3,134
+    # `verify --suite all --max-n 7 --seeds 20` at seed 101: 296 entries
+    # (129 link entries, 167 k-CM_t searches); with graph links stored it
+    # was 540, and keyed on uncompacted masks, with Betti vectors memoized
+    # too, it stored 3,134
     clear_caches()
     reports = run_suites(["all"], VERIFY_CORPUS, field=GF2)
     assert all(r.ok for r in reports)
-    assert len(classify._MEMO) <= 540
+    assert len(classify._MEMO) <= 296
 
 
 def test_verify_all_stores_no_cone_and_ranks_each_entry_once(monkeypatch):
-    # the link memo is keyed on cone-free cores: a cold `verify --suite all
-    # --max-n 7 --seeds 20` at seed 101 stores 373 of them, none a cone, and
-    # ranks each once.  The recursion and the k-CM_t search (167 entries)
-    # compact their own input: only link_laws' join associativity (16) and
-    # paper_fixtures (1) build compact complexes, where handing the search
-    # compact masks built 3,514
-    ranked, compacted = [], []
+    # the link memo is keyed on cone-free cores of dimension at least 2: a
+    # cold `verify --suite all --max-n 7 --seeds 20` at seed 101 stores 129
+    # of them, none a cone or a graph, and ranks each of the 114 connected
+    # ones once, in at most 75 rank calls; a disconnected core is obstructed
+    # in degree 0 with no rank.  Storing and ranking graph links too, it
+    # stored and ranked 373, in 248 rank calls.  The recursion and the
+    # k-CM_t search (167 entries) compact their own input: only link_laws'
+    # join associativity (16) and paper_fixtures (1) build compact
+    # complexes, where handing the search compact masks built 3,514
+    ranked, compacted, ranks = [], [], []
     relative_betti = homology._relative_betti
+    rank = homology.rank
     compact = SimplicialComplex.compact
     monkeypatch.setattr(homology, "_relative_betti",
                         lambda *args: ranked.append(args[0]) or relative_betti(*args))
+    monkeypatch.setattr(homology, "rank", lambda *args: ranks.append(1) or rank(*args))
     monkeypatch.setattr(SimplicialComplex, "compact",
                         lambda self: compacted.append(self) or compact(self))
     clear_caches()
     assert all(r.ok for r in run_suites(["all"], VERIFY_CORPUS, field=GF2))
     stored = [key[1] for key in classify._MEMO if key[0] == "obstructions"]
-    assert len(stored) == 373
+    assert len(stored) == 129
     assert not any(reduce(and_, masks) for masks in stored)
-    assert sorted(ranked) == sorted(stored)
+    assert all(masks[-1].bit_count() > 2 for masks in stored)
+    assert len(ranked) == 114
+    assert sorted(ranked) == sorted(masks for masks in stored if _components(masks) == 1)
+    assert len(ranks) <= 75
     assert sum(key[0] == "max_k" for key in classify._MEMO) == 167
     assert len(compacted) <= 17
 
@@ -100,9 +109,10 @@ def test_verify_all_builds_every_law_it_checks(monkeypatch):
 
 
 def test_link_recursion_reads_each_vertex_link_once(monkeypatch):
-    # a cold `verify --suite all --max-n 7 --seeds 20` at seed 101 sends 2,235
-    # facet lists through `_core` and relabels 1,186 of them; link_recursion
-    # asking is_cm_t of each vertex link at every t made it 2,452 and 1,302
+    # a cold `verify --suite all --max-n 7 --seeds 20` at seed 101 sends 999
+    # facet lists through `_core` and relabels 582 of them; compacting graph
+    # links as well made it 2,235 and 1,186, and link_recursion asking
+    # is_cm_t of each vertex link at every t before that 2,452 and 1,302
     calls = {"_core": 0, "_relabelled": 0}
     for name in calls:
         def counted(*args, _f=getattr(classify, name), _name=name):
@@ -112,7 +122,7 @@ def test_link_recursion_reads_each_vertex_link_once(monkeypatch):
         monkeypatch.setattr(classify, name, counted)
     clear_caches()
     assert all(r.ok for r in run_suites(["all"], VERIFY_CORPUS, field=GF2))
-    assert calls == {"_core": 2235, "_relabelled": 1186}
+    assert calls == {"_core": 999, "_relabelled": 582}
 
 
 def test_verify_all_case_counts():
