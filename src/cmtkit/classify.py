@@ -209,21 +209,17 @@ def _walk(top: tuple[int, ...], field: FieldSpec) -> tuple[int, int | None]:
     per level): a core waits under its first child with no entry, and stores
     its own once every child has one.  `_memoized` stores the top's.  Graph
     links are read on the spot, and a disconnected core is obstructed in
-    degree 0 with no Betti vector: its connectivity is settled by the link
-    of its first vertex when that reaches every other vertex, as on a sphere."""
+    degree 0 with no Betti vector (`_components`)."""
     def expand(key):
         """The core, its graph links' sizes, whether it is connected, its
         (shift, child core) pairs, and the children with no entry yet."""
-        links = _links_by_vertex(key)
         leaves, kids = 0, {}
-        for shift, lk in map(_split, links.values()):
+        for shift, lk in map(_split, _links_by_vertex(key).values()):
             if lk[-1].bit_count() > 2:
                 kids[shift, lk] = None
             else:
                 leaves |= _graph_sizes(lk) << shift + 1
-        v, first = next(iter(links.items()))
-        connected = reduce(or_, first, 1 << v) == reduce(or_, key) or _components(key) == 1
-        return key, leaves, connected, kids, (
+        return key, leaves, _components(key) == 1, kids, (
             lk for _, lk in kids if ("obstructions", lk, field) not in _MEMO)
 
     stack = [expand(top)]

@@ -18,15 +18,15 @@ complex raise.
 
 Derived complexes avoid per-element Python work where the structure allows:
 
-* One normalization step, ``_canonical(_maximal_masks(...))``, builds every
-  complex whose facets may collide or nest: ``_from_masks`` (the entry that
-  ``from_facets`` and the file loader share), a restriction that shrinks
-  one of two or more facets, and coface deletion.  The rest take their
-  masks as they come, since their construction keeps an antichain in
-  canonical order: a link (the facets through a face differ only outside
-  it, so removing the face keeps their order), a skeleton, a compaction
-  (an order-preserving relabelling, ``_relabelled``, which ``from_facets``
-  uses too), and a join, which only sorts.
+* Links and restrictions have one mask kernel each, ``_link`` and
+  ``_restrict``, on facet-mask tuples; the methods validate and wrap them.
+  A link (the facets through a face differ only outside it), a skeleton, a
+  compaction (an order-preserving relabelling, ``_relabelled``) and a join
+  (which only sorts) keep an antichain in canonical order, so they take
+  their masks as they come.  A restriction passes the facets it does not
+  cut through, checks only the cut ones for maximality and sorts once.
+  ``_canonical(_maximal_masks(...))`` builds the rest: ``_from_masks``
+  (shared by ``from_facets`` and the file loader) and coface deletion.
 * Maximality goes by size class: a mask can lie only in a strictly larger
   one, so ``_maximal_masks``, which also checks the constructor's input for
   an antichain, compares each facet only with larger ones, and input of a
@@ -281,12 +281,14 @@ def _components(masks: Sequence[int]) -> int:
     """The number of connected components of the complex with facet masks
     `masks` on any ids (0 for {<>}).
 
-    A cone (a vertex in every facet) is one at once.  Otherwise a union-find
-    keyed by vertex id joins each facet's vertices to the root of its first
-    one, halving paths as it walks them: near linear in the facet-vertex
-    incidences, and no table is sized by the highest id.  Only non-roots
-    have a parent, so each one is a join."""
-    if reduce(and_, masks):
+    It is one at once for a cone (a vertex in every facet) and when the star
+    of the first facet's lowest vertex covers the support, as on a sphere.
+    Otherwise a union-find keyed by vertex id joins each facet's vertices to
+    the root of its first one, halving paths as it walks them: near linear in
+    the facet-vertex incidences, and no table is sized by the highest id.
+    Only non-roots have a parent, so each one is a join."""
+    support, v = reduce(or_, masks), masks[0] & -masks[0]
+    if reduce(and_, masks) or v and reduce(or_, filter(v.__and__, masks)) == support:
         return 1
     parent: dict[int, int] = {}
     for f in masks:
@@ -298,7 +300,60 @@ def _components(masks: Sequence[int]) -> int:
                 r = v
             elif v != r:
                 parent[v] = r
-    return reduce(or_, masks).bit_count() - len(parent)
+    return support.bit_count() - len(parent)
+
+
+def _face_masks(masks: Sequence[int], size: int | None = None) -> tuple[int, ...]:
+    """Masks of all faces of the complex with facet masks `masks` (every
+    subset of every facet), or of those of `size` vertices (the `size`-subsets
+    of the facets with at least that many), in canonical order."""
+    if not masks:
+        raise ValueError("void complex has no faces")
+    seen: set[int] = set()
+    if size is None:
+        for f in masks:
+            sub = f
+            while True:
+                seen.add(sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & f
+    elif size < 0:
+        raise ValueError("face size must be non-negative")
+    else:
+        for f in masks:
+            if f.bit_count() >= size:
+                seen.update(map(sum, combinations([1 << v for v in _bits(f)], size)))
+    return _canonical(seen)
+
+
+def _link(masks: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The facet masks of the link of the face s: the facets through s, less
+    s, in the order they come (see the module docstring); `masks` itself for
+    the empty face, and () when s is no face."""
+    return tuple([f ^ s for f in masks if f & s == s]) if s else masks
+
+
+def _restrict(masks: tuple[int, ...], keep: int) -> tuple[int, ...]:
+    """The facet masks of the restriction to the vertex set `keep` (`masks`
+    itself if no facet is cut, (0,) if all are emptied).  An uncut facet stays
+    maximal and lies in no cut face, so only the distinct cut faces are
+    checked, largest first, against the uncut facets and those taken before.
+    The uncut facets keep their order: only a result that adds a cut face to
+    another facet is sorted."""
+    drop = ~keep
+    cut = {f & keep for f in masks if f & drop}
+    if not cut:
+        return masks
+    out = [f for f in masks if not f & drop]
+    uncut = len(out)
+    for c in sorted(cut, key=int.bit_count, reverse=True):
+        for k in out:
+            if c & k == c:
+                break
+        else:
+            out.append(c)
+    return _canonical(out) if uncut < len(out) > 1 else tuple(out)
 
 
 class DeletionReport(FrozenRecord):
@@ -458,64 +513,31 @@ class SimplicialComplex:
                 return True
         return False
 
-    def _face_masks(self, size: int | None = None) -> tuple[int, ...]:
-        """Masks of all faces (every subset of every facet), or of the faces
-        with exactly `size` vertices (the `size`-subsets of the facets with
-        at least that many), in canonical order, enumerated on each call."""
-        if self.is_void:
-            raise ValueError("void complex has no faces")
-        seen: set[int] = set()
-        if size is None:
-            for f in self.masks:
-                sub = f
-                while True:
-                    seen.add(sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & f
-        elif size < 0:
-            raise ValueError("face size must be non-negative")
-        else:
-            for f in self.masks:
-                if f.bit_count() >= size:
-                    seen.update(map(sum, combinations([1 << v for v in _bits(f)], size)))
-        return _canonical(seen)
-
     def faces(self, size: int | None = None) -> tuple[Face, ...]:
         """All faces, or all faces with exactly `size` vertices.
 
         Deterministic order: by (size, vertex tuple).  The faces are
         enumerated from the facets on each call.
         """
-        return tuple(map(Face.from_mask, self._face_masks(size)))
+        return tuple(map(Face.from_mask, _face_masks(self.masks, size)))
 
     def face_count(self, size: int) -> int:
-        return len(self._face_masks(size))
+        return len(_face_masks(self.masks, size))
 
     # -- derived complexes -------------------------------------------------
 
     def link(self, face) -> "SimplicialComplex":
         """The link {tau | tau u sigma is a face, tau disjoint from sigma}."""
         sigma = as_face(face)
-        s = sigma.mask
-        masks = [f ^ s for f in self.masks if f & s == s]  # canonical: see the module docstring
+        masks = _link(self.masks, sigma.mask)
         if not masks:
             raise ValueError(f"not a face of the complex: {sigma}")
-        if s == 0:
-            return self
-        lk = _new(SimplicialComplex)
-        _set_masks(lk, tuple(masks))
-        _set_labels(lk, self.labels)
-        return lk
+        return self if masks is self.masks else SimplicialComplex._trusted(masks, self.labels)
 
     def restrict(self, keep) -> "SimplicialComplex":
         """Faces contained in the vertex set `keep`; {<>} if nothing survives."""
-        keep_mask = _vertex_mask(keep, self.n_vertices)
-        masks = tuple([f & keep_mask for f in self.masks])
-        if masks == self.masks:
-            return self
-        return SimplicialComplex._trusted(
-            masks if len(masks) == 1 else _canonical(_maximal_masks(masks)), self.labels)
+        masks = _restrict(self.masks, _vertex_mask(keep, self.n_vertices))
+        return self if masks is self.masks else SimplicialComplex._trusted(masks, self.labels)
 
     def skeleton(self, j: int) -> "SimplicialComplex":
         """All faces of dimension at most j (j = -1 gives {<>})."""
@@ -528,7 +550,7 @@ class SimplicialComplex:
         # the smaller facets, then the (j+1)-faces: no facet lies in a larger
         # face, and both runs are already in canonical order
         masks = tuple(f for f in self.masks if f.bit_count() <= j)
-        masks += self._face_masks(j + 1)
+        masks += _face_masks(self.masks, j + 1)
         return SimplicialComplex._trusted(masks, self.labels)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":

@@ -46,7 +46,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from ._record import FrozenRecord
-from .core import Face, SimplicialComplex, _bits, _components, as_face
+from .core import Face, SimplicialComplex, _bits, _components, _face_masks, as_face
 from .fields import FieldSpec
 from .linalg import Sparse, rank
 
@@ -138,7 +138,7 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
         raise ValueError("the void complex has no chain complex")
     # one enumeration, split by size: canonical order keeps each size in order
     masks: list[list[int]] = [[] for _ in range(cx.dim + 2)]
-    for m in cx._face_masks():
+    for m in _face_masks(cx.masks):
         masks[m.bit_count()].append(m)
     faces = [tuple(map(Face.from_mask, level)) for level in masks]
     mats: list[BoundaryMatrix] = []
@@ -274,4 +274,4 @@ def reduced_euler_from_faces(cx: SimplicialComplex) -> int:
     """Alternating face-count sum, empty face included with sign -1."""
     if cx.is_void:
         raise ValueError("the void complex has no Euler characteristic")
-    return sum(1 if m.bit_count() & 1 else -1 for m in cx._face_masks())
+    return sum(1 if m.bit_count() & 1 else -1 for m in _face_masks(cx.masks))

@@ -6,38 +6,42 @@ counterexample with the complex that produced it, so the CLI can serialize
 failures for replay.  `link_laws` (with its join cases) and the pinned
 `paper_fixtures` have loops of their own; the other six are checks of one
 complex each, run over the corpus by `_per_item`.  `link_laws`,
-`link_recursion` and `k_link_recursion` fail when `link` or `restrict`
-drops a facet; `deletion_theorem` meets only the pure items with at most
-two facets, the only ones with an admissible removal set among their facet
-subsets; `criteria_equivalence` and `monotonicity` hold by construction
-(every criterion and t read one int per link, k = 1 and 2 one k-CM_t
-search), so they can catch no fault in the deciders.
+`link_recursion` and `k_link_recursion` fail when the link or the
+restriction kernel drops a facet; `deletion_theorem` meets only the pure
+items with at most two facets, the only ones with an admissible removal
+set among their facet subsets; `criteria_equivalence` and `monotonicity`
+hold by construction (every criterion and t read one int per link, k = 1
+and 2 one k-CM_t search), so they can catch no fault in the deciders.
 
-A suite builds each derived complex of a corpus item once, in a table keyed
-on face masks that lives for that item's check.  What a law checks is still
-built per check: the link of a link, the link of a restriction and the
-restriction of a link.  `link_laws` samples face masks and builds a `Face`
-only for those it keeps; `link_recursion` reads each vertex link's min_t
-once, and `k_link_recursion` every t of a link from one k-CM_t search
-(`_k_cm`).
+Those three take their links, and `link_laws` its restrictions, as
+facet-mask tuples from core's kernels `_link` and `_restrict` (which
+`SimplicialComplex.link` and `.restrict` wrap): a complex and all that is
+derived from it share one label table, so equal tuples are equal
+complexes.  `link_laws` builds each link and restriction of an item once,
+in tables keyed on face masks, and per check the link of a link, the link
+of a restriction and the restriction of a link, and a `Face` only for a
+failure message.  `link_recursion` reads each vertex link's min_t once,
+and `k_link_recursion` every t of a link from one k-CM_t search (`_k_cm`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
+from . import core
 from ._record import FrozenRecord, Record
 from .classify import (
     CRITERIA,
     _max_k_at,
     _max_k_up_to,
+    _min_t,
     is_cm,
     is_cm_t,
     is_k_cm_t_unbounded,
     is_pure,
     min_t,
 )
-from .core import Face, SimplicialComplex, _bits
+from .core import Face, SimplicialComplex, _bits, _face_masks
 from .fields import GF2, FieldSpec
 from .generators import (
     GluedFamilySpec,
@@ -147,21 +151,21 @@ def _sampled(seq, cap: int):
     return seq[::stride]
 
 
-def _built(table: dict[int, SimplicialComplex],
-           build: Callable[[Face], SimplicialComplex], mask: int) -> SimplicialComplex:
-    """build(the face `mask`), made once per table: a table lives for one corpus item."""
-    got = table.get(mask)
+def _built(table: dict[int, tuple[int, ...]], build: Callable[..., tuple[int, ...]],
+           masks: tuple[int, ...], key: int) -> tuple[int, ...]:
+    """build(masks, key), made once per table: a table lives for one corpus item."""
+    got = table.get(key)
     if got is None:
-        got = table[mask] = build(Face.from_mask(mask))
+        got = table[key] = build(masks, key)
     return got
 
 
-def _k_cm(cx: SimplicialComplex, k: int, field: FieldSpec) -> Callable[[int], bool]:
-    """is_k_cm_t_unbounded(cx, k, ., field), from one search run at the first call."""
+def _k_cm(masks: tuple[int, ...], k: int, field: FieldSpec) -> Callable[[int], bool]:
+    """is_k_cm_t_unbounded(., k, ., field) on facet masks, from one search run at the first call."""
     ks: list[int] = []
 
     def at(t: int) -> bool:
-        ks[:] = ks or _max_k_up_to(cx.masks, field, k)
+        ks[:] = ks or _max_k_up_to(masks, field, k)
         return ks[min(max(t, 0), len(ks) - 1)] == k
     return at
 
@@ -185,24 +189,26 @@ def suite_link_laws(corpus: Iterable[CorpusItem], field: FieldSpec = GF2) -> Sui
     def bad(case: str, where: SimplicialComplex):
         fails.append(CaseFailure("link_laws", case, where))
 
+    link, restrict = core._link, core._restrict  # read here, so a test can patch them
     for name, cx in items:
-        support = cx.support_mask
-        links: dict[int, SimplicialComplex] = {}  # face mask -> its link in cx
-        restrictions: dict[int, SimplicialComplex] = {}  # kept mask -> cx restricted to it
+        masks, support = cx.masks, cx.support_mask
+        links: dict[int, tuple[int, ...]] = {}  # face mask -> the facet masks of its link
+        restrictions: dict[int, tuple[int, ...]] = {}  # kept mask -> those of the restriction
         # the link of the empty face is cx itself: nothing to check there
-        for s in _sampled(cx._face_masks()[1:], 24):
-            sigma, lk = Face.from_mask(s), _built(links, cx.link, s)
-            for t in _sampled(lk._face_masks(), 8):
-                tau = Face.from_mask(t)
-                if lk.link(tau) != _built(links, cx.link, s | t):
-                    bad(f"{name}: link-of-link fails at {sigma}, {tau}", cx)
+        for s in _sampled(_face_masks(masks)[1:], 24):
+            lk = _built(links, link, masks, s)
+            for t in _sampled(_face_masks(lk), 8):
+                if link(lk, t) != _built(links, link, masks, s | t):
+                    bad(f"{name}: link-of-link fails at {Face.from_mask(s)}, "
+                        f"{Face.from_mask(t)}", cx)
             bits = [1 << v for v in _bits(support & ~s)[:4]]  # W: 4 vertices, then 2 pairs
             for w in bits + [bits[0] | b for b in bits[1:3]]:
-                keep = Face.from_mask(support & ~w)
+                keep = support & ~w
                 # sigma lies in keep, so it must be a face of the restriction
-                restricted = _built(restrictions, cx.restrict, keep.mask)
-                if not restricted.contains(sigma) or restricted.link(sigma) != lk.restrict(keep):
-                    bad(f"{name}: restriction/link commutation fails at {sigma}, W={_bits(w)}", cx)
+                lk_w = link(_built(restrictions, restrict, masks, keep), s)
+                if not lk_w or lk_w != restrict(lk, keep):
+                    bad(f"{name}: restriction/link commutation fails at {Face.from_mask(s)}, "
+                        f"W={_bits(w)}", cx)
 
     joins = min(len(items), 8)
     for i in range(joins):
@@ -251,9 +257,10 @@ def suite_criteria_equivalence(cx: SimplicialComplex, field: FieldSpec) -> Itera
 def suite_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[str]:
     """CM_t (t >= 1) holds iff the complex is pure and every vertex link is CM_{t-1}."""
     pure = is_pure(cx)
-    links = [cx.link(v) for v in cx.faces(size=1)] if pure else []
+    links = [core._link(cx.masks, 1 << v) for v in cx.vertex_ids()] if pure else []
     # each link read once: its min_t, or dim (failing every t) if it is impure
-    worst = max((min_t(lk, field) if is_pure(lk) else cx.dim for lk in links), default=0)
+    worst = max((_min_t(lk, field) if lk[0].bit_count() == lk[-1].bit_count() else cx.dim
+                 for lk in links), default=0)
     for t in range(1, cx.dim + 1):
         lhs = is_cm_t(cx, t, field)
         rhs = pure and worst < t
@@ -273,8 +280,8 @@ def suite_k_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[
     k = 2
     if not is_pure(cx):
         return
-    own = _k_cm(cx, k, field)
-    links = [(s, _k_cm(cx.link(s), k, field)) for s in cx.faces()]
+    own = _k_cm(cx.masks, k, field)
+    links = [(s, _k_cm(core._link(cx.masks, s), k, field)) for s in _face_masks(cx.masks)]
     nonempty = links[1:]  # the empty face comes first
     for t in range(1, cx.dim + 1):
         lhs = own(t)
@@ -282,12 +289,12 @@ def suite_k_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[
         if lhs != rhs:
             yield f"t={t} lhs={lhs} rhs={rhs}"
         if lhs:
-            for s, lk in _sampled([(s, lk) for s, lk in nonempty if len(s) <= 2], 6):
-                if not lk(t - len(s)):
-                    yield f"t={t} link drop fails at {s}"
+            for s, lk in _sampled([(s, lk) for s, lk in nonempty if s.bit_count() <= 2], 6):
+                if not lk(t - s.bit_count()):
+                    yield f"t={t} link drop fails at {Face.from_mask(s)}"
     for t in range(cx.dim + 1):
         lhs = own(t)
-        rhs = all(lk(0) for s, lk in links if len(s) >= t)
+        rhs = all(lk(0) for s, lk in links if s.bit_count() >= t)
         if lhs != rhs:
             yield f"t={t} link formulation lhs={lhs} rhs={rhs}"
 

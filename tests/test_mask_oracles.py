@@ -22,8 +22,12 @@ from cmtkit.core import (
     SimplicialComplex,
     _bits,
     _canonical,
+    _components,
+    _face_masks,
+    _link,
     _maximal_masks,
     _relabelled,
+    _restrict,
     from_facets,
 )
 from cmtkit.fields import GF2, GF3, RATIONALS
@@ -163,6 +167,73 @@ class TestDerivedComplexes:
                 f.mask for f in cx.faces() if f.mask & keep == f.mask}
 
 
+def normalized_cut(masks, keep):
+    """The restriction as it was built before the kernel: every facet cut to
+    keep, the maximal cuts kept, sorted by size and then by vertex tuple."""
+    cut = quadratic_maximal_masks([f & keep for f in masks])
+    return tuple(sorted(cut, key=lambda m: (m.bit_count(), binary_digits(m))))
+
+
+@st.composite
+def facet_masks(draw):
+    """(n, the canonical facet masks of a complex on ids below n): one facet,
+    facets of one size, or facets of mixed sizes."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("single", "pure", "impure")))
+    if kind == "impure":
+        raw = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    else:
+        size = draw(st.integers(0, n))
+        subsets = st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+        raw = [sum(1 << v for v in ids) for ids in
+               draw(st.lists(subsets, min_size=1, max_size=1 if kind == "single" else 12))]
+    return n, SimplicialComplex(n, map(Face.from_mask, quadratic_maximal_masks(raw))).masks
+
+
+class TestMaskKernels:
+    @given(facet_masks(), st.data())
+    def test_restrict_is_the_normalized_cut(self, complex_, data):
+        n, masks = complex_
+        keeps = st.integers(0, (1 << n) - 1) | st.just(0) | st.sampled_from(masks)
+        for keep in data.draw(st.lists(keeps, min_size=1, max_size=8)):
+            got = _restrict(masks, keep)
+            assert got == normalized_cut(masks, keep)
+            if all(f & keep == f for f in masks):  # nothing is cut
+                assert got is masks
+
+    @pytest.mark.parametrize("facets, keep, want", [
+        ([(0, 1, 2), (0, 1, 3)], (0, 1), [(0, 1)]),  # two cuts coincide
+        ([(0, 1, 2, 5), (0, 1, 6)], (0, 1, 2), [(0, 1, 2)]),  # one cut holds another
+        ([(0, 1, 2), (1, 2, 3)], (0, 1, 2), [(0, 1, 2)]),  # a cut lies in a kept facet
+        ([(0, 1), (2, 3), (4,)], (), [()]),  # every facet emptied: {<>}
+        ([(0, 3, 5)], (0, 5), [(0, 5)]),  # a single facet
+    ])
+    def test_restrict_cases(self, facets, keep, want):
+        masks = SimplicialComplex(7, map(Face, facets)).masks
+        assert _restrict(masks, Face(keep).mask) == tuple(Face(f).mask for f in want)
+
+    @given(facet_masks(), st.data())
+    def test_link_is_the_facets_through_the_face_less_it(self, complex_, data):
+        n, masks = complex_
+        s = data.draw(st.sampled_from(_face_masks(masks)) | st.integers(0, (1 << n) - 1))
+        got = _link(masks, s)
+        assert got == tuple([f ^ s for f in masks if f & s == s])
+        if not s:
+            assert got is masks
+
+    @given(facet_masks())
+    def test_components_match_a_flood_fill(self, complex_):
+        _, masks = complex_
+        unseen, count = list(masks), 0
+        while unseen:  # one component: a facet, and every facet reached from it
+            reach, count = unseen.pop(), count + 1
+            while near := [f for f in unseen if f & reach]:
+                for f in near:
+                    reach |= f
+                unseen = [f for f in unseen if f not in near]
+        assert _components(masks) == (0 if masks == (0,) else count)
+
+
 def link_entries(cx, field):
     """(face, entry) for every face of cx, in canonical order: the (sizes,
     low) the recursion gives the compact link of the face."""
@@ -228,8 +299,8 @@ def test_face_masks_per_size_are_the_facets_subsets(cx):
     for s in range(cx.dim + 3):
         subsets = {sum(1 << v for v in c) for f in cx.masks for c in combinations(_bits(f), s)}
         per_size.append(tuple(sorted(subsets, key=_bits)))
-        assert cx._face_masks(s) == per_size[-1]
-    assert cx._face_masks() == tuple(chain.from_iterable(per_size))
+        assert _face_masks(cx.masks, s) == per_size[-1]
+    assert _face_masks(cx.masks) == tuple(chain.from_iterable(per_size))
 
 
 @pytest.mark.parametrize("field", (GF2, GF3, RATIONALS), ids=lambda f: f.token)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmtkit.core import Face, SimplicialComplex, _canonical, _maximal_masks, from_facets
+from cmtkit.core import Face, SimplicialComplex, _canonical, _face_masks, _maximal_masks, from_facets
 from cmtkit.fields import GF2, GF3, RATIONALS
 from cmtkit.homology import (
     _relative_betti,
@@ -71,7 +71,8 @@ class TestDerivedMasks:
 
     @given(ambient_complexes(), st.data())
     def test_link_is_the_normalized_cut(self, cx, data):
-        s = data.draw(st.sampled_from(cx._face_masks()) | st.integers(0, (1 << cx.n_vertices) - 1))
+        s = data.draw(st.sampled_from(_face_masks(cx.masks))
+                      | st.integers(0, (1 << cx.n_vertices) - 1))
         through = [f & ~s for f in cx.masks if f & s == s]
         if not through:
             with pytest.raises(ValueError, match="not a face"):

@@ -5,7 +5,7 @@ from operator import and_
 
 import pytest
 
-from cmtkit import classify, homology
+from cmtkit import classify, core, homology
 from cmtkit.classify import clear_caches
 from cmtkit.core import SimplicialComplex, _components
 from cmtkit.fields import GF2
@@ -92,20 +92,19 @@ def test_verify_all_stores_no_cone_and_ranks_each_entry_once(monkeypatch):
 
 def test_verify_all_builds_every_law_it_checks(monkeypatch):
     # the work a cold `verify --suite all --max-n 7 --seeds 20` does at seed
-    # 101 in layer 2, as traced before link_laws sampled face masks: a
-    # faster verify must not come from dropped link or restriction checks
-    calls = {"link": 0, "restrict": 0}
-    for method in calls:
-        derive = getattr(SimplicialComplex, method)
+    # 101 in layer 2, counted at the mask kernels that the methods and the
+    # suites share, as traced before link_laws sampled face masks: a faster
+    # verify must not come from dropped link or restriction checks
+    calls = {"_link": 0, "_restrict": 0}
+    for kernel in calls:
+        def counted(masks, mask, _derive=getattr(core, kernel), _kernel=kernel):
+            calls[_kernel] += 1
+            return _derive(masks, mask)
 
-        def counted(self, vertices, _derive=derive, _method=method):
-            calls[_method] += 1
-            return _derive(self, vertices)
-
-        monkeypatch.setattr(SimplicialComplex, method, counted)
+        monkeypatch.setattr(core, kernel, counted)
     clear_caches()
     assert all(r.ok for r in run_suites(["all"], VERIFY_CORPUS, field=GF2))
-    assert calls == {"link": 7441, "restrict": 3642}
+    assert calls == {"_link": 7441, "_restrict": 3642}
 
 
 def test_link_recursion_reads_each_vertex_link_once(monkeypatch):
@@ -133,25 +132,26 @@ def test_verify_all_case_counts():
     assert cases == {**dict.fromkeys(SUITES, 36), "link_laws": 44, "paper_fixtures": 38}
 
 
-def _without_first_facet(cx):
-    if len(cx.masks) < 2:
-        return cx
-    return SimplicialComplex._trusted(cx.masks[1:], cx.labels)
+def _without_first_facet(masks):
+    return masks[1:] if len(masks) > 1 else masks
+
+
+def _dropping_first_facet(monkeypatch, kernel):
+    """Make the mask kernel `kernel` of core drop the first facet of every
+    result with two or more; the methods and the suites both go through it."""
+    derive = getattr(core, kernel)
+    monkeypatch.setattr(core, kernel, lambda masks, mask: _without_first_facet(derive(masks, mask)))
 
 
 def test_link_laws_catch_a_restriction_that_drops_a_facet(monkeypatch):
-    restrict = SimplicialComplex.restrict
-    monkeypatch.setattr(SimplicialComplex, "restrict",
-                        lambda self, keep: _without_first_facet(restrict(self, keep)))
+    _dropping_first_facet(monkeypatch, "_restrict")
     report = suite_link_laws(CORPUS)
     assert report.failures
     assert all("restriction/link commutation fails" in f.case for f in report.failures)
 
 
 def test_link_laws_catch_a_link_that_drops_a_facet(monkeypatch):
-    link = SimplicialComplex.link
-    monkeypatch.setattr(SimplicialComplex, "link",
-                        lambda self, face: _without_first_facet(link(self, face)))
+    _dropping_first_facet(monkeypatch, "_link")
     cases = [f.case for f in suite_link_laws(CORPUS).failures]
     assert any("link-of-link fails" in case for case in cases)
     assert any("restriction/link commutation fails" in case for case in cases)
@@ -162,9 +162,7 @@ def test_link_laws_catch_a_link_that_drops_a_facet(monkeypatch):
 def test_recursions_catch_a_link_that_drops_a_facet(monkeypatch, suite, failures):
     # the counts of the suites that built a link at every use: a link built
     # once per item is as broken at each of its uses
-    link = SimplicialComplex.link
-    monkeypatch.setattr(SimplicialComplex, "link",
-                        lambda self, face: _without_first_facet(link(self, face)))
+    _dropping_first_facet(monkeypatch, "_link")
     assert len(suite(CORPUS).failures) == failures
 
 
@@ -200,20 +198,21 @@ def test_deletion_theorem_deletes_once_per_item_that_can_be_admissible(monkeypat
     assert len(few) == 11
 
 
-@pytest.mark.parametrize("suite, method", [(suite_link_laws, "restrict"),
-                                           (suite_link_recursion, "link"),
-                                           (suite_k_link_recursion, "link")])
-def test_suites_build_each_derived_complex_of_an_item_once(monkeypatch, suite, method):
-    items = [cx for _, cx in CORPUS]
+@pytest.mark.parametrize("suite, derived", [(suite_link_laws, "restrict"),
+                                            (suite_link_recursion, "link"),
+                                            (suite_k_link_recursion, "link")])
+def test_suites_build_each_derived_complex_of_an_item_once(monkeypatch, suite, derived):
+    items = [cx.masks for _, cx in CORPUS]
     built = []
-    derive = getattr(SimplicialComplex, method)
+    kernel = f"_{derived}"
+    derive = getattr(core, kernel)
 
-    def recording(self, vertices):
-        if any(self is cx for cx in items):
-            built.append((id(self), vertices.mask))
-        return derive(self, vertices)
+    def recording(masks, mask):
+        if any(masks is item for item in items):
+            built.append((id(masks), mask))
+        return derive(masks, mask)
 
-    monkeypatch.setattr(SimplicialComplex, method, recording)
+    monkeypatch.setattr(core, kernel, recording)
     assert suite(CORPUS).ok
     assert built
     assert len(built) == len(set(built))
