@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
+from itertools import chain
 from operator import and_, or_
 from typing import Callable, Iterator, Sequence
 
@@ -144,18 +145,12 @@ def clear_caches() -> None:
 
 
 def _links_by_vertex(masks: tuple[int, ...]) -> dict[int, list[int]]:
-    """lk v, on the complex's own ids, for each vertex v of a facet with more
-    than 2 vertices (those whose links have dimension at least 1), ascending.
-    One pass over the facets files each facet less v under every vertex v in
-    it, which keeps the facets' canonical order (see core.link)."""
-    big = 0
-    for f in reversed(masks):
-        if f.bit_count() <= 2:
-            break
-        big |= f
-    links: dict[int, list[int]] = {v: [] for v in _bits(big)}
+    """lk v, on the complex's own ids, for each vertex v, ascending: the one
+    filing of the facets by vertex.  One pass files each facet less v under
+    every vertex v in it, keeping the facets' canonical order (see core.link)."""
+    links: dict[int, list[int]] = {v: [] for v in _bits(reduce(or_, masks))}
     for f in masks:
-        for v in _bits(f & big):
+        for v in _bits(f):
             links[v].append(f ^ 1 << v)
     return links
 
@@ -375,13 +370,13 @@ def _max_k_at(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> in
 
 
 def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
-    """(v, the facet masks of K - v), v ascending, for a pure complex K: f - v
-    stays a facet unless another facet holds that ridge (order is kept)."""
-    ridges = Counter(f & ~(1 << u) for f in masks for u in _bits(f))
-    for v in _bits(reduce(or_, masks)):
+    """(v, the facet masks of K - v), v ascending, for a pure complex K: the
+    ridges in lk v that no other facet holds, then the facets avoiding v."""
+    links = _links_by_vertex(masks)
+    ridges = Counter(chain.from_iterable(links.values()))
+    for v, lk in links.items():
         bit = 1 << v
-        yield v, [f ^ bit for f in masks if f & bit and ridges[f ^ bit] == 1] + [
-            f for f in masks if not f & bit]
+        yield v, [r for r in lk if ridges[r] == 1] + [f for f in masks if not f & bit]
 
 
 def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> bool:

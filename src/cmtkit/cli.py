@@ -6,8 +6,8 @@ command the complex to emit.  main alone writes the result, as JSON with
 "schema": 1 or as a facet file, to stdout or to -o, and derives the exit
 code from it: 1 exactly when the report says "ok": false (a check report
 then carries its witness, a verify report its failing suite), else 0.
-Exit code 2 is for usage or parse errors, an output file that cannot be
-written, and an internal error (reported as `cmtkit: internal error:
+Exit code 2 is for usage or parse errors, an output file or stdout that
+cannot be written, and an internal error (reported as `cmtkit: internal error:
 <type>: <message>`, never as a traceback).
 
 Each command is described once, in COMMANDS.  main reads a plain argv (a
@@ -350,6 +350,7 @@ def main(argv=None) -> int:
             Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()  # a full stdout fails here, not after main returns
         return code
     except ParseError as e:
         print(f"cmtkit: parse error: {e}", file=sys.stderr)
@@ -359,7 +360,8 @@ def main(argv=None) -> int:
         print(f"cmtkit: {e}", file=sys.stderr)
         return 2
     except OSError as e:  # load() turns read errors into ParseError: this is a write
-        print(f"cmtkit: cannot write {e.filename}: {e.strerror or e}", file=sys.stderr)
+        target = e.filename or args.output or "stdout"  # a failed write or close has no filename
+        print(f"cmtkit: cannot write {target}: {e.strerror or e}", file=sys.stderr)
         return 2
     except Exception as e:  # a defect: report it as one line, within the 0/1/2 contract
         print(f"cmtkit: internal error: {type(e).__name__}: {e}", file=sys.stderr)
@@ -367,7 +369,12 @@ def main(argv=None) -> int:
 
 
 def run_main() -> None:  # console-script entry point
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it; drop what stdout still holds so the exit code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

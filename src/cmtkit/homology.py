@@ -21,17 +21,17 @@ are built only when a lower level has cells, which skeleta and spheres never
 have.  The apex is the vertex lying in the most facets, lowest id on ties:
 it puts the most faces into the star.  It is found in one pass over the
 facet masks, which adds each into bit-sliced counts with a ripple carry.
-When it lies in every facet, K is a cone and every Betti number is 0, with
-no enumeration at all.  The identity
-is exact over every field and the ranks come from the same exact kernels,
-so the result equals the full complex's Betti numbers, zero degrees
-included; `boundary_matrices` builds that full complex for the API and as
-the tests' oracle.  A graph needs no chain complex at all: its Betti numbers
-have a closed form in its vertices, edges and components (`_betti`), and
-the components come from a union-find (`core._components`).  Betti vectors
-are not memoized: the deciders rank each distinct connected link of
-dimension at least 2 once, for its obstructed face sizes, which
-`classify`'s memo holds.
+The star excision answers cones: a cone's apex lies in every facet, so no
+face is outside its star and every Betti number is 0, with no enumeration
+and no rank.  The identity is exact over every field and the ranks come
+from the same exact kernels, so the result equals the full complex's Betti
+numbers, zero degrees included; `boundary_matrices` builds that full
+complex for the API and as the tests' oracle.  A graph needs no chain
+complex at all: its Betti numbers have a closed form in its vertices, edges
+and components (`_betti`), and the components come from a union-find
+(`core._components`).  Betti vectors are not memoized: the deciders rank
+each distinct connected link of dimension at least 2 once, for its
+obstructed face sizes, which `classify`'s memo holds.
 
 Boundary maps stay sparse from the face masks to the rank kernels: each
 column is built as row index -> +-1 and ranked as a `linalg.Sparse` value.
@@ -194,15 +194,15 @@ def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) 
     # ridge t of a top-size cell lies in st apex exactly when t | apex is a
     # facet, as it has the top size: the ridges less the facets through the
     # apex, each less the apex, are the cells one size down.
+    star = [f ^ vbit for f in masks if f & vbit]
     if top:
         ridges = {m ^ 1 << u for m in cells[top] for u in _bits(m)}
-        ridges.difference_update(map(vbit.__xor__, filter(vbit.__and__, masks)))
+        ridges.difference_update(star)
         cells[top - 1] |= ridges
     # Below the top, a face lies in st apex when some facet through the apex,
     # less the apex, contains it: when the AND of its vertices' owner sets is
     # nonzero.  Skeleta and spheres have no cells there, so no owner sets.
     if any(cells[1:top]):
-        star = [f ^ vbit for f in masks if f & vbit]
         owners = [0] * reduce(or_, masks).bit_length()
         for i, f in enumerate(star):
             for u in _bits(f):
@@ -234,14 +234,11 @@ def _relative_betti(masks: tuple[int, ...], field: FieldSpec, apex: int | None) 
 
 def _betti(masks: tuple[int, ...], field: FieldSpec) -> BettiVector:
     """Reduced Betti numbers of the complex with facet masks `masks` (vertex
-    ids need not be compact).  Cones (a vertex in every facet) are acyclic:
-    their zeros need no rank.  Nor does a graph's (at most 2 vertices per
-    facet) closed form: with V vertices, E edges and c components (none in
-    {<>}), H~_0 has dimension c - 1 over every field, and the Euler
-    characteristic gives H~_1 = E - V + c."""
+    ids need not be compact).  A graph (at most 2 vertices per facet) needs
+    no rank: with V vertices, E edges and c components (none in {<>}), H~_0
+    has dimension c - 1 over every field, and the Euler characteristic gives
+    H~_1 = E - V + c.  Nor does a cone: the excision seeds no cell for it."""
     top = masks[-1].bit_count()
-    if reduce(and_, masks):
-        return BettiVector(dict.fromkeys(range(-1, top), 0))
     if top <= 2:
         c = _components(masks)
         edges = sum(m.bit_count() == 2 for m in masks)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON reports, witnesses, facet-file pipelines."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -234,6 +235,41 @@ class TestUnwritableOutput:
         assert code == 2 and out == ""
         assert err.startswith("cmtkit: cannot write "
                               f"{target.parent / 'cmtkit-counterexample-link_laws-0.cplx'}: ")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [["gen", "boundary", "-n", "5"], ["homology", "{f}"]])
+    def test_full_stdout_is_exit_2_naming_stdout(self, argv, failing, two_tri, capsys,
+                                                 monkeypatch):
+        # an unbuffered stdout fails on the write, a block-buffered one on the
+        # flush; either OSError has no filename: the message names stdout
+        def full(*_):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", type("FullStdout", (io.StringIO,), {failing: full})())
+        code = main([a.format(f=two_tri) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err == "cmtkit: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_output_file_is_exit_2_naming_the_file(self, capsys):
+        # the write or close of -o fails with no filename on the OSError
+        code, out, err = run(capsys, ["gen", "boundary", "-n", "5", "-o", "/dev/full"])
+        assert code == 2 and out == ""
+        assert err == "cmtkit: cannot write /dev/full: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_console_script_on_a_full_stdout_exits_2(self, unbuffered):
+        # block-buffered (the default off a terminal) or not, the failed write
+        # is reported once and leaves nothing for the interpreter's exit flush
+        src = str(Path(cmtkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "cmtkit.cli", "gen", "boundary", "-n", "5"],
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        assert (done.returncode, done.stderr) == (
+            2, "cmtkit: cannot write stdout: No space left on device\n")
 
 
 class TestImports:

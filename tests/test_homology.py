@@ -209,15 +209,20 @@ class TestExcision:
         assert _apex(edges.masks) == 0
         assert time.perf_counter() - start < 0.5
 
-    def test_cone_is_answered_without_rank_or_enumeration(self, monkeypatch, all_fields):
+    def test_cone_is_answered_without_rank_or_enumeration(self, monkeypatch):
+        # the apex of a cone lies in every facet, so the excision onto its
+        # star seeds no cell: no column is built and nothing is ranked; the
+        # second base is impure
         def fail(*args):
             raise AssertionError("a cone needs no chain complex")
 
         monkeypatch.setattr(homology, "rank", fail)
-        monkeypatch.setattr(homology, "_relative_betti", fail)
-        cone = projective_plane_6().join(simplex(1))
-        for f in all_fields:
-            assert reduced_betti(cone, f).items() == tuple((d, 0) for d in range(-1, 4))
+        monkeypatch.setattr(homology, "_columns", fail)
+        for base in (projective_plane_6(), from_facets([(0, 1, 2), (2, 3), (4,)])):
+            cone = base.join(simplex(1))
+            for f in (GF2, GF3, RATIONALS):
+                assert reduced_betti(cone, f).items() == tuple(
+                    (d, 0) for d in range(-1, cone.dim + 1))
 
     @pytest.mark.parametrize("n, j", [(13, 4), (12, 3)])
     def test_skeleton_ranks_nothing(self, n, j, monkeypatch):

@@ -2,7 +2,9 @@
 
 import random
 import time
+from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ import reference_deciders as ref
 from cmtkit.classify import (
     CRITERIA,
     _link_recursion,
+    _vertex_deletions,
     clear_caches,
     cm_t_witness,
     cm_witness,
@@ -190,7 +193,25 @@ def facet_masks(draw):
     return n, SimplicialComplex(n, map(Face.from_mask, quadratic_maximal_masks(raw))).masks
 
 
+@st.composite
+def pure_masks(draw):
+    """The canonical facet masks of a pure complex of dimension 0 to 3 on ids
+    below n, gaps allowed."""
+    n = draw(st.integers(1, 9))
+    size = draw(st.integers(1, min(n, 4)))
+    subsets = st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+    return SimplicialComplex(n, map(Face, draw(st.lists(subsets, min_size=1, max_size=12)))).masks
+
+
 class TestMaskKernels:
+    @given(pure_masks())
+    def test_vertex_deletions_are_the_restrictions_to_the_other_vertices(self, masks):
+        support = reduce(or_, masks)
+        deletions = list(_vertex_deletions(masks))
+        assert [v for v, _ in deletions] == list(_bits(support))  # every vertex, ascending
+        for v, facets in deletions:
+            assert _canonical(facets) == _restrict(masks, support & ~(1 << v))
+
     @given(facet_masks(), st.data())
     def test_restrict_is_the_normalized_cut(self, complex_, data):
         n, masks = complex_
