@@ -25,7 +25,13 @@ only cone-free cores (`_core`) have entries.  Graphs end the recursion
 with no entry: the vertex links of a complex of dimension at most 1 have
 dimension at most 0, so only its own H~_0 can be obstructed, and over
 every field that has dimension #components - 1.  Likewise a disconnected
-core is obstructed in degree 0 with no Betti vector.
+core is obstructed in degree 0 with no Betti vector.  Vertices are read in
+ascending order, and a vertex v whose link is the previous vertex u's with
+bit v moved to bit u, mask for mask, is not read again (`_new_links`): no
+vertex lies between them, so the swap is order-preserving on both links'
+supports, and the two compact to one core with one |S|.  So the walk cores
+one vertex link per level of a sphere, and a descent that passed u passes
+v with no recursion.
 ``tests/reference_deciders.py`` checks all this independently.  One k-CM_t
 search (`_max_k_up_to`) serves every t: its levels, the complexes left by
 deleting vertices, do not depend on t, and each fails CM_t exactly below
@@ -49,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from itertools import chain
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Callable, Iterator, Sequence
 
 from . import homology
@@ -155,6 +161,24 @@ def _links_by_vertex(masks: tuple[int, ...]) -> dict[int, list[int]]:
     return links
 
 
+def _new_links(masks: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """(v, lk v) from `_links_by_vertex`, less each v whose link is the
+    previous vertex u's with bit v moved to bit u, element for element.
+    No vertex lies between u and v, so swapping them is order-preserving on
+    both links' supports: the two compact to one core with one |S|, and v
+    reads as u.  No mask of lk u holds u and none of lk v holds v, so the
+    move maps f to g exactly when f ^ g is 0 or bits u and v alone.  A link
+    of another length is passed at once, and a comparison stops at the
+    first mismatch.  It compares ints, which for masks as wide as the ids
+    costs far less than hashing them."""
+    u, prev = 0, ()
+    for v, lk in _links_by_vertex(masks).items():
+        if len(lk) != len(prev) or not all(map((1 << u | 1 << v, 0).__contains__,
+                                                map(xor, prev, lk))):
+            yield v, lk
+        u, prev = v, lk
+
+
 def _compacted(masks: Sequence[int]) -> tuple[int, ...]:
     """The masks, used ids renamed 0..m-1 in order (a compact tuple as is)."""
     support = reduce(or_, masks)
@@ -204,12 +228,16 @@ def _walk(top: tuple[int, ...], field: FieldSpec) -> tuple[int, int | None]:
     per level): a core waits under its first child with no entry, and stores
     its own once every child has one.  `_memoized` stores the top's.  Graph
     links are read on the spot, and a disconnected core is obstructed in
-    degree 0 with no Betti vector (`_components`)."""
+    degree 0 with no Betti vector (`_components`).  A core is compact, so a
+    vertex v whose link is lk(v - 1) with v - 1 and v swapped adds the same
+    child or leaf bits again and is passed over with no `_split`, `_core`
+    or `_graph_sizes` (`_new_links`)."""
     def expand(key):
         """The core, its graph links' sizes, whether it is connected, its
         (shift, child core) pairs, and the children with no entry yet."""
         leaves, kids = 0, {}
-        for shift, lk in map(_split, _links_by_vertex(key).values()):
+        for _, lk in _new_links(key):
+            shift, lk = _split(lk)
             if lk[-1].bit_count() > 2:
                 kids[shift, lk] = None
             else:
@@ -245,11 +273,15 @@ def _descent(masks: tuple[int, ...], size: int, field: FieldSpec,
 
     Each step adds the least vertex v whose link has an obstructed face of
     the wanted size less one (or at least that size) and goes on in lk v:
-    no vertex below v lies in such a face.
+    no vertex below v lies in such a face.  A vertex whose link is the
+    previous vertex's with the two swapped has that vertex's sizes, which
+    did not match, so it is passed over with no `_link_recursion`
+    (`_new_links`).  The masks may have gaps, so that vertex is the previous
+    one in the support, not v - 1.
     """
     face = 0
     for wanted in range(size - 1, -1, -1):
-        for v, lk in _links_by_vertex(masks).items():
+        for v, lk in _new_links(masks):
             sizes = _link_recursion(lk, field)[0] >> wanted
             if sizes & 1 if exact else sizes:
                 break

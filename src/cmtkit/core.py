@@ -418,6 +418,11 @@ class SimplicialComplex:
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
+    # copy and pickle rebuild through _trusted, since __setattr__ refuses
+    # the default restore of slot state
+    def __reduce__(self):
+        return type(self)._trusted, (self.masks, self.labels)
+
     # -- construction ------------------------------------------------------
 
     @classmethod

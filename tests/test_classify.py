@@ -178,6 +178,18 @@ class TestMemo:
         assert sorted(len(key[1]) for key in entries) == list(range(4, 11))
         assert {classify_module._MEMO[key] for key in entries} == {(0, None)}
 
+    @pytest.mark.parametrize("m, stored", [(10, 7), (30, 27)])
+    def test_sphere_cores_each_level_once(self, monkeypatch, m, stored):
+        # each vertex link of a level is the previous one's with the two
+        # vertices swapped, so the walk cores one per level: one `_core` call
+        # per stored entry (46 and 456 calls when it cored all m of each)
+        calls = []
+        core = classify_module._core
+        monkeypatch.setattr(classify_module, "_core", lambda masks: calls.append(1) or core(masks))
+        clear_caches()
+        assert _link_recursion(boundary_simplex(m).masks, GF2) == (0, None)
+        assert len(classify_module._MEMO) == len(calls) == stored
+
     def test_each_distinct_link_is_expanded_once(self, monkeypatch):
         # a cold recursion expands and ranks each core it stores once, on
         # the complex, a gapped copy and a cone over it alike

@@ -1,6 +1,8 @@
 """Faces, complexes, and the combinatorial operations on them."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -358,6 +360,22 @@ class TestValueSemantics:
         cx = from_facets([(1, 2)])
         with pytest.raises(AttributeError):
             cx.n_vertices = 5
+
+    @pytest.mark.parametrize("cx", [
+        from_facets([]),
+        from_facets([()]),
+        from_facets([(1, 2, 3), (3, 4)]),
+        # a link keeps its parent's ids: id 1, the vertex it is taken at, is a gap
+        from_facets([(1, 2, 3), (2, 3, 4), (2, 5)]).link(Face((1,))),
+    ], ids=["void", "empty_face", "compact", "gapped"])
+    def test_copy_and_pickle_round_trip(self, cx):
+        # the default restore of slot state would go through __setattr__
+        for twin in (copy.copy(cx), copy.deepcopy(cx), pickle.loads(pickle.dumps(cx))):
+            assert type(twin) is SimplicialComplex
+            assert (twin.masks, twin.labels) == (cx.masks, cx.labels)
+            assert twin == cx and hash(twin) == hash(cx)
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.masks = ()
 
     @pytest.mark.parametrize("name", ["n_vertices", "masks", "labels"])
     def test_derived_complexes_are_immutable(self, name):

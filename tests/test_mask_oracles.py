@@ -7,10 +7,11 @@ from itertools import chain, combinations
 from operator import or_
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference_deciders as ref
+from cmtkit import classify
 from cmtkit.classify import (
     CRITERIA,
     _link_recursion,
@@ -18,6 +19,7 @@ from cmtkit.classify import (
     clear_caches,
     cm_t_witness,
     cm_witness,
+    is_cm_t,
     k_cm_t_witness,
 )
 from cmtkit.core import (
@@ -34,7 +36,13 @@ from cmtkit.core import (
     from_facets,
 )
 from cmtkit.fields import GF2, GF3, RATIONALS
-from cmtkit.generators import miyazaki_example, projective_plane_6, random_pure
+from cmtkit.generators import (
+    boundary_simplex,
+    miyazaki_example,
+    projective_plane_6,
+    random_pure,
+    simplex,
+)
 from cmtkit.snf import betti_via_snf
 from cmtkit.suites import acceptance_corpus
 
@@ -393,3 +401,89 @@ def test_gapped_ids_give_the_compact_results_lifted(warm, embedding):
     lift = dict(enumerate(ids))
     assert got[0] == [(tuple(lift[v] for v in face), entry) for face, entry in want[0]]
     assert got[1:] == want[1:]
+
+
+@st.composite
+def symmetric_complexes(draw):
+    """Complexes whose vertex links repeat from one vertex to the next, with
+    the two swapped: a complete skeleton of a simplex or the boundary of a
+    simplex, as is, joined with itself, or as two or three disjoint copies
+    (the vertices of each optionally shuffled) on consecutive, interleaved
+    or gapped ids, the last copy optionally a random complex instead, whose
+    links may match a neighbour's in length alone; each also with one facet
+    removed.  Built through the validating constructor, which keeps the
+    gaps."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        base = simplex(n).skeleton(draw(st.integers(0, n - 1)))
+    else:
+        base = boundary_simplex(n)
+    shape = draw(st.sampled_from(("plain", "join", "union")))
+    if shape == "join" and n <= 4:
+        base = base.join(base)
+    if shape != "union":
+        facets, ambient = list(base.facets), base.n_vertices
+    else:
+        copies = draw(st.integers(2, 3 if n <= 3 else 2))
+        spread = draw(st.sampled_from(("consecutive", "interleaved", "gapped")))
+        m = base.n_vertices
+        place = {"consecutive": lambda c, v: c * m + v,
+                 "interleaved": lambda c, v: v * copies + c,
+                 "gapped": lambda c, v: 3 * (c * m + v) + 1}[spread]
+        pieces = [base] * copies
+        if draw(st.booleans()):
+            raw = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=8))
+            pieces[-1] = from_facets(Face.from_mask(x) for x in raw)
+        facets = []
+        for c, piece in enumerate(pieces):
+            order = draw(st.permutations(range(m))) if draw(st.booleans()) else range(m)
+            facets += [Face(place(c, order[v]) for v in f) for f in piece.facets]
+        ambient = place(copies - 1, m - 1) + 1
+    if len(facets) > 1 and draw(st.booleans()):
+        del facets[draw(st.integers(0, len(facets) - 1))]
+    return SimplicialComplex(ambient, facets)
+
+
+# a strip of two triangles and a bowtie, interleaved: vertex 1 of the strip
+# and the bowtie's shared vertex 2 both have links of two edges, a path and
+# two disjoint edges
+STRIP_AND_BOWTIE = SimplicialComplex(9, [Face(f) for f in ((0, 1, 3), (1, 3, 4),
+                                                          (5, 6, 2), (2, 7, 8))])
+
+
+@given(symmetric_complexes(), st.sampled_from((GF2, GF3, RATIONALS)))
+@example(STRIP_AND_BOWTIE, GF2)
+def test_symmetric_vertices_read_as_their_neighbours(cx, field):
+    # a vertex whose link is the previous vertex's with the two swapped is
+    # not read again, by the recursion or by a descent: every link entry and
+    # every CM_t witness still matches the reference
+    clear_caches()
+    assert link_entries(cx, field) == scanned_entries(cx, field)
+    for t in range(cx.dim + 2):
+        for crit in CRITERIA:
+            assert cm_t_witness(cx, t, field, crit) == ref.cm_t_witness(cx, t, field, crit)
+
+
+def test_descents_skip_symmetric_vertices_on_gapped_ids(monkeypatch):
+    # triangles, then a bowtie whose shared vertex is the one obstructed
+    # face: the descent reads one link per triangle, not three, whether the
+    # ids are consecutive or every other one (so the vertex before v is not
+    # v - 1)
+    calls = []
+    recursion = classify._link_recursion
+    monkeypatch.setattr(classify, "_link_recursion",
+                        lambda masks, field: calls.append(masks) or recursion(masks, field))
+    rows = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(5)] + [(15, 16, 17), (17, 18, 19)]
+    counts = []
+    for stride in (1, 2):
+        cx = SimplicialComplex(20 * stride, [Face(stride * v for v in f) for f in rows])
+        clear_caches()
+        is_cm_t(cx, 1)
+        calls.clear()
+        witness = cm_t_witness(cx, 1)
+        assert witness.face == Face((17 * stride,))
+        counts.append(len(calls))
+    # the decider's read of the complex, the descent's of vertices 0, 3, 6,
+    # 9, 12, 15 and 17 (18 without the skips), and two of the link of 17
+    # for the inner witness
+    assert counts == [10, 10]

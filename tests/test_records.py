@@ -1,7 +1,9 @@
 """The small value classes: dataclass-style equality, hash, repr and
 immutability without importing dataclasses."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +137,13 @@ class TestReports:
         assert repr(CaseFailure("a", "b")) == "CaseFailure(suite='a', case='b', complex=None)"
         with pytest.raises(AttributeError):
             f.case = "other"
+
+    def test_reports_holding_a_complex_copy_and_pickle(self):
+        failure = CaseFailure("link_laws", "case", boundary_simplex(3))
+        report = SuiteReport("link_laws", 1, [failure])
+        for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert twin == report and twin.failures[0] is not failure
+            assert twin.failures[0].complex.masks == failure.complex.masks
 
     def test_suite_report_is_mutable(self):
         a, b = SuiteReport("link_laws"), SuiteReport("link_laws")
