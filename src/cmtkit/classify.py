@@ -4,7 +4,8 @@ A face is obstructed when its link has nonzero reduced homology below the
 link's dimension; its degree is the lowest such one.  One computation
 serves every CM_t decider: per link, an int whose bit s is set when some
 face of s vertices is obstructed.  CM_t is purity plus no obstructed face
-with at least t vertices, and the three criteria are three readings of it:
+with at least t vertices, and the three criteria are three readings of it
+(so `classify` decides CM_t once, and its criteria_agree is true):
 
 * ``definition_links`` - the link of every face with at least t vertices is
   CM; such a link fails exactly when an obstructed face contains the face;
@@ -113,16 +114,31 @@ class Witness(FrozenRecord):
         return out
 
 
-def _require_nonvoid(cx: SimplicialComplex) -> None:
-    if cx.is_void:
+def _nonvoid(cx: SimplicialComplex) -> tuple[int, ...]:
+    """The facet masks of cx; the void complex is refused."""
+    if not cx.masks:
         raise ValueError("the void complex cannot be classified")
+    return cx.masks
+
+
+def _pure(masks: Sequence[int]) -> bool:
+    """Masks are sorted by size, so the first and the last decide purity."""
+    return masks[0].bit_count() == masks[-1].bit_count()
+
+
+def _t_index(masks: Sequence[int], t: int) -> int:
+    """t read as 0..max(dim, 0): no face of dim or more vertices is obstructed."""
+    return max(min(int(t), masks[-1].bit_count() - 1), 0)
+
+
+def _budget(masks: Sequence[int]) -> int:
+    """The vertex budget #V + 1: removing all of V drops the dimension."""
+    return reduce(or_, masks).bit_count() + 1
 
 
 def is_pure(cx: SimplicialComplex) -> bool:
-    """True when all facets share one cardinality; {<>} is pure.  Facet
-    masks are sorted by size, so the first and the last decide."""
-    _require_nonvoid(cx)
-    return cx.masks[0].bit_count() == cx.masks[-1].bit_count()
+    """True when all facets share one cardinality; {<>} is pure."""
+    return _pure(_nonvoid(cx))
 
 
 # Derived values (see the module docstring).  Emptied, not evicted, when
@@ -300,8 +316,7 @@ def _least_obstructed(masks: tuple[int, ...], t: int, field: FieldSpec) -> tuple
 
 def is_cm(cx: SimplicialComplex, field: FieldSpec = GF2) -> bool:
     """Cohen-Macaulayness over the given field: no face is obstructed."""
-    _require_nonvoid(cx)
-    return not _link_recursion(cx.masks, field)[0]
+    return not _link_recursion(_nonvoid(cx), field)[0]
 
 
 def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
@@ -314,13 +329,12 @@ def cm_witness(cx: SimplicialComplex, field: FieldSpec = GF2) -> Witness | None:
 
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
             criterion: str = DEFINITION_LINKS) -> bool:
-    """CM_t, read off the obstruction int (see the module docstring).  t is
-    clamped below at 0; above dim only purity is required, as no face is
-    large enough to be quantified over."""
-    _require_nonvoid(cx)
+    """CM_t, read off the obstruction int under every (validated) criterion,
+    at t read by `_t_index`: above dim only purity is required."""
+    masks = _nonvoid(cx)
     normalize_criterion(criterion)
-    t = max(int(t), 0)
-    return is_pure(cx) and not _link_recursion(cx.masks, field)[0] >> t
+    t = _t_index(masks, t)
+    return _pure(masks) and not _link_recursion(masks, field)[0] >> t
 
 
 def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
@@ -328,9 +342,9 @@ def cm_t_witness(cx: SimplicialComplex, t: int, field: FieldSpec = GF2,
     """None if is_cm_t, else the witness against CM_t under the chosen criterion."""
     if is_cm_t(cx, t, field, criterion):
         return None
-    if not is_pure(cx):
+    if not _pure(cx.masks):
         return Witness("impure")
-    crit, t = normalize_criterion(criterion), max(int(t), 0)
+    crit, t = normalize_criterion(criterion), _t_index(cx.masks, t)
     if crit == DEFINITION_LINKS:
         # lk(sigma) is CM unless an obstructed face contains sigma, and a face
         # with more than t vertices fails only if its t-subsets do
@@ -368,8 +382,7 @@ def _search(top: tuple[int, ...], field: FieldSpec, limit: int) -> tuple[int, ..
     every = max(top[-1].bit_count(), 1)  # max(dim, 0) + 1: the score that fails every t
 
     def score(masks: tuple[int, ...]) -> int:
-        pure = masks[0].bit_count() == masks[-1].bit_count()
-        return _min_t(masks, field) if pure else every
+        return _min_t(masks, field) if _pure(masks) else every
 
     failed = score(top)  # every t below it has failed
     values, level = [0] * failed + [limit] * (every - failed), [top]
@@ -395,10 +408,9 @@ def _search(top: tuple[int, ...], field: FieldSpec, limit: int) -> tuple[int, ..
 
 
 def _max_k_at(cx: SimplicialComplex, t: int, field: FieldSpec, limit: int) -> int:
-    """_max_k_up_to at t, read as 0..max(dim, 0): above dim CM_t is purity."""
-    _require_nonvoid(cx)
-    t = min(max(t, 0), max(cx.dim, 0))
-    return _max_k_up_to(cx.masks, field, limit)[t]
+    """_max_k_up_to at t (`_t_index`): above dim CM_t is purity."""
+    masks = _nonvoid(cx)
+    return _max_k_up_to(masks, field, limit)[_t_index(masks, t)]
 
 
 def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
@@ -414,8 +426,7 @@ def _vertex_deletions(masks: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]
 def is_k_cm_t(cx: SimplicialComplex, k: int, t: int, field: FieldSpec = GF2) -> bool:
     """No W with fewer than k vertices for which cx - W drops the dimension
     or fails CM_t; k above #V + 1 is rejected."""
-    _require_nonvoid(cx)
-    if k > len(cx.vertex_ids()) + 1:
+    if k > _budget(_nonvoid(cx)):
         raise ValueError("k exceeds vertex budget")
     return _max_k_at(cx, t, field, k) == k
 
@@ -428,7 +439,7 @@ def k_cm_t_witness(cx: SimplicialComplex, k: int, t: int,
     smaller vertex would come first), and goes on in cx - v."""
     if is_k_cm_t(cx, k, t, field):
         return None
-    at = min(max(t, 0), cx.dim)  # the t that _max_k_at read; every sub keeps cx.dim
+    at = _t_index(cx.masks, t)  # the t that _max_k_at read; every sub keeps cx.dim
     removed, sub = [], cx.masks
     for s in range(_max_k_at(cx, t, field, k), 0, -1):
         for v, facets in _vertex_deletions(sub):  # sub is CM_t, hence pure
@@ -469,7 +480,7 @@ def _min_t(masks: tuple[int, ...], field: FieldSpec) -> int:
 
 def max_k(cx: SimplicialComplex, t: int, field: FieldSpec = GF2) -> int:
     """Largest k with k-CM_t: the least size of a failing removal set (1 on {<>})."""
-    k = _max_k_at(cx, t, field, len(cx.vertex_ids()) + 1)
+    k = _max_k_at(cx, t, field, _budget(_nonvoid(cx)))
     if not k:
         raise ValueError("not CM_t")
     return k
@@ -497,19 +508,15 @@ class ClassificationReport(FrozenRecord):
 
 
 def classify(cx: SimplicialComplex, field: FieldSpec = GF2) -> ClassificationReport:
-    """Full report: purity, dimension, minimal t, maximal k per t, agreement."""
-    _require_nonvoid(cx)
-    dim = cx.dim
-    pure = is_pure(cx)
-    agree = all(len({is_cm_t(cx, t, field, c) for c in CRITERIA}) == 1
-                for t in range(max(dim, 0) + 1))
-    if not pure:
-        return ClassificationReport(dim, False, field, None, {}, agree)
-    mt = _min_t(cx.masks, field)
-    # one search for every t
-    ks = _max_k_up_to(cx.masks, field, len(cx.vertex_ids()) + 1)
-    per_t = {t: k for t, k in enumerate(ks) if t >= mt}
-    return ClassificationReport(dim, True, field, mt, per_t, agree)
+    """Purity, dimension, min_t and max_k per t, from one obstruction int and
+    one k-CM_t search.  criteria_agree is true by construction (`is_cm_t`);
+    ``tests/reference_deciders.py`` checks the criteria independently."""
+    masks = _nonvoid(cx)
+    if not _pure(masks):
+        return ClassificationReport(cx.dim, False, field, None)
+    mt = _min_t(masks, field)
+    per_t = {t: k for t, k in enumerate(_max_k_up_to(masks, field, _budget(masks))) if t >= mt}
+    return ClassificationReport(cx.dim, True, field, mt, per_t)
 
 
 class JoinObservation(FrozenRecord):

@@ -35,7 +35,7 @@ import json
 from itertools import repeat
 from pathlib import Path
 
-from .core import SimplicialComplex, _mask, from_facets
+from .core import SimplicialComplex, _mask
 
 EMPTY_FACE_LINE = "@empty-face"
 
@@ -100,8 +100,7 @@ def _build(rows: list[list[str]]) -> SimplicialComplex:
 
 def _parse_text(text: str) -> SimplicialComplex:
     if "#" not in text and "@" not in text:  # no comment, marker or bad token
-        rows = list(filter(None, map(str.split, text.splitlines())))
-        return _build(rows) if rows else from_facets([])
+        return _build(list(filter(None, map(str.split, text.splitlines()))))
     rows = []
     marker_line = None
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -118,13 +117,9 @@ def _parse_text(text: str) -> SimplicialComplex:
             if not _writable(tok):
                 raise ParseError(f"label {tok!r} cannot be written to the facet format", line=ln)
         rows.append(tokens)
-    if marker_line is not None:
-        if rows:
-            raise ParseError(f"{EMPTY_FACE_LINE} must be the only content", line=marker_line)
-        return from_facets([()])
-    if not rows:
-        return from_facets([])
-    return _build(rows)
+    if marker_line is not None and rows:
+        raise ParseError(f"{EMPTY_FACE_LINE} must be the only content", line=marker_line)
+    return _build(rows if marker_line is None else [[]])
 
 
 def _parse_json(text: str) -> SimplicialComplex:
@@ -142,9 +137,7 @@ def _parse_json(text: str) -> SimplicialComplex:
             raise ParseError(f"vertex labels must be strings or integers, got {json.dumps(tok)}")
         if not _writable(str(tok)):
             raise ParseError(f"label {json.dumps(tok)} cannot be written to the facet format")
-    if facets and all(len(f) == 0 for f in facets):
-        return from_facets([()])
-    return _build([[str(tok) for tok in f] for f in facets]) if facets else from_facets([])
+    return _build([[str(tok) for tok in f] for f in facets])
 
 
 def parse(text: str) -> SimplicialComplex:

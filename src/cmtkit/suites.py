@@ -35,6 +35,8 @@ from .classify import (
     _max_k_at,
     _max_k_up_to,
     _min_t,
+    _pure,
+    _t_index,
     is_cm,
     is_cm_t,
     is_k_cm_t_unbounded,
@@ -166,7 +168,7 @@ def _k_cm(masks: tuple[int, ...], k: int, field: FieldSpec) -> Callable[[int], b
 
     def at(t: int) -> bool:
         ks[:] = ks or _max_k_up_to(masks, field, k)
-        return ks[min(max(t, 0), len(ks) - 1)] == k
+        return ks[_t_index(masks, t)] == k
     return at
 
 
@@ -259,8 +261,7 @@ def suite_link_recursion(cx: SimplicialComplex, field: FieldSpec) -> Iterator[st
     pure = is_pure(cx)
     links = [core._link(cx.masks, 1 << v) for v in cx.vertex_ids()] if pure else []
     # each link read once: its min_t, or dim (failing every t) if it is impure
-    worst = max((_min_t(lk, field) if lk[0].bit_count() == lk[-1].bit_count() else cx.dim
-                 for lk in links), default=0)
+    worst = max((_min_t(lk, field) if _pure(lk) else cx.dim for lk in links), default=0)
     for t in range(1, cx.dim + 1):
         lhs = is_cm_t(cx, t, field)
         rhs = pure and worst < t

@@ -301,6 +301,22 @@ class TestMemo:
             ("max_k", boundary_simplex(8).masks, GF2, 9)]
         assert {key[0] for key in classify_module._MEMO} == {"obstructions", "max_k"}
 
+    def test_classify_decides_cm_t_once(self, monkeypatch):
+        # min_t and the search's score of the complex itself read the top
+        # masks; asking is_cm_t under every criterion at every t made it 23
+        sphere = boundary_simplex(8)
+        calls = []
+
+        def counted(masks, field, _f=classify_module._link_recursion):
+            calls.append(tuple(masks) == sphere.masks)
+            return _f(masks, field)
+
+        monkeypatch.setattr(classify_module, "_link_recursion", counted)
+        clear_caches()
+        rep = classify(sphere, GF2)
+        assert rep.min_t == 0 and rep.criteria_agree
+        assert 0 < sum(calls) <= 2
+
     def test_one_k_search_entry_per_limit_asked(self):
         # max_k per t is 1, 1, 2 on the Miyazaki deletion survivor
         cx, sigma = miyazaki_example()

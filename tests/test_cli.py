@@ -568,6 +568,8 @@ class TestParseErrors:
         assert code == 2 and "void" in err
         code, _, err = run(capsys, ["check", str(path), "--t", "0"])
         assert code == 2 and "void" in err
+        code, _, err = run(capsys, ["classify", str(path)])
+        assert code == 2 and err == "cmtkit: the void complex cannot be classified\n"
 
     def test_unknown_suite_choice(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

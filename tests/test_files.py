@@ -23,12 +23,12 @@ class TestParseText:
         assert cx == from_facets([(1, 2), (2, 3)])
 
     def test_empty_file_is_void(self):
-        assert parse("").is_void
-        assert parse("# only comments\n").is_void
+        for text in ("", "# only comments\n", "\n  \n"):
+            assert parse(text) == from_facets([])
 
     def test_empty_face_marker(self):
-        cx = parse("@empty-face\n")
-        assert not cx.is_void and cx.dim == -1
+        for text in ("@empty-face\n", "# c\n@empty-face\n"):
+            assert parse(text) == from_facets([()])
 
     def test_marker_with_other_content_rejected(self):
         with pytest.raises(ParseError) as exc:
@@ -188,10 +188,11 @@ class TestParseJson:
         assert cx == from_facets([(1, 2), (2, 3)])
 
     def test_empty_list_is_void(self):
-        assert parse('{"facets": []}').is_void
+        assert parse('{"facets": []}') == from_facets([])
 
     def test_empty_face(self):
-        assert parse('{"facets": [[]]}').dim == -1
+        for text in ('{"facets": [[]]}', '{"facets": [[], []]}'):
+            assert parse(text) == from_facets([()])
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(ParseError) as exc:
